@@ -8,6 +8,24 @@
 
 namespace h2r::netio {
 
+std::size_t shard_tape_capacity(const trace::Recorder* sink) {
+  const auto* ring = dynamic_cast<const trace::RingRecorder*>(sink);
+  return ring != nullptr ? ring->capacity() : 0;
+}
+
+void merge_shard_tapes(
+    std::span<const std::unique_ptr<trace::RingRecorder>> tapes,
+    trace::Recorder& sink) {
+  auto* ring = dynamic_cast<trace::RingRecorder*>(&sink);
+  for (const auto& tape : tapes) {
+    if (ring != nullptr) {
+      ring->append_tape(*tape);
+    } else {
+      tape->replay_into(sink);
+    }
+  }
+}
+
 ShardedServe::~ShardedServe() = default;
 
 Result<std::unique_ptr<ShardedServe>> ShardedServe::create(
@@ -22,10 +40,11 @@ Result<std::unique_ptr<ShardedServe>> ShardedServe::create(
   const auto shard_sink = [&](std::size_t i) -> trace::Recorder* {
     if (opts.base.recorder == nullptr) return nullptr;
     while (sharded->shard_tapes_.size() <= i) {
-      // Unbounded tape: per-connection rings already bound memory, this
-      // only accumulates their flushed segments until the post-join merge.
-      sharded->shard_tapes_.push_back(
-          std::make_unique<trace::RingRecorder>(0));
+      // Per-connection rings already bound memory; this tape accumulates
+      // their flushed segments until the post-join merge, and keeps no
+      // more than the final sink can.
+      sharded->shard_tapes_.push_back(std::make_unique<trace::RingRecorder>(
+          shard_tape_capacity(opts.base.recorder)));
     }
     return sharded->shard_tapes_[i].get();
   };
@@ -152,9 +171,7 @@ Status ShardedServe::run() {
   for (const auto& shard : shards_) merged_.merge(shard->stats());
   merged_.merge(acceptor_stats_);
   if (opts_.base.recorder != nullptr) {
-    for (const auto& tape : shard_tapes_) {
-      tape->replay_into(*opts_.base.recorder);
-    }
+    merge_shard_tapes(shard_tapes_, *opts_.base.recorder);
   }
   for (const Status& s : results) {
     if (!s.ok()) return s;

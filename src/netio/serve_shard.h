@@ -19,11 +19,15 @@
 // deadline. After the threads join, per-shard ServeStats merge by summation
 // and per-shard trace tapes replay whole, in shard order, into the caller's
 // sink — connection segments never interleave across shards, so the merged
-// trace is untorn.
+// trace is untorn. When that sink is a bounded RingRecorder, each tape is
+// bounded to the same capacity, so trace memory stops growing with
+// requests served; the merge carries each tape's evictions into the sink,
+// which ends up exactly as if unbounded tapes had been replayed.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "netio/serve.h"
@@ -31,6 +35,18 @@
 #include "util/status.h"
 
 namespace h2r::netio {
+
+/// Capacity of a shard's private tape feeding @p sink: a bounded
+/// RingRecorder's own capacity (it keeps no more than its newest records),
+/// 0 = unbounded for any other sink.
+std::size_t shard_tape_capacity(const trace::Recorder* sink);
+
+/// Replays @p tapes, in order, into @p sink: identical to replaying
+/// unbounded tapes whole, provided each tape was sized with
+/// shard_tape_capacity(&sink).
+void merge_shard_tapes(
+    std::span<const std::unique_ptr<trace::RingRecorder>> tapes,
+    trace::Recorder& sink);
 
 struct ShardedServeOptions {
   /// Per-shard configuration. `base.recorder` is the FINAL merged sink;
@@ -87,7 +103,7 @@ class ShardedServe {
   void accept_some();
 
   std::vector<std::unique_ptr<ServeLoop>> shards_;
-  /// Per-shard private trace sinks (unbounded tapes), replayed into
+  /// Per-shard private trace sinks (see shard_tape_capacity), merged into
   /// opts_.base.recorder in shard order after the join. Sized to shards_
   /// when the caller supplied a sink, empty otherwise.
   std::vector<std::unique_ptr<trace::RingRecorder>> shard_tapes_;

@@ -12,6 +12,7 @@ using h2::FrameType;
 
 constexpr std::size_t kEmitQuantum = 16'384;  ///< per-pick DATA chunk cap
 constexpr std::uint32_t kTinyWindowThreshold = 1'024;
+constexpr std::size_t kSpareStreamNodes = 16;  ///< map nodes kept for reuse
 
 /// Fixed virtual date — the engine never reads a wall clock.
 constexpr const char* kHttpDate = "Mon, 04 Jul 2016 10:00:00 GMT";
@@ -70,6 +71,8 @@ void Http2Server::reset(std::shared_ptr<const ServerProfile> profile,
   conn_send_window_ = h2::FlowWindow(h2::kDefaultInitialWindowSize);
   conn_recv_window_ = h2::FlowWindow(h2::kDefaultInitialWindowSize);
   streams_.clear();
+  swept_.clear();
+  closed_since_sweep_ = 0;
   tree_ = h2::PriorityTree();
   preface_matched_ = 0;
   last_client_stream_id_ = 0;
@@ -223,12 +226,12 @@ void Http2Server::receive(std::span<const std::uint8_t> bytes) {
                               {":scheme", "http"},
                               {":authority", site_->host()},
                               {":path", "/"}};
-    auto [pos, inserted] = streams_.emplace(1u, std::move(stream));
+    Stream& upgraded = insert_stream(std::move(stream));
     if (scheduler_uses_tree(profile_->scheduler)) {
       (void)tree_.declare_default(1);
     }
-    start_response(pos->second);
-    if (!dead_) maybe_push(pos->second);
+    start_response(upgraded);
+    if (!dead_) maybe_push(upgraded);
     pump();
     if (leftover.empty()) return;
     // The client may have optimistically begun the h2 preface.
@@ -274,6 +277,7 @@ void Http2Server::receive(std::span<const std::uint8_t> bytes) {
     if (dead_) return;
     if (profile_->mitigation.enabled) mitigation_check();
     if (dead_) return;
+    maybe_sweep();
   }
   pump();
 }
@@ -401,6 +405,11 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
     }
     return;
   }
+  if (find_swept(stream_id) != nullptr) {
+    // Swept means closed: the trailers check above would have failed too.
+    return connection_error(ErrorCode::kProtocolError,
+                            "HEADERS in invalid stream state");
+  }
 
   if (stream_id <= last_client_stream_id_ || client_goaway_) {
     return connection_error(ErrorCode::kProtocolError,
@@ -412,7 +421,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
     // §6.8: streams above the GOAWAY watermark are refused, retryable.
     Stream refused(stream_id, 0, 0);
     (void)refused.sm.on_recv_headers(end_stream);
-    streams_.emplace(stream_id, std::move(refused));
+    insert_stream(std::move(refused));
     return stream_error(stream_id, ErrorCode::kRefusedStream);
   }
 
@@ -423,7 +432,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
     // per attacker HEADERS, no stream state, no response pinned.
     Stream refused(stream_id, 0, 0);
     (void)refused.sm.on_recv_headers(end_stream);
-    streams_.emplace(stream_id, std::move(refused));
+    insert_stream(std::move(refused));
     return stream_error(stream_id, ErrorCode::kEnhanceYourCalm);
   }
 
@@ -433,7 +442,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
       active_stream_count() >= *profile_->max_concurrent_streams) {
     Stream rejected(stream_id, 0, 0);
     (void)rejected.sm.on_recv_headers(end_stream);
-    streams_.emplace(stream_id, std::move(rejected));
+    insert_stream(std::move(rejected));
     return stream_error(stream_id, ErrorCode::kRefusedStream);
   }
 
@@ -444,7 +453,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
   }
   stream.request_headers = std::move(decoded).value();
   stream.opened_at_frame = frames_received_;
-  auto [pos, inserted] = streams_.emplace(stream_id, std::move(stream));
+  Stream& opened = insert_stream(std::move(stream));
 
   // Request body still to come: make sure the client can actually send it.
   // Servers announcing window 0 (the Nginx idiom) re-open per-stream
@@ -452,7 +461,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
   if (!end_stream && profile_->window_update_after_settings &&
       our_settings_.initial_window_size() == 0) {
     const std::uint32_t grant = h2::kDefaultInitialWindowSize;
-    (void)pos->second.recv_window.expand(grant);
+    (void)opened.recv_window.expand(grant);
     send_frame(h2::make_window_update(stream_id, grant));
   }
 
@@ -466,8 +475,8 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
   // Requests with a body (POST uploads) are answered once the body ends
   // (handle_data); header-only requests are answered immediately.
   if (end_stream) {
-    start_response(pos->second);
-    if (!dead_) maybe_push(pos->second);
+    start_response(opened);
+    if (!dead_) maybe_push(opened);
   }
 }
 
@@ -500,7 +509,16 @@ void Http2Server::handle_data(const h2::FrameView& frame) {
   }
   auto it = streams_.find(frame.stream_id);
   if (it == streams_.end()) {
-    return connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
+    SweptStream* swept = find_swept(frame.stream_id);
+    if (swept == nullptr) {
+      return connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
+    }
+    // As while tracked: charged against the stream window, then refused.
+    if (n > swept->recv_window) {
+      return stream_error(frame.stream_id, ErrorCode::kFlowControlError);
+    }
+    swept->recv_window -= static_cast<std::uint32_t>(n);
+    return stream_error(frame.stream_id, ErrorCode::kStreamClosed);
   }
   Stream& stream = it->second;
   if (!stream.recv_window.consume(n).ok()) {
@@ -543,11 +561,12 @@ void Http2Server::handle_rst_stream(const h2::FrameView& frame) {
     return connection_error(ErrorCode::kProtocolError, "RST_STREAM on stream 0");
   }
   auto it = streams_.find(frame.stream_id);
-  if (it == streams_.end()) {
+  if (it != streams_.end()) {
+    (void)it->second.sm.on_recv_rst();
+  } else if (find_swept(frame.stream_id) == nullptr) {
     return connection_error(ErrorCode::kProtocolError,
                             "RST_STREAM on idle stream");
   }
-  (void)it->second.sm.on_recv_rst();
   close_stream(frame.stream_id);
 }
 
@@ -565,11 +584,19 @@ void Http2Server::handle_settings(const h2::FrameView& frame) {
   // stream window by the delta.
   const std::uint32_t new_iws = peer_settings_.initial_window_size();
   if (new_iws != old_iws) {
+    const auto overflow = [this] {
+      connection_error(ErrorCode::kFlowControlError,
+                       "SETTINGS window adjustment overflow");
+    };
     for (auto& [id, s] : streams_) {
       if (!s.send_window.adjust_initial(old_iws, new_iws).ok()) {
-        return connection_error(ErrorCode::kFlowControlError,
-                                "SETTINGS window adjustment overflow");
+        return overflow();
       }
+    }
+    // Every swept window moves by the same delta, so their peak decides.
+    if (!swept_.empty() &&
+        !swept_send_peak_.adjust_initial(old_iws, new_iws).ok()) {
+      return overflow();
     }
   }
   // Our dynamic table may not exceed what the client is willing to hold.
@@ -822,13 +849,13 @@ void Http2Server::maybe_push(Stream& parent) {
     (void)pushed.sm.on_send_push_promise();
     pushed.is_push = true;
     pushed.request_headers = std::move(request);
-    streams_.emplace(promised, std::move(pushed));
+    Stream& inserted = insert_stream(std::move(pushed));
     if (scheduler_uses_tree(profile_->scheduler)) {
       // Pushed responses default to dependents of their parent (§5.3.5).
       (void)tree_.declare(promised, {.dependency = parent.sm.id(),
                                      .weight_field = h2::kDefaultWeight - 1});
     }
-    start_response(streams_.at(promised));
+    start_response(inserted);
   }
 }
 
@@ -917,6 +944,7 @@ void Http2Server::pump() {
     }
     serve_one(id);
     if (dead_) return;
+    maybe_sweep();
   }
 }
 
@@ -1131,9 +1159,67 @@ void Http2Server::close_stream(std::uint32_t stream_id) {
     }
     it->second.response_ready = false;
     it->second.body_offset = it->second.body_size;
+    if (it->second.sm.closed()) ++closed_since_sweep_;
   }
   tree_.remove(stream_id);
   if (draining_ && active_stream_count() == 0) dead_ = true;
+}
+
+// ------------------------------------------------------------ stream table
+
+Http2Server::Stream& Http2Server::insert_stream(Stream stream) {
+  const std::uint32_t id = stream.sm.id();
+  if (spare_nodes_.empty()) {
+    return streams_.emplace(id, std::move(stream)).first->second;
+  }
+  StreamTable::node_type node = std::move(spare_nodes_.back());
+  spare_nodes_.pop_back();
+  node.key() = id;
+  node.mapped() = std::move(stream);
+  return streams_.insert(std::move(node)).position->second;
+}
+
+Http2Server::SweptStream* Http2Server::find_swept(std::uint32_t stream_id) {
+  auto it = std::lower_bound(
+      swept_.begin(), swept_.end(), stream_id,
+      [](const SweptStream& s, std::uint32_t id) { return s.id < id; });
+  return it != swept_.end() && it->id == stream_id ? &*it : nullptr;
+}
+
+void Http2Server::sweep_closed_streams() {
+  closed_since_sweep_ = 0;
+  const std::size_t old_size = swept_.size();
+  if (spare_nodes_.capacity() == 0) spare_nodes_.reserve(kSpareStreamNodes);
+  for (auto it = streams_.begin(); it != streams_.end();) {
+    const Stream& s = it->second;
+    // A closed stream can still pin octets (a response started after a
+    // stream error reset it); it stays until close_stream() releases them.
+    if (!s.sm.closed() || s.response_ready) {
+      ++it;
+      continue;
+    }
+    assert(s.recv_window.available() >= 0 &&
+           s.recv_window.available() <= h2::kMaxWindowSize);
+    const std::int64_t send = s.send_window.available();
+    swept_send_peak_.reset_to(
+        swept_.empty() ? send : std::max(swept_send_peak_.available(), send));
+    swept_.push_back(
+        {it->first, static_cast<std::uint32_t>(s.recv_window.available())});
+    auto node = streams_.extract(it++);
+    if (spare_nodes_.size() < kSpareStreamNodes) {
+      spare_nodes_.push_back(std::move(node));
+    }
+  }
+  // The batch is id-sorted; a long-lived stream closing late sorts before
+  // records swept earlier, so rotate each new record into place.
+  const auto by_id = [](std::uint32_t id, const SweptStream& s) {
+    return id < s.id;
+  };
+  for (auto it = swept_.begin() + static_cast<std::ptrdiff_t>(old_size);
+       it != swept_.end(); ++it) {
+    std::rotate(std::upper_bound(swept_.begin(), it, it->id, by_id), it,
+                it + 1);
+  }
 }
 
 // -------------------------------------------------------------- mitigation

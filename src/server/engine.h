@@ -177,6 +177,14 @@ class Http2Server {
 
   // ---- introspection for tests and ablations ---------------------------
   [[nodiscard]] std::size_t active_stream_count() const;
+  /// Entries in the stream table: live streams plus closed ones not yet
+  /// swept into compact records (fewer than kClosedStreamSweepBatch between
+  /// frames, plus any closed stream still pinning response octets).
+  [[nodiscard]] std::size_t tracked_stream_count() const noexcept {
+    return streams_.size();
+  }
+  /// Closed streams accumulated before the table sweeps them out.
+  static constexpr std::size_t kClosedStreamSweepBatch = 16;
   [[nodiscard]] const h2::PriorityTree& priority_tree() const noexcept {
     return tree_;
   }
@@ -239,6 +247,16 @@ class Http2Server {
     bool cacheable_response = false;
     std::size_t opened_at_frame = 0;  ///< frames_received_ at creation
   };
+  using StreamTable = std::map<std::uint32_t, Stream>;
+
+  /// What a swept (closed, forgotten) stream still owes later frames
+  /// (RFC 7540 §5.1): DATA on it is charged against its receive window
+  /// before the STREAM_CLOSED reset. Receive windows never leave
+  /// [0, 2^31-1], so 32 bits hold them.
+  struct SweptStream {
+    std::uint32_t id;
+    std::uint32_t recv_window;
+  };
 
   // -- frame dispatch (zero-copy: views alias the parser buffer) ----------
   void on_frame(const h2::FrameView& frame);
@@ -289,6 +307,18 @@ class Http2Server {
   void connection_error(h2::ErrorCode code, std::string debug);
   void close_stream(std::uint32_t stream_id);
   [[nodiscard]] bool tiny_window_mode() const;
+
+  // -- stream table -------------------------------------------------------
+  /// Adds @p stream to the table, reusing a swept stream's map node when
+  /// one is spare.
+  Stream& insert_stream(Stream stream);
+  [[nodiscard]] SweptStream* find_swept(std::uint32_t stream_id);
+  /// Moves every closed stream that pins nothing out of streams_ into
+  /// swept_. Only called between frames, when no Stream& is held.
+  void sweep_closed_streams();
+  void maybe_sweep() {
+    if (closed_since_sweep_ >= kClosedStreamSweepBatch) sweep_closed_streams();
+  }
   /// DATA emission fast path: frame header + procedurally generated body
   /// written straight into the output buffer — no Frame, no payload vector.
   void send_data_direct(std::uint32_t stream_id, const Resource* resource,
@@ -333,7 +363,18 @@ class Http2Server {
   h2::FlowWindow conn_send_window_;  ///< server->client DATA budget
   h2::FlowWindow conn_recv_window_;  ///< client->server DATA budget
 
-  std::map<std::uint32_t, Stream> streams_;
+  // The stream table. streams_ holds live streams, plus closed ones until
+  // kClosedStreamSweepBatch of them have built up; the sweep then keeps
+  // only their id and receive window (swept_, sorted by id), so every walk
+  // over streams_ costs O(live) however old the connection is. Swept
+  // streams' send windows matter only to a SETTINGS_INITIAL_WINDOW_SIZE
+  // raise, which shifts them all by the same delta, so their maximum
+  // stands in for them all. The freed map nodes are reused for new streams.
+  StreamTable streams_;
+  std::vector<SweptStream> swept_;
+  h2::FlowWindow swept_send_peak_{0};  ///< max swept send window, if any
+  std::vector<StreamTable::node_type> spare_nodes_;
+  std::size_t closed_since_sweep_ = 0;
   h2::PriorityTree tree_;
 
   std::size_t preface_matched_ = 0;

@@ -1,5 +1,6 @@
 #include "trace/recorder.h"
 
+#include <cassert>
 #include <cstring>
 
 namespace h2r::trace {
@@ -283,6 +284,23 @@ void RingRecorder::decode_into(std::vector<TraceEvent>& out) const {
     const WireRecord& rec = records_[index(i)];
     decode_record(base + i, rec, notes_.at(rec.note_ref), out[i]);
   }
+}
+
+void RingRecorder::append_tape(const RingRecorder& tape) {
+  assert(tape.drops() == 0 ||
+         (capacity_ != 0 && tape.size() >= capacity_));
+  for (std::uint32_t ref = 1; ref < tape.notes_.size(); ++ref) {
+    (void)notes_.intern(tape.notes_.at(ref));
+  }
+  if (tape.drops() != 0) {
+    // The evicted records, then the tape's retained ones (a full ring's
+    // worth), would have pushed out everything retained here.
+    dropped_ += records_.size() + tape.drops();
+    records_.clear();
+    head_ = 0;
+    skip_sequence(tape.drops());
+  }
+  tape.replay_into(*this);
 }
 
 void RingRecorder::serialize(std::string& out) const {

@@ -127,6 +127,8 @@ class Recorder {
   /// VectorRecorder::clear), so a reused sink's output matches a freshly
   /// constructed one's.
   void restart_sequence() noexcept { next_seq_ = 0; }
+  /// Consumes @p n sequence numbers for records this sink never saw.
+  void skip_sequence(std::uint64_t n) noexcept { next_seq_ += n; }
 
  private:
   std::uint64_t next_seq_ = 0;
@@ -151,6 +153,8 @@ class RingRecorder : public Recorder {
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
+  /// Ring bound; 0 = unbounded tape.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Records evicted by the bounded ring since the last clear().
   [[nodiscard]] std::uint64_t drops() const noexcept { return dropped_; }
   /// Sequence number of the oldest retained record (0 until a drop).
@@ -180,6 +184,13 @@ class RingRecorder : public Recorder {
       sink.replay_record(at(i), note_at(i));
     }
   }
+
+  /// Replays @p tape's whole history into this ring: the result equals
+  /// replaying every record the tape ever saw, in order. Records the tape
+  /// evicted count as drops here, and notes intern in first-seen order.
+  /// Exact only when those evictions would have been evicted here too:
+  /// requires tape.drops() == 0 or tape.size() >= capacity() > 0.
+  void append_tape(const RingRecorder& tape);
 
   /// Appends the binary dump format (see serialize() in recorder.cc for
   /// the layout) to @p out.

@@ -138,6 +138,64 @@ TEST_P(EngineFuzz, RandomValidOperationsKeepInvariants) {
   }
 }
 
+TEST_P(EngineFuzz, LongRandomSessionsSweepClosedStreams) {
+  // Long enough that closed streams pass the sweep batch many times over:
+  // resets, late DATA and WINDOW_UPDATEs land on tracked and swept ids
+  // alike, and the table stays bounded by the live streams.
+  Rng rng(GetParam() * 0x3131u);
+  auto server = fresh_server();
+  core::ClientOptions options;
+  options.retain_data_payloads = false;
+  core::ClientConnection client(options);
+  net::LockstepTransport transport(client.recorder());
+  const auto some_stream = [&] {  // any id opened so far
+    return 1u + 2u * static_cast<std::uint32_t>(
+                         rng.next_below((client.last_stream_id() + 1) / 2));
+  };
+  for (int step = 0; step < 1'500 && server.alive(); ++step) {
+    switch (client.last_stream_id() == 0 ? 0 : rng.next_below(8)) {
+      case 0:
+      case 1:
+        for (std::size_t n = 1 + rng.next_below(8); n > 0; --n) {
+          client.send_request(rng.next_bool(0.7) ? "/small" : "/object/0");
+        }
+        break;
+      case 2:
+        client.send_request("/small", {}, /*end_stream=*/false);
+        break;
+      case 3:
+        client.send_rst_stream(some_stream(), h2::ErrorCode::kCancel);
+        break;
+      case 4:
+        client.send_frame(h2::make_data(some_stream(),
+                                        Bytes(rng.next_below(64), 0),
+                                        rng.next_bool(0.5)));
+        break;
+      case 5:
+        client.send_window_update(
+            some_stream(),
+            1 + static_cast<std::uint32_t>(rng.next_below(4096)));
+        break;
+      case 6:
+        client.send_settings(
+            {{h2::SettingId::kInitialWindowSize,
+              static_cast<std::uint32_t>(rng.next_below(1 << 20))}});
+        break;
+      default:
+        client.send_ping({1, 1, 1, 1, 1, 1, 1, 1});
+        break;
+    }
+    transport.run(client, server);
+    ASSERT_LE(server.tracked_stream_count(),
+              server.active_stream_count() +
+                  Http2Server::kClosedStreamSweepBatch);
+  }
+  EXPECT_TRUE(server.alive());
+  EXPECT_GT(client.last_stream_id(),
+            8 * Http2Server::kClosedStreamSweepBatch);
+  EXPECT_EQ(server.pending_response_octets(), server.pinned_response_octets());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 7));
 
 TEST(EngineFuzzEdge, TruncatedPrefaceThenGarbage) {

@@ -1,8 +1,9 @@
 // Sharded-serving tests: zero-error loopback runs at 2 and 4 shards, the
 // acceptor fallback's deterministic round-robin, merged-stats = per-shard
 // sums, GOAWAY on every shard at drain (with an untorn merged trace), a
-// fingerprint-identity check that sharding never alters wire behaviour, and
-// the response header-block cache's byte-identity guarantees.
+// fingerprint-identity check that sharding never alters wire behaviour,
+// bounded shard tapes that merge exactly like unbounded ones, and the
+// response header-block cache's byte-identity guarantees.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -277,6 +278,103 @@ TEST(ShardedServe, DrainSendsGoawayOnEveryShardAndMergesTraceUntorn) {
   EXPECT_EQ(segments, 3);
   for (std::size_t i = 0; i < goaway_in_segment.size(); ++i) {
     EXPECT_TRUE(goaway_in_segment[i]) << "connection segment " << i;
+  }
+}
+
+// ------------------------------------------------------ bounded shard tapes
+
+TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
+  // A small ring sink: shard tapes sized for it evict most of their
+  // records, yet the merged ring must equal replaying unbounded tapes —
+  // records, note table, first_seq and drops, i.e. the binary dump.
+  constexpr std::size_t kRing = 16;
+  trace::RingRecorder reference(kRing);
+  trace::RingRecorder merged(kRing);
+  ASSERT_EQ(netio::shard_tape_capacity(&merged), kRing);
+  for (auto* sink : {&reference, &merged}) {
+    for (int i = 0; i < 5; ++i) sink->begin_connection("before-merge");
+  }
+  std::vector<std::unique_ptr<trace::RingRecorder>> unbounded;
+  std::vector<std::unique_ptr<trace::RingRecorder>> bounded;
+  // Shards that overflow the ring, fit it, fill it exactly, and trail.
+  for (const int records : {40, 5, 16, 23, 3}) {
+    unbounded.push_back(std::make_unique<trace::RingRecorder>(0));
+    bounded.push_back(std::make_unique<trace::RingRecorder>(
+        netio::shard_tape_capacity(&merged)));
+    const std::string shard = std::to_string(unbounded.size());
+    for (int i = 0; i < records; ++i) {
+      const std::string label = "conn-" + shard + "-" + std::to_string(i);
+      for (auto* tape : {unbounded.back().get(), bounded.back().get()}) {
+        if (i % 7 == 0) {
+          tape->begin_connection(label);
+        } else {
+          tape->record({.dir = trace::Direction::kServerToClient,
+                        .stream_id = static_cast<std::uint32_t>(i),
+                        .frame_type = static_cast<std::uint8_t>(i % 10),
+                        .detail_a = static_cast<std::uint32_t>(records),
+                        .note = i % 3 == 0 ? std::string_view("note-" + shard)
+                                           : std::string_view()});
+        }
+      }
+    }
+  }
+  EXPECT_GT(bounded.front()->drops(), 0u);
+  for (const auto& tape : unbounded) tape->replay_into(reference);
+  netio::merge_shard_tapes(bounded, merged);
+
+  EXPECT_EQ(merged.drops(), reference.drops());
+  EXPECT_EQ(merged.first_seq(), reference.first_seq());
+  EXPECT_EQ(merged.events_recorded(), reference.events_recorded());
+  std::string want;
+  std::string got;
+  reference.serialize(want);
+  merged.serialize(got);
+  EXPECT_EQ(got, want);
+  const auto want_events = reference.decode();
+  const auto got_events = merged.decode();
+  ASSERT_EQ(got_events.size(), want_events.size());
+  for (std::size_t i = 0; i < got_events.size(); ++i) {
+    EXPECT_EQ(got_events[i].seq, want_events[i].seq);
+    EXPECT_EQ(got_events[i].note, want_events[i].note);
+    EXPECT_EQ(got_events[i].stream_id, want_events[i].stream_id);
+  }
+}
+
+TEST(ShardTapes, UnboundedSinksKeepUnboundedTapes) {
+  trace::RingRecorder tape(0);
+  trace::VectorRecorder vector;
+  EXPECT_EQ(netio::shard_tape_capacity(&tape), 0u);
+  EXPECT_EQ(netio::shard_tape_capacity(&vector), 0u);
+  EXPECT_EQ(netio::shard_tape_capacity(nullptr), 0u);
+}
+
+TEST(ShardedServe, SmallRingSinkHoldsTheNewestRecords) {
+  // Live: two shards under load into a 64-record ring. The merge carries
+  // the shard tapes' evictions, so numbering stays gapless: every record
+  // the shards ever saw is either retained or counted as dropped.
+  trace::RingRecorder sink(64);
+  netio::ShardedServeOptions opts;
+  opts.base.profile_key = "nginx";
+  opts.base.recorder = &sink;
+  opts.shards = 2;
+  opts.force_accept_fallback = true;
+  ShardedRunner runner(opts);
+  ASSERT_TRUE(runner.serve);
+  netio::LoadOptions load;
+  load.port = runner.serve->port();
+  load.connections = 4;
+  load.requests = 200;
+  load.streams = 2;
+  EXPECT_EQ(netio::run_load(load).total_errors(), 0u);
+  runner.stop();
+
+  EXPECT_EQ(sink.size(), 64u);
+  EXPECT_GT(sink.drops(), 0u);
+  EXPECT_EQ(sink.first_seq(), sink.drops());
+  EXPECT_EQ(sink.events_recorded(), sink.drops() + sink.size());
+  const auto events = sink.decode();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, sink.first_seq() + i);
   }
 }
 

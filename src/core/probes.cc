@@ -1,6 +1,7 @@
 #include "core/probes.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 
 #include "net/upgrade.h"
@@ -66,6 +67,43 @@ std::string_view to_string(UpdateReaction r) noexcept {
   return "?";
 }
 
+EndpointLease::~EndpointLease() {
+  if (slot_ == nullptr) return;
+  // The connection is over: its buffers go back to the pool instead of
+  // idling in the slot until the next lease.
+  slot_->client_->release_buffers();
+  slot_->server_->release_buffers();
+  slot_->leased_ = false;
+}
+
+ClientConnection& EndpointLease::client() const { return *slot_->client_; }
+
+server::Http2Server& EndpointLease::server() const { return *slot_->server_; }
+
+EndpointLease EndpointSlot::lease(const Target& target, ClientOptions opts) {
+  assert(!leased_ && "EndpointSlot leased twice");
+  leased_ = true;
+  // Client before server, as in a fresh construction: the wiretap's
+  // connection-start marker has to precede the server's preface frames.
+  if (client_) {
+    client_->reset(target.client_options(std::move(opts)));
+  } else {
+    client_.emplace(target.client_options(std::move(opts)));
+  }
+  if (server_) {
+    target.reset_server(*server_);
+  } else {
+    server_.emplace(target.make_server());
+  }
+  return EndpointLease(this);
+}
+
+EndpointLease Target::lease_endpoints(ClientOptions opts) const {
+  if (endpoints != nullptr) return endpoints->lease(*this, std::move(opts));
+  if (!own_endpoints_) own_endpoints_ = std::make_unique<EndpointSlot>();
+  return own_endpoints_->lease(*this, std::move(opts));
+}
+
 Target::Target(const Target& other)
     : host(other.host),
       profile(other.profile),
@@ -76,6 +114,7 @@ Target::Target(const Target& other)
       limits(other.limits),
       faults(other.faults),
       ledger(other.ledger),
+      endpoints(other.endpoints),
       transport_seq_(other.transport_seq_) {}
 
 Target& Target::operator=(const Target& other) {
@@ -89,6 +128,7 @@ Target& Target::operator=(const Target& other) {
   limits = other.limits;
   faults = other.faults;
   ledger = other.ledger;
+  endpoints = other.endpoints;
   transport_seq_ = other.transport_seq_;
   cached_profile_.reset();
   cached_site_.reset();
@@ -163,10 +203,9 @@ SettingsProbeResult probe_settings(const Target& target) {
 
 Task<SettingsProbeResult> probe_settings_task(const Target& target) {
   SettingsProbeResult out;
-  // Clients are constructed first throughout the suite so the wiretap's
-  // connection-start marker precedes the server's preface frames.
-  ClientConnection client(target.client_options());
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints();
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/");
   co_await AwaitExchange(*transport, client, server, target.limits);
@@ -191,8 +230,10 @@ Task<SettingsProbeResult> probe_settings_task(const Target& target) {
 MultiplexingProbeResult probe_multiplexing(const Target& target,
                                            int num_streams) {
   MultiplexingProbeResult out;
-  ClientConnection client(target.client_options(with_initial_window(kHugeWindow)));
-  auto server = target.make_server();
+  const EndpointLease lease =
+      target.lease_endpoints(with_initial_window(kHugeWindow));
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   std::vector<std::uint32_t> streams;
   streams.reserve(static_cast<std::size_t>(num_streams));
@@ -222,8 +263,9 @@ ConcurrencyLimitProbeResult probe_concurrency_limit(const Target& target) {
   {
     Target capped = target;
     capped.profile.max_concurrent_streams = 0;
-    ClientConnection client(capped.client_options());
-    auto server = capped.make_server();
+    const EndpointLease lease = capped.lease_endpoints();
+    ClientConnection& client = lease.client();
+    server::Http2Server& server = lease.server();
     auto transport = capped.make_transport();
     const std::uint32_t sid = client.send_request("/small");
     transport->run(client, server, capped.limits);
@@ -233,8 +275,9 @@ ConcurrencyLimitProbeResult probe_concurrency_limit(const Target& target) {
   {
     Target capped = target;
     capped.profile.max_concurrent_streams = 1;
-    ClientConnection client(capped.client_options());
-    auto server = capped.make_server();
+    const EndpointLease lease = capped.lease_endpoints();
+    ClientConnection& client = lease.client();
+    server::Http2Server& server = lease.server();
     auto transport = capped.make_transport();
     // Two requests for objects large enough that the first is still active
     // when the second arrives.
@@ -259,19 +302,21 @@ DataFrameControlResult probe_data_frame_control(const Target& target,
 Task<DataFrameControlResult> probe_data_frame_control_task(
     const Target& target, std::uint32_t sframe) {
   DataFrameControlResult out;
-  ClientConnection client(target.client_options(with_initial_window(sframe)));
-  auto server = target.make_server();
+  const EndpointLease lease =
+      target.lease_endpoints(with_initial_window(sframe));
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/small");
   co_await AwaitExchange(*transport, client, server, target.limits);
 
   out.headers_received = client.response_headers(sid).has_value();
-  const auto data = client.frames_of(FrameType::kData, sid);
-  if (data.empty()) {
+  const ReceivedFrame* data = client.first_frame_of(FrameType::kData, sid);
+  if (data == nullptr) {
     out.outcome = SmallWindowOutcome::kNoResponse;
     co_return out;
   }
-  out.first_data_size = data.front()->header_block_size;
+  out.first_data_size = data->header_block_size;
   if (out.first_data_size == sframe) {
     out.outcome = SmallWindowOutcome::kRespectsWindow;
   } else if (out.first_data_size == 0) {
@@ -289,14 +334,18 @@ ZeroWindowHeadersResult probe_zero_window_headers(const Target& target) {
 Task<ZeroWindowHeadersResult> probe_zero_window_headers_task(
     const Target& target) {
   ZeroWindowHeadersResult out;
-  ClientConnection client(target.client_options(with_initial_window(0)));
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints(with_initial_window(0));
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/small");
   co_await AwaitExchange(*transport, client, server, target.limits);
   out.headers_received = client.response_headers(sid).has_value();
-  for (const auto* ev : client.frames_of(FrameType::kData, sid)) {
-    if (ev->header_block_size != 0) out.data_received = true;
+  for (const ReceivedFrame& ev : client.events()) {
+    if (ev.frame.type() == FrameType::kData && ev.frame.stream_id == sid &&
+        ev.header_block_size != 0) {
+      out.data_received = true;
+    }
   }
   co_return out;
 }
@@ -312,8 +361,9 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
   {  // zero increment, stream scope — on a stream mid-response
     ClientOptions opts;
     opts.auto_stream_window_update = false;  // keep the stream open/blocked
-    ClientConnection client(target.client_options(opts));
-    auto server = target.make_server();
+    const EndpointLease lease = target.lease_endpoints(opts);
+    ClientConnection& client = lease.client();
+    server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
     co_await AwaitExchange(*transport, client, server, target.limits);
@@ -322,8 +372,9 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     out.zero_on_stream = classify_update_reaction(client, sid, &out.zero_debug_data);
   }
   {  // zero increment, connection scope
-    ClientConnection client(target.client_options());
-    auto server = target.make_server();
+    const EndpointLease lease = target.lease_endpoints();
+    ClientConnection& client = lease.client();
+    server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     client.send_window_update(0, 0);
     co_await AwaitExchange(*transport, client, server, target.limits);
@@ -332,8 +383,9 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
   {  // overflowing increments, stream scope (two halves summing past 2^31-1)
     ClientOptions opts;
     opts.auto_stream_window_update = false;
-    ClientConnection client(target.client_options(opts));
-    auto server = target.make_server();
+    const EndpointLease lease = target.lease_endpoints(opts);
+    ClientConnection& client = lease.client();
+    server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
     co_await AwaitExchange(*transport, client, server, target.limits);
@@ -343,8 +395,9 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     out.large_on_stream = classify_update_reaction(client, sid);
   }
   {  // overflowing increments, connection scope
-    ClientConnection client(target.client_options());
-    auto server = target.make_server();
+    const EndpointLease lease = target.lease_endpoints();
+    ClientConnection& client = lease.client();
+    server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
     (void)sid;
@@ -368,8 +421,9 @@ Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target) {
   ClientOptions opts = with_initial_window(kHugeWindow);
   opts.auto_connection_window_update = false;
   opts.auto_stream_window_update = false;
-  ClientConnection client(target.client_options(opts));
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints(opts);
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();  // one connection, six exchanges
   co_return co_await run_priority_rounds_task(client, server, *transport,
                                               target.limits);
@@ -459,8 +513,9 @@ Task<SelfDependencyProbeResult> probe_self_dependency_task(
   SelfDependencyProbeResult out;
   ClientOptions opts;
   opts.auto_stream_window_update = false;  // keep the stream alive
-  ClientConnection client(target.client_options(opts));
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints(opts);
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/large/0");
   client.send_priority(sid, {.dependency = sid, .weight_field = 0});
@@ -481,8 +536,9 @@ Task<PushProbeResult> probe_server_push_task(const Target& target,
   PushProbeResult out;
   ClientOptions opts;
   opts.settings = {{SettingId::kEnablePush, 1}};  // §III-D: opt in explicitly
-  ClientConnection client(target.client_options(opts));
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints(opts);
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   client.send_request(page);
   co_await AwaitExchange(*transport, client, server, target.limits);
@@ -504,20 +560,24 @@ HpackProbeResult probe_hpack_ratio(const Target& target, int h,
 Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
                                               std::string path) {
   HpackProbeResult out;
-  ClientConnection client(target.client_options());
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints();
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   std::vector<std::uint32_t> streams;
+  streams.reserve(static_cast<std::size_t>(std::max(h, 0)));
   for (int i = 0; i < h; ++i) {
     // Sequential requests so each response block sees the dynamic table
     // state left by the previous one (§III-E).
     streams.push_back(client.send_request(path));
     co_await AwaitExchange(*transport, client, server, target.limits);
   }
+  out.header_sizes.reserve(streams.size());
   for (std::uint32_t sid : streams) {
-    const auto headers = client.frames_of(FrameType::kHeaders, sid);
-    if (headers.empty()) co_return out;  // ran stays false
-    out.header_sizes.push_back(headers.front()->header_block_size);
+    const ReceivedFrame* headers =
+        client.first_frame_of(FrameType::kHeaders, sid);
+    if (headers == nullptr) co_return out;  // ran stays false
+    out.header_sizes.push_back(headers->header_block_size);
   }
   const double s1 = static_cast<double>(out.header_sizes.front());
   double sum = 0;
@@ -531,8 +591,9 @@ Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
 
 PingProbeResult probe_ping(const Target& target, int samples, Rng& rng) {
   PingProbeResult out;
-  ClientConnection client(target.client_options());
-  auto server = target.make_server();
+  const EndpointLease lease = target.lease_endpoints();
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::array<std::uint8_t, 8> opaque = {0x13, 0x37, 0xC0, 0xDE,
                                               0x00, 0x01, 0x02, 0x03};

@@ -2,7 +2,9 @@
 // Section III of the paper, each returning a structured result.
 //
 // Every probe opens a fresh connection to the target (as the paper's scans
-// do) so no probe contaminates another's HPACK or flow-control state.
+// do) so no probe contaminates another's HPACK or flow-control state. The
+// connection is fresh on the wire, not in memory: its client and engine are
+// a pair leased from the target's EndpointSlot and rewound, not rebuilt.
 // core/session.h coalesces the probes that don't need that isolation onto
 // one shared connection per site; these free functions remain both the
 // fresh-connection path and the reference the coalesced scheduler must
@@ -12,10 +14,10 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <vector>
-
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/client.h"
 #include "core/task.h"
@@ -52,6 +54,63 @@ struct RetryPolicy {
   double backoff_multiplier = 2.0;
 };
 
+struct Target;
+class EndpointSlot;
+
+/// A live claim on an EndpointSlot's client/engine pair; releases the slot
+/// when destroyed. Move-only.
+class EndpointLease {
+ public:
+  EndpointLease(EndpointLease&& other) noexcept
+      : slot_(std::exchange(other.slot_, nullptr)) {}
+  EndpointLease& operator=(EndpointLease&&) = delete;
+  EndpointLease(const EndpointLease&) = delete;
+  ~EndpointLease();
+
+  [[nodiscard]] ClientConnection& client() const;
+  [[nodiscard]] server::Http2Server& server() const;
+
+ private:
+  friend class EndpointSlot;
+  explicit EndpointLease(EndpointSlot* slot) noexcept : slot_(slot) {}
+
+  EndpointSlot* slot_;
+};
+
+/// One reusable client/engine pair. Every probe connection leases it
+/// instead of constructing endpoints: lease() rewinds the pair for the
+/// target (ClientConnection::reset, then Target::reset_server — client
+/// first, so the wiretap's connection marker precedes the server preface),
+/// building it only on first use. A rewound pair is indistinguishable from
+/// a newly built one — same wire bytes, same wiretap records — while its
+/// HPACK tables and per-stream containers stay warm; when a lease ends, its
+/// transport buffers go back to the thread's BufferPool. One lease at a
+/// time: leasing a slot that is still leased is a bug (assert).
+class EndpointSlot {
+ public:
+  EndpointSlot() = default;
+  EndpointSlot(const EndpointSlot&) = delete;
+  EndpointSlot& operator=(const EndpointSlot&) = delete;
+
+  /// The pair as a fresh first connection against @p target, with client
+  /// options @p opts (wired through Target::client_options).
+  [[nodiscard]] EndpointLease lease(const Target& target,
+                                    ClientOptions opts = {});
+  [[nodiscard]] bool leased() const noexcept { return leased_; }
+  /// The client as the last lease left it — what that connection observed
+  /// (null before the first lease).
+  [[nodiscard]] const ClientConnection* client() const noexcept {
+    return client_ ? &*client_ : nullptr;
+  }
+
+ private:
+  friend class EndpointLease;
+
+  std::optional<ClientConnection> client_;
+  std::optional<server::Http2Server> server_;
+  bool leased_ = false;
+};
+
 /// One scan target: a (virtual) host with its server behaviour, content,
 /// and network path.
 struct Target {
@@ -74,6 +133,10 @@ struct Target {
   /// Outcome accumulator shared by every transport this target creates
   /// (scan-owned, one per site). Null = no accounting.
   net::ExchangeLedger* ledger = nullptr;
+  /// The endpoint slot this target's probe connections lease (the scan
+  /// passes its per-site scratch slot). Null = a slot the target owns,
+  /// built on the first lease.
+  EndpointSlot* endpoints = nullptr;
 
   Target() = default;
   /// Copying clears the cached shared profile/site so a copy that then
@@ -94,8 +157,7 @@ struct Target {
   }
 
   /// Rewinds @p server into a fresh first connection against this target —
-  /// the scan's per-worker engine slot serves a different site each time
-  /// without reconstructing (see core::SessionScratch).
+  /// how an EndpointSlot serves site after site without reconstructing.
   void reset_server(server::Http2Server& server) const {
     server.reset(shared_profile(), shared_site(),
                  server::Http2Server::StartMode::kTls, recorder);
@@ -108,6 +170,12 @@ struct Target {
     opts.retain_data_payloads = false;
     return opts;
   }
+
+  /// A fresh client/engine pair for the next connection against this
+  /// target, leased from `endpoints` (or the target's own slot). Hold the
+  /// lease for the connection's lifetime; the transport comes separately
+  /// from make_transport().
+  [[nodiscard]] EndpointLease lease_endpoints(ClientOptions opts = {}) const;
 
   /// The transport for the next connection against this target: lockstep
   /// when faults are off, otherwise a FaultyTransport whose plan is derived
@@ -132,6 +200,8 @@ struct Target {
   /// connection). Cleared by copy so stale values never leak.
   mutable std::shared_ptr<const server::ServerProfile> cached_profile_;
   mutable std::shared_ptr<const server::Site> cached_site_;
+  /// The slot leased when `endpoints` is null; never copied.
+  mutable std::unique_ptr<EndpointSlot> own_endpoints_;
 };
 
 /// Runs @p fn — a probe body that opens fresh connections against

@@ -24,39 +24,28 @@ ProbeSession::ProbeSession(const Target& target)
     : ProbeSession(target, Options(), nullptr) {}
 
 ProbeSession::ProbeSession(const Target& target, Options options,
-                           SessionScratch* scratch)
+                           EndpointSlot* slot)
     : target_(target),
       options_(options),
-      scratch_(scratch != nullptr ? scratch : &own_) {}
+      slot_(slot != nullptr ? slot : &own_) {}
 
 void ProbeSession::ensure_baseline() {
   if (baseline_done_) return;
   baseline_done_ = true;
 
-  // Client before server, like every fresh probe: the wiretap's
-  // connection-start marker has to precede the server's preface frames.
-  if (scratch_->client) {
-    scratch_->client->reset(target_.client_options());
-  } else {
-    scratch_->client.emplace(target_.client_options());
-  }
-  if (scratch_->server) {
-    target_.reset_server(*scratch_->server);
-  } else {
-    scratch_->server.emplace(target_.make_server());
-  }
+  lease_.emplace(slot_->lease(target_));
   transport_ = target_.make_transport();
 
   // The baseline conversation is the byte-identical prefix of the fresh
   // settings probe (request 1), the fresh push probe (request 1's
   // promises) and the fresh HPACK probe (all H requests, §III-E's
   // sequential table-warming), so one pass yields all three readouts.
-  ClientConnection& client = *scratch_->client;
+  ClientConnection& client = lease_->client();
   const int requests = options_.expect_hpack ? options_.hpack_h : 1;
   baseline_streams_.reserve(static_cast<std::size_t>(requests));
   for (int i = 0; i < requests; ++i) {
     baseline_streams_.push_back(client.send_request("/"));
-    transport_->run(client, *scratch_->server, target_.limits);
+    transport_->run(client, lease_->server(), target_.limits);
   }
   baseline_clean_ = client.alive() && !client.goaway_received();
   shared_ok_ = baseline_clean_;
@@ -70,7 +59,7 @@ SettingsProbeResult ProbeSession::settings() {
   // the readout equals probe_settings() on a fresh connection even when
   // the connection degrades afterwards.
   SettingsProbeResult out;
-  const ClientConnection& client = *scratch_->client;
+  const ClientConnection& client = lease_->client();
   out.settings_entry_count = client.server_settings_entry_count();
   const auto& s = client.server_settings();
   out.header_table_size = s.raw(SettingId::kHeaderTableSize);
@@ -89,8 +78,8 @@ SettingsProbeResult ProbeSession::settings() {
 PriorityProbeResult ProbeSession::priority() {
   ensure_baseline();
   if (!shared_ok_) return probe_priority_mechanism(target_);
-  ClientConnection& client = *scratch_->client;
-  server::Http2Server& server = *scratch_->server;
+  ClientConnection& client = lease_->client();
+  server::Http2Server& server = lease_->server();
 
   // Recreate the fresh probe's preface stance mid-connection: huge stream
   // windows (the SETTINGS frame rides in front of the drain request, as
@@ -133,12 +122,12 @@ SelfDependencyProbeResult ProbeSession::self_dependency() {
   // the reaction — so the guard also ensures no earlier phase's GOAWAY is
   // misattributed to this probe.
   if (!shared_ok_) return probe_self_dependency(target_);
-  ClientConnection& client = *scratch_->client;
+  ClientConnection& client = lease_->client();
   client.set_auto_connection_window_update(true);
   client.set_auto_stream_window_update(false);  // keep the stream alive
   const std::uint32_t sid = client.send_request("/large/0");
   client.send_priority(sid, {.dependency = sid, .weight_field = 0});
-  transport_->run(client, *scratch_->server, target_.limits);
+  transport_->run(client, lease_->server(), target_.limits);
   SelfDependencyProbeResult out;
   out.reaction = classify_update_reaction(client, sid);
   client.set_auto_stream_window_update(true);
@@ -150,7 +139,7 @@ PushProbeResult ProbeSession::push() {
   ensure_baseline();
   if (!baseline_clean_) return probe_server_push(target_);
   PushProbeResult out;
-  const ClientConnection& client = *scratch_->client;
+  const ClientConnection& client = lease_->client();
   // Only the promises born from the baseline's *first* request count: the
   // later baseline requests for the same page re-trigger the same pushes,
   // which a fresh probe (one request, one page) would never see.
@@ -180,7 +169,7 @@ HpackProbeResult ProbeSession::hpack_ratio() {
   // the same loop as probe_hpack_ratio over what is, byte for byte, the
   // same conversation, so even the floating-point ratio is bit-identical.
   HpackProbeResult out;
-  const ClientConnection& client = *scratch_->client;
+  const ClientConnection& client = lease_->client();
   for (std::uint32_t sid : baseline_streams_) {
     const auto headers = client.frames_of(FrameType::kHeaders, sid);
     if (headers.empty()) return out;  // ran stays false

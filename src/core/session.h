@@ -68,16 +68,6 @@ enum class ProbeKind : std::uint8_t {
   }
 }
 
-/// Reusable endpoint slots: the scan's per-worker scratch hands the same
-/// client and engine to every site's ProbeSession, which rewinds them with
-/// reset() instead of reconstructing (keeping their transport buffers and
-/// the engine's shared profile/site machinery warm). A default-constructed
-/// scratch simply means "allocate on first use".
-struct SessionScratch {
-  std::optional<ClientConnection> client;
-  std::optional<server::Http2Server> server;
-};
-
 class ProbeSession {
  public:
   struct Options {
@@ -89,11 +79,12 @@ class ProbeSession {
     bool expect_hpack = true;
   };
 
-  /// @p target must outlive the session. @p scratch may be null (the
-  /// session then owns its endpoints privately).
+  /// @p target must outlive the session. The shared connection's endpoints
+  /// are leased from @p slot for the session's lifetime (the scan passes a
+  /// per-site scratch slot); null means a slot the session owns.
   explicit ProbeSession(const Target& target);
   ProbeSession(const Target& target, Options options,
-               SessionScratch* scratch = nullptr);
+               EndpointSlot* slot = nullptr);
 
   // Each accessor runs its probe on first call (lazily establishing the
   // shared connection) and is safe to call at most once per session; all
@@ -114,8 +105,9 @@ class ProbeSession {
 
   const Target& target_;
   Options options_;
-  SessionScratch own_;        // backing storage when no scratch was passed
-  SessionScratch* scratch_;   // where client/server actually live
+  EndpointSlot own_;     // leased when no slot was passed
+  EndpointSlot* slot_;   // where client/server actually live
+  std::optional<EndpointLease> lease_;  // held from the baseline on
   std::unique_ptr<net::Transport> transport_;
   std::vector<std::uint32_t> baseline_streams_;
   bool baseline_done_ = false;

@@ -53,6 +53,7 @@ SiteTask::SiteTask(const SiteSpec& spec, const ScanOptions& opts,
     : spec_(spec), opts_(opts), r_(report), scratch_(scratch),
       target_(spec.to_target()), task_(run()) {
   scratch_.reset();
+  target_.endpoints = &scratch_.endpoints;
 
   // One ledger per site: every connection any probe opens against this
   // target folds its outcome here, and the final-attempt flags classify

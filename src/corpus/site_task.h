@@ -27,9 +27,12 @@
 
 namespace h2r::corpus {
 
-/// Reusable per-slot scratch: one wiretap buffer and one client/engine pair
-/// serve every site a sequential worker (or reactor slot) scans, rewound
-/// between sites instead of reallocated. The recorder is an unbounded
+/// Reusable per-slot scratch: one wiretap buffer and two client/engine
+/// pairs serve every site a sequential worker (or reactor slot) scans,
+/// rewound between sites instead of reallocated. `endpoints` backs every
+/// fresh-connection probe (each lease rewinds it for the next connection);
+/// `session` backs the coalesced ProbeSession, whose shared connection
+/// stays leased while fresh probes run beside it. The recorder is an unbounded
 /// binary ring (32 bytes per event, no per-event heap traffic). The default
 /// metrics fold runs straight off the raw records (annotate_ring with a
 /// MetricsRecorder tee), so `decoded` — the offline-expansion scratch — is
@@ -50,7 +53,8 @@ struct SiteScratch {
   // std::map values with stable addresses.
   trace::MetricsRegistry site_metrics;
   trace::MetricsRecorder folder{site_metrics};
-  core::SessionScratch session;
+  core::EndpointSlot session;
+  core::EndpointSlot endpoints;
 
   void reset() {
     recorder.clear();

@@ -183,7 +183,37 @@ Bytes serialize_frames(std::span<const Frame> frames) {
 FrameParser::FrameParser(std::uint32_t max_frame_size)
     : max_frame_size_(max_frame_size) {}
 
+void FrameParser::reset(std::uint32_t max_frame_size) {
+  // The reassembly buffer goes back to the thread's pool rather than
+  // staying pinned to an idle connection; the next feed() takes one out.
+  BufferPool::local().release(std::move(buf_));
+  buf_ = {};
+  consumed_ = 0;
+  fed_total_ = 0;
+  max_frame_size_ = max_frame_size;
+  poisoned_.reset();
+  error_context_.reset();
+}
+
+void FrameParser::release_buffer() {
+  Bytes tail;
+  if (consumed_ < buf_.size()) {
+    tail = BufferPool::local().acquire(buf_.size() - consumed_);
+    tail.assign(buf_.begin() + static_cast<std::ptrdiff_t>(consumed_),
+                buf_.end());
+  }
+  BufferPool::local().release(std::move(buf_));
+  buf_ = std::move(tail);
+  consumed_ = 0;
+}
+
 void FrameParser::feed(std::span<const std::uint8_t> bytes) {
+  if (buf_.capacity() == 0) {
+    // Room for a maximum-size default frame, so one round's input rarely
+    // regrows the buffer.
+    constexpr std::size_t kInitialBuffer = 16 * 1024;
+    buf_ = BufferPool::local().acquire(std::max(bytes.size(), kInitialBuffer));
+  }
   buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   fed_total_ += bytes.size();
 }

@@ -57,6 +57,15 @@ class FrameParser {
   ///        frames longer than this are FRAME_SIZE_ERRORs.
   explicit FrameParser(std::uint32_t max_frame_size = kDefaultMaxFrameSize);
 
+  /// Back to the just-constructed state for a new connection. The
+  /// reassembly buffer is handed to the thread's BufferPool, where the
+  /// next connection's first feed() finds it warm.
+  void reset(std::uint32_t max_frame_size = kDefaultMaxFrameSize);
+
+  /// Hands the reassembly buffer to the thread's BufferPool, keeping only
+  /// the octets not yet parsed; the next feed() takes a buffer back out.
+  void release_buffer();
+
   /// Appends transport bytes to the internal reassembly buffer.
   void feed(std::span<const std::uint8_t> bytes);
 

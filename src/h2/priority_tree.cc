@@ -1,12 +1,23 @@
 #include "h2/priority_tree.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
 namespace h2r::h2 {
 
 PriorityTree::PriorityTree() { nodes_[kConnectionStreamId] = Node{}; }
+
+void PriorityTree::clear() {
+  nodes_.erase(std::next(nodes_.begin()), nodes_.end());
+  Node& root = nodes_.begin()->second;
+  root.children.clear();
+  root.weight = kDefaultWeight;
+  root.parent = 0;
+  root.vtime = 0;
+  root.self_vtime = 0;
+}
 
 PriorityTree::Node& PriorityTree::node(std::uint32_t id) {
   auto it = nodes_.find(id);

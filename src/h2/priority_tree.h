@@ -28,6 +28,10 @@ class PriorityTree {
  public:
   PriorityTree();
 
+  /// Back to just the root (what the constructor builds), keeping the
+  /// root's child storage.
+  void clear();
+
   /// Inserts (or re-declares) @p stream_id with the given priority triple.
   /// Errors with PROTOCOL_ERROR on self-dependency.
   Status declare(std::uint32_t stream_id, const PriorityInfo& info);

@@ -1,5 +1,7 @@
 #include "h2/settings.h"
 
+#include <algorithm>
+
 namespace h2r::h2 {
 
 Status SettingsMap::apply(std::uint16_t id, std::uint32_t value) {
@@ -24,7 +26,19 @@ Status SettingsMap::apply(std::uint16_t id, std::uint32_t value) {
     default:
       break;  // unknown or unconstrained ids: record as-is
   }
-  values_[id] = value;
+  if (defined(id)) {
+    defined_[id - 1u] = value;
+    present_ = static_cast<std::uint8_t>(present_ | (1u << (id - 1u)));
+    return OkStatus();
+  }
+  const auto it = std::lower_bound(
+      unknown_.begin(), unknown_.end(), id,
+      [](const auto& entry, std::uint16_t key) { return entry.first < key; });
+  if (it != unknown_.end() && it->first == id) {
+    it->second = value;
+  } else {
+    unknown_.insert(it, {id, value});
+  }
   return OkStatus();
 }
 
@@ -68,15 +82,31 @@ std::optional<std::uint32_t> SettingsMap::max_header_list_size() const {
 }
 
 std::optional<std::uint32_t> SettingsMap::raw(SettingId id) const {
-  auto it = values_.find(static_cast<std::uint16_t>(id));
-  if (it == values_.end()) return std::nullopt;
-  return it->second;
+  const auto key = static_cast<std::uint16_t>(id);
+  if (defined(key)) {
+    if ((present_ & (1u << (key - 1u))) == 0) return std::nullopt;
+    return defined_[key - 1u];
+  }
+  for (const auto& [uid, value] : unknown_) {
+    if (uid == key) return value;
+  }
+  return std::nullopt;
 }
 
 std::vector<std::pair<SettingId, std::uint32_t>> SettingsMap::to_entries() const {
+  // Ascending id order: unknown id 0, the defined ids, then the rest.
   std::vector<std::pair<SettingId, std::uint32_t>> out;
-  for (const auto& [id, value] : values_) {
-    out.emplace_back(static_cast<SettingId>(id), value);
+  auto unknown = unknown_.begin();
+  for (; unknown != unknown_.end() && unknown->first < 1; ++unknown) {
+    out.emplace_back(static_cast<SettingId>(unknown->first), unknown->second);
+  }
+  for (std::uint16_t id = 1; id <= kDefinedIds; ++id) {
+    if ((present_ & (1u << (id - 1u))) != 0) {
+      out.emplace_back(static_cast<SettingId>(id), defined_[id - 1u]);
+    }
+  }
+  for (; unknown != unknown_.end(); ++unknown) {
+    out.emplace_back(static_cast<SettingId>(unknown->first), unknown->second);
   }
   return out;
 }

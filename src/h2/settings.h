@@ -4,8 +4,8 @@
 // limits) and the values the *peer* advertised (limits it must respect).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -21,6 +21,13 @@ namespace h2r::h2 {
 class SettingsMap {
  public:
   SettingsMap() = default;
+
+  /// Forgets every advertised value (back to all-defaults), keeping the
+  /// storage for unknown ids.
+  void clear() noexcept {
+    present_ = 0;
+    unknown_.clear();
+  }
 
   /// Validates and applies one (id, value) pair. Unknown ids are recorded
   /// but otherwise ignored, as §6.5.2 requires.
@@ -52,7 +59,17 @@ class SettingsMap {
   [[nodiscard]] std::vector<std::pair<SettingId, std::uint32_t>> to_entries() const;
 
  private:
-  std::map<std::uint16_t, std::uint32_t> values_;
+  /// The six ids RFC 7540 defines live in a fixed array (bit id-1 of
+  /// present_ says whether one was advertised); anything else is kept,
+  /// sorted by id, in unknown_.
+  static constexpr std::size_t kDefinedIds = 6;
+  [[nodiscard]] static bool defined(std::uint16_t id) noexcept {
+    return id >= 1 && id <= kDefinedIds;
+  }
+
+  std::array<std::uint32_t, kDefinedIds> defined_{};
+  std::uint8_t present_ = 0;
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> unknown_;
 };
 
 }  // namespace h2r::h2

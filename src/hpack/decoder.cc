@@ -8,6 +8,11 @@ namespace h2r::hpack {
 Decoder::Decoder(DecoderOptions options)
     : options_(options), table_(options.max_table_capacity) {}
 
+void Decoder::reset(DecoderOptions options) {
+  options_ = options;
+  table_.reset(options.max_table_capacity);
+}
+
 void Decoder::set_max_table_capacity(std::uint32_t capacity) {
   options_.max_table_capacity = capacity;
   if (table_.capacity() > capacity) table_.set_capacity(capacity);

@@ -28,6 +28,9 @@ class Decoder {
  public:
   explicit Decoder(DecoderOptions options = {});
 
+  /// Back to the state of `Decoder(options)`, keeping the table's storage.
+  void reset(DecoderOptions options);
+
   /// Decodes one full header block. Partial blocks (split across
   /// CONTINUATION frames) must be reassembled by the caller first, per
   /// RFC 7540 §4.3.

@@ -18,6 +18,13 @@ constexpr std::uint8_t kTableSizePattern = 0x20;      // 001xxxxx, prefix 5
 Encoder::Encoder(EncoderOptions options)
     : options_(options), table_(options.table_capacity) {}
 
+void Encoder::reset(EncoderOptions options) {
+  options_ = options;
+  table_.reset(options.table_capacity);
+  pending_capacity_update_.reset();
+  capacity_epoch_ = 0;
+}
+
 void Encoder::set_table_capacity(std::uint32_t capacity) {
   table_.set_capacity(capacity);
   pending_capacity_update_ = capacity;
@@ -33,7 +40,9 @@ void Encoder::encode(const HeaderList& headers, ByteWriter& out) {
 }
 
 Bytes Encoder::encode(const HeaderList& headers) {
-  ByteWriter out;
+  // Room for a typical response block, so encoding does not regrow it.
+  constexpr std::size_t kBlockReserve = 1024;
+  ByteWriter out(BufferPool::local().acquire(kBlockReserve));
   encode(headers, out);
   return out.take();
 }

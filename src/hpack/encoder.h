@@ -41,10 +41,15 @@ class Encoder {
  public:
   explicit Encoder(EncoderOptions options = {});
 
+  /// Back to the state of `Encoder(options)` — empty table, no pending
+  /// size update, capacity epoch 0 — keeping the table's storage.
+  void reset(EncoderOptions options);
+
   /// Encodes @p headers as one header block, appending to @p out.
   void encode(const HeaderList& headers, ByteWriter& out);
 
-  /// Convenience: encode into a fresh buffer.
+  /// Convenience: encode into a buffer from the thread's BufferPool (hand
+  /// it back with BufferPool::local().release() once shipped).
   [[nodiscard]] Bytes encode(const HeaderList& headers);
 
   /// Schedules a dynamic table size update instruction (§6.3) to be emitted

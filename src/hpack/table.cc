@@ -116,26 +116,52 @@ Result<HeaderField> IndexTable::at(std::uint32_t index) const {
     return static_table()[index - 1];
   }
   const std::uint32_t dyn = index - kStaticTableSize - 1;
-  if (dyn >= dynamic_.size()) {
+  if (dyn >= count_) {
     return CompressionFailureError("HPACK index beyond dynamic table");
   }
-  return dynamic_[dyn];
+  return entry(dyn);
+}
+
+void IndexTable::reset(std::uint32_t capacity) {
+  capacity_ = capacity;
+  oldest_ = 0;
+  count_ = 0;
+  size_octets_ = 0;
+  insert_count_ = 0;
+  eviction_count_ = 0;
+  indexed_ = false;
+  by_name_.clear();
 }
 
 void IndexTable::insert(const HeaderField& field) {
   const std::size_t entry_size = field.hpack_size();
   if (entry_size > capacity_) {
     // §4.4: too-large entry flushes the table and is itself not inserted.
-    dynamic_.clear();
+    oldest_ = 0;
+    count_ = 0;
     size_octets_ = 0;
     by_name_.clear();
     return;
   }
   if (indexed_) index_insert(field, insert_count_);
   ++insert_count_;
-  dynamic_.push_front(field);
+  if (count_ == ring_.size()) grow();
+  HeaderField& slot = ring_[(oldest_ + count_) & (ring_.size() - 1)];
+  slot.name.assign(field.name);
+  slot.value.assign(field.value);
+  slot.never_indexed = field.never_indexed;
+  ++count_;
   size_octets_ += entry_size;
   evict_until_fits();
+}
+
+void IndexTable::grow() {
+  std::vector<HeaderField> bigger(ring_.empty() ? 8 : 2 * ring_.size());
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = std::move(ring_[(oldest_ + i) & (ring_.size() - 1)]);
+  }
+  ring_ = std::move(bigger);
+  oldest_ = 0;
 }
 
 void IndexTable::set_capacity(std::uint32_t capacity) {
@@ -148,10 +174,10 @@ void IndexTable::evict_until_fits() {
 }
 
 void IndexTable::drop_oldest() {
-  const HeaderField& oldest = dynamic_.back();
+  const HeaderField& oldest = ring_[oldest_];
   // The oldest surviving entry carries the smallest absolute id, which sits
   // at the front of both of its bucket queues.
-  const std::uint64_t abs = insert_count_ - dynamic_.size();
+  const std::uint64_t abs = insert_count_ - count_;
   if (auto it = by_name_.find(oldest.name); indexed_ && it != by_name_.end()) {
     NameBucket& bucket = it->second;
     if (!bucket.any.empty() && bucket.any.front() == abs) {
@@ -167,7 +193,8 @@ void IndexTable::drop_oldest() {
     if (bucket.any.empty()) by_name_.erase(it);
   }
   size_octets_ -= oldest.hpack_size();
-  dynamic_.pop_back();
+  oldest_ = (oldest_ + 1) & (ring_.size() - 1);
+  --count_;
   ++eviction_count_;
 }
 
@@ -182,8 +209,8 @@ void IndexTable::build_index() const {
   // Oldest first so every bucket queue comes out ascending. Decoder-side
   // tables never call find(), so they never reach this and insert/evict
   // stay as cheap as the unindexed original.
-  for (std::size_t i = dynamic_.size(); i-- > 0;) {
-    index_insert(dynamic_[i], insert_count_ - 1 - i);
+  for (std::size_t i = count_; i-- > 0;) {
+    index_insert(entry(i), insert_count_ - 1 - i);
   }
   indexed_ = true;
 }
@@ -200,13 +227,14 @@ MatchResult IndexTable::find(const HeaderField& field) const {
     name_index = it->second.name_index;
   }
   if (!indexed_) {
-    if (dynamic_.size() <= kIndexThreshold) {
+    if (count_ <= kIndexThreshold) {
       // Short-lived tables (one fresh connection's worth of inserts) never
       // amortize index upkeep; a linear scan of a handful of entries beats
       // paying allocations on every insert.
-      for (std::uint32_t i = 0; i < dynamic_.size(); ++i) {
-        if (dynamic_[i].name != field.name) continue;
-        if (dynamic_[i].value == field.value) {
+      for (std::uint32_t i = 0; i < count_; ++i) {
+        const HeaderField& e = entry(i);
+        if (e.name != field.name) continue;
+        if (e.value == field.value) {
           return {.index = kStaticTableSize + 1 + i, .value_matched = true};
         }
         if (name_index == 0) name_index = kStaticTableSize + 1 + i;

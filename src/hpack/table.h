@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "hpack/header_field.h"
 #include "util/status.h"
@@ -53,6 +54,11 @@ class IndexTable {
   explicit IndexTable(std::uint32_t capacity = kDefaultDynamicTableCapacity)
       : capacity_(capacity) {}
 
+  /// Back to an empty table of @p capacity with zeroed lifetime counts —
+  /// indistinguishable from `IndexTable(capacity)` — keeping the entry
+  /// slots and their string buffers for the next connection.
+  void reset(std::uint32_t capacity);
+
   /// Entry at unified @p index (1-based). Errors on 0 or out-of-range —
   /// a COMPRESSION_ERROR at the connection level for a decoder.
   [[nodiscard]] Result<HeaderField> at(std::uint32_t index) const;
@@ -73,7 +79,7 @@ class IndexTable {
   [[nodiscard]] std::uint32_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size_octets() const noexcept { return size_octets_; }
   [[nodiscard]] std::size_t dynamic_entry_count() const noexcept {
-    return dynamic_.size();
+    return count_;
   }
   /// Lifetime totals — deltas across an encode/decode call tell a tracer how
   /// many dynamic-table insertions/evictions one header block caused.
@@ -95,6 +101,12 @@ class IndexTable {
 
   void evict_until_fits();
   void drop_oldest();
+  /// Doubles the ring, moving the live entries to the front in age order.
+  void grow();
+  /// Dynamic entry @p i, 0 = most recent (unified index 62 + i).
+  [[nodiscard]] const HeaderField& entry(std::size_t i) const noexcept {
+    return ring_[(oldest_ + count_ - 1 - i) & (ring_.size() - 1)];
+  }
   void index_insert(const HeaderField& field, std::uint64_t abs) const;
   void build_index() const;
 
@@ -104,7 +116,13 @@ class IndexTable {
            static_cast<std::uint32_t>(insert_count_ - 1 - abs);
   }
 
-  std::deque<HeaderField> dynamic_;  // front = most recent = index 62
+  // The dynamic table as a ring over ring_ (size a power of two): count_
+  // live entries starting at slot oldest_, newest last. Evicted slots keep
+  // their strings, so an insert into a warm ring assigns into existing
+  // buffers instead of allocating.
+  std::vector<HeaderField> ring_;
+  std::size_t oldest_ = 0;
+  std::size_t count_ = 0;
   std::uint32_t capacity_;
   std::size_t size_octets_ = 0;
   std::uint64_t insert_count_ = 0;  ///< absolute id of the next insertion

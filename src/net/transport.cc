@@ -358,6 +358,23 @@ FaultyTransport::FaultyTransport(FaultPlan plan, trace::Recorder* recorder,
       chunk_rng_(plan.seed ^ 0x9E3779B97F4A7C15ull),
       fault_armed_(plan.kind != FaultKind::kNone) {}
 
+FaultyTransport::~FaultyTransport() {
+  BufferPool::local().release(std::move(c2s_.pending));
+  BufferPool::local().release(std::move(s2c_.pending));
+}
+
+void FaultyTransport::hold(DirState& d, Bytes& fresh) {
+  if (d.pos >= d.pending.size()) {
+    // Nothing undelivered: the fresh buffer becomes the hold, and the old
+    // (drained) hold goes back to the endpoint in its place.
+    d.pending.swap(fresh);
+    d.pos = 0;
+    return;
+  }
+  // Undelivered octets remain (a stall is holding them): append behind.
+  d.pending.insert(d.pending.end(), fresh.begin(), fresh.end());
+}
+
 void FaultyTransport::record_fault(trace::Direction dir, std::uint64_t at,
                                    std::uint32_t detail_b) {
   if (recorder_ == nullptr) return;
@@ -486,15 +503,11 @@ Transport::RoundOutcome FaultyTransport::round_once(Endpoint& client,
   // decide how much of each hold actually arrives this round.
   Bytes c2s = client.take_output();
   const std::size_t in_c2s = c2s.size();
-  if (!c2s.empty() && !c2s_.cut) {
-    c2s_.pending.insert(c2s_.pending.end(), c2s.begin(), c2s.end());
-  }
+  if (!c2s.empty() && !c2s_.cut) hold(c2s_, c2s);
   client.recycle(std::move(c2s));
   Bytes s2c = server.take_output();
   const std::size_t in_s2c = s2c.size();
-  if (!s2c.empty() && !s2c_.cut) {
-    s2c_.pending.insert(s2c_.pending.end(), s2c.begin(), s2c.end());
-  }
+  if (!s2c.empty() && !s2c_.cut) hold(s2c_, s2c);
   server.recycle(std::move(s2c));
   result.bytes_c2s += in_c2s;
   result.bytes_s2c += in_s2c;

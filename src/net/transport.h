@@ -423,6 +423,8 @@ class FaultyTransport final : public Transport {
   explicit FaultyTransport(FaultPlan plan,
                            trace::Recorder* recorder = nullptr,
                            ExchangeLedger* ledger = nullptr);
+  /// Hands the per-direction hold buffers to the thread's BufferPool.
+  ~FaultyTransport() override;
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "faulty";
@@ -450,6 +452,10 @@ class FaultyTransport final : public Transport {
     WireCursor cursor;      ///< frame-boundary tracker (frame_aligned plans)
   };
 
+  /// Moves @p fresh (an endpoint's drained output) into @p d's hold. An
+  /// empty hold swaps buffers with it instead of copying, leaving @p fresh
+  /// holding the old hold's storage for recycling.
+  static void hold(DirState& d, Bytes& fresh);
   /// Delivers as much of @p d's pending bytes as the plan allows this
   /// round. Returns true when time observably advanced (octets delivered,
   /// a stall ticked, or a fault fired).

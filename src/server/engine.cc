@@ -49,6 +49,7 @@ Http2Server::Http2Server(std::shared_ptr<const ServerProfile> profile,
       conn_recv_window_(h2::kDefaultInitialWindowSize),
       start_mode_(mode),
       recorder_(recorder) {
+  out_ = ByteWriter(BufferPool::local().acquire(BufferPool::kOutputFloor));
   if (start_mode_ == StartMode::kH2c) {
     // Nothing is sent until the HTTP/1.1 upgrade offer arrives (§3.2).
     return;
@@ -63,17 +64,24 @@ void Http2Server::reset(std::shared_ptr<const ServerProfile> profile,
                         trace::Recorder* recorder) {
   profile_ = std::move(profile);
   site_ = std::move(site);
-  parser_ = h2::FrameParser();
-  encoder_ = hpack::Encoder(encoder_options(*profile_));
-  decoder_ = hpack::Decoder(decoder_options(*profile_));
-  our_settings_ = h2::SettingsMap();
-  peer_settings_ = h2::SettingsMap();
+  parser_.reset();
+  encoder_.reset(encoder_options(*profile_));
+  decoder_.reset(decoder_options(*profile_));
+  our_settings_.clear();
+  peer_settings_.clear();
   conn_send_window_ = h2::FlowWindow(h2::kDefaultInitialWindowSize);
   conn_recv_window_ = h2::FlowWindow(h2::kDefaultInitialWindowSize);
+  // Keep a batch of the old connection's map nodes for the next one's
+  // streams.
+  while (!streams_.empty() && spare_nodes_.size() < kSpareStreamNodes) {
+    if (spare_nodes_.capacity() == 0) spare_nodes_.reserve(kSpareStreamNodes);
+    spare_nodes_.push_back(streams_.extract(streams_.begin()));
+  }
   streams_.clear();
   swept_.clear();
+  swept_send_peak_ = h2::FlowWindow(0);
   closed_since_sweep_ = 0;
-  tree_ = h2::PriorityTree();
+  tree_.clear();
   preface_matched_ = 0;
   last_client_stream_id_ = 0;
   next_push_stream_id_ = 2;
@@ -99,7 +107,8 @@ void Http2Server::reset(std::shared_ptr<const ServerProfile> profile,
   block_cache_.clear();
   header_cache_hits_ = 0;
   header_cache_misses_ = 0;
-  out_ = ByteWriter(buffer_pool_.acquire());
+  BufferPool::local().release(out_.take());
+  out_ = ByteWriter(BufferPool::local().acquire(BufferPool::kOutputFloor));
   dead_ = false;
   client_goaway_ = false;
   draining_ = false;
@@ -113,36 +122,38 @@ void Http2Server::reset(std::shared_ptr<const ServerProfile> profile,
 void Http2Server::send_connection_preface() {
   // Server connection preface: a SETTINGS frame (§3.5), possibly followed by
   // the Nginx-style connection WINDOW_UPDATE (§V-C of the paper).
-  std::vector<std::pair<h2::SettingId, std::uint32_t>> entries;
+  // The frame is a member so its entry list keeps its storage across
+  // connections (reset()).
+  auto& entries = preface_settings_.as<h2::SettingsPayload>().entries;
+  entries.clear();
+  const auto announce = [&](h2::SettingId id, std::uint32_t value) {
+    entries.emplace_back(static_cast<std::uint16_t>(id), value);
+    (void)our_settings_.apply(static_cast<std::uint16_t>(id), value);
+  };
   // Default-valued HEADER_TABLE_SIZE is omitted, like real deployments: the
   // paper infers "all servers use the default" from its absence (§V-C), and
   // the corpus "NULL" sites send an entirely empty SETTINGS frame.
   if (profile_->header_table_size != h2::kDefaultHeaderTableSize) {
-    entries.emplace_back(h2::SettingId::kHeaderTableSize,
-                         profile_->header_table_size);
+    announce(h2::SettingId::kHeaderTableSize, profile_->header_table_size);
   }
   if (profile_->max_concurrent_streams) {
-    entries.emplace_back(h2::SettingId::kMaxConcurrentStreams,
-                         *profile_->max_concurrent_streams);
+    announce(h2::SettingId::kMaxConcurrentStreams,
+             *profile_->max_concurrent_streams);
   }
   if (profile_->initial_window_size) {
-    entries.emplace_back(h2::SettingId::kInitialWindowSize,
-                         *profile_->initial_window_size);
+    announce(h2::SettingId::kInitialWindowSize, *profile_->initial_window_size);
   }
   if (profile_->max_frame_size) {
-    entries.emplace_back(h2::SettingId::kMaxFrameSize, *profile_->max_frame_size);
+    announce(h2::SettingId::kMaxFrameSize, *profile_->max_frame_size);
   }
   if (profile_->max_header_list_size) {
-    entries.emplace_back(h2::SettingId::kMaxHeaderListSize,
-                         *profile_->max_header_list_size);
-  }
-  for (const auto& [id, value] : entries) {
-    (void)our_settings_.apply(static_cast<std::uint16_t>(id), value);
+    announce(h2::SettingId::kMaxHeaderListSize,
+             *profile_->max_header_list_size);
   }
   // Inbound frame size limit is what *we* advertised, not what the peer did.
   parser_.set_max_frame_size(
       profile_->max_frame_size.value_or(h2::kDefaultMaxFrameSize));
-  send_frame(h2::make_settings(entries));
+  send_frame(preface_settings_);
   if (profile_->window_update_after_settings &&
       profile_->connection_window_bonus > 0) {
     (void)conn_recv_window_.expand(profile_->connection_window_bonus);
@@ -282,11 +293,17 @@ void Http2Server::receive(std::span<const std::uint8_t> bytes) {
   pump();
 }
 
+void Http2Server::release_buffers() {
+  parser_.release_buffer();
+  if (out_.size() == 0) BufferPool::local().release(out_.take());
+}
+
 Bytes Http2Server::take_output() {
   Bytes drained = out_.take();
   // Re-arm the writer with a recycled buffer so the next round of frames
-  // appends into already-allocated storage.
-  out_ = ByteWriter(buffer_pool_.acquire());
+  // appends into already-allocated storage; pump() trades it for a larger
+  // one when a DATA burst needs the room.
+  out_ = ByteWriter(BufferPool::local().acquire(BufferPool::kOutputFloor));
   return drained;
 }
 
@@ -473,8 +490,11 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
   }
 
   // Requests with a body (POST uploads) are answered once the body ends
-  // (handle_data); header-only requests are answered immediately.
-  if (end_stream) {
+  // (handle_data); header-only requests are answered immediately — unless
+  // the priority reaction above already reset the stream (a self-dependency
+  // under ErrorReaction::kRstStream): a reset stream gets no response and
+  // no pushes, so nothing stays pinned on it.
+  if (end_stream && !opened.sm.closed()) {
     start_response(opened);
     if (!dead_) maybe_push(opened);
   }
@@ -725,34 +745,45 @@ void Http2Server::start_response(Stream& stream) {
     // prebuilt byte block instead.
     stream.cacheable_response = true;
   } else {
-    stream.response_headers = build_response_headers(stream);
+    build_response_headers(stream, stream.response_headers);
   }
   stream.response_ready = true;
   pin_octets(stream.body_size);
 }
 
-hpack::HeaderList Http2Server::build_response_headers(const Stream& stream) {
-  hpack::HeaderList headers;
-  headers.reserve(8 + site_->extra_headers().size());
-  headers.emplace_back(":status", stream.resource != nullptr ? "200" : "404");
-  headers.emplace_back("server", profile_->server_header);
-  headers.emplace_back("date", kHttpDate);
-  headers.emplace_back("content-type", stream.resource != nullptr
-                                           ? stream.resource->content_type
-                                           : "text/html");
-  headers.emplace_back("content-length", std::to_string(stream.body_size));
-  for (const auto& extra : site_->extra_headers()) headers.push_back(extra);
+void Http2Server::build_response_headers(const Stream& stream,
+                                         hpack::HeaderList& headers) {
+  // Assigned field by field into whatever @p headers already holds, so a
+  // reused list keeps its string buffers.
+  std::size_t n = 0;
+  const auto put = [&](std::string_view name, std::string_view value) {
+    if (n == headers.size()) headers.emplace_back();
+    hpack::HeaderField& f = headers[n++];
+    f.name.assign(name);
+    f.value.assign(value);
+    f.never_indexed = false;
+  };
+  put(":status", stream.resource != nullptr ? "200" : "404");
+  put("server", profile_->server_header);
+  put("date", kHttpDate);
+  put("content-type", stream.resource != nullptr
+                          ? std::string_view(stream.resource->content_type)
+                          : std::string_view("text/html"));
+  put("content-length", std::to_string(stream.body_size));
+  for (const auto& extra : site_->extra_headers()) {
+    put(extra.name, extra.value);
+    headers[n - 1].never_indexed = extra.never_indexed;
+  }
   // Cookie churn (§V-G): *later* responses grow extra set-cookie headers
   // the first response lacked, making S1 < Si and pushing the measured
   // compression ratio above 1 (the sites the paper filters out of Figs 4/5).
   // Churned responses are never cache-deferred (see start_response), so the
   // counter advances exactly as it would without the cache.
   if (site_->cookie_churn() && cookie_counter_++ > 0) {
-    headers.emplace_back(
-        "set-cookie", "session=" + std::to_string(cookie_counter_) +
-                          "; Path=/; HttpOnly");
+    put("set-cookie",
+        "session=" + std::to_string(cookie_counter_) + "; Path=/; HttpOnly");
   }
-  return headers;
+  headers.resize(n);
 }
 
 Bytes Http2Server::response_block(Stream& stream) {
@@ -772,7 +803,7 @@ Bytes Http2Server::response_block(Stream& stream) {
     for (const auto& entry : shared_block_cache_->entries) {
       if (entry.resource == stream.resource) {
         ++shared_block_cache_->hits;
-        Bytes block = buffer_pool_.acquire();
+        Bytes block = BufferPool::local().acquire(entry.block.size());
         block.assign(entry.block.begin(), entry.block.end());
         return block;
       }
@@ -785,7 +816,7 @@ Bytes Http2Server::response_block(Stream& stream) {
       // exactly what the cached encode saw, and that encode had no side
       // effects — so the peer's HPACK decoder cannot tell the difference.
       ++header_cache_hits_;
-      Bytes block = buffer_pool_.acquire();
+      Bytes block = BufferPool::local().acquire(entry.block.size());
       block.assign(entry.block.begin(), entry.block.end());
       return block;
     }
@@ -795,7 +826,8 @@ Bytes Http2Server::response_block(Stream& stream) {
   const std::uint64_t ins = encoder_.table().insert_count();
   const std::uint64_t ev = encoder_.table().eviction_count();
   const std::uint64_t cap = encoder_.capacity_epoch();
-  Bytes block = encode_block(build_response_headers(stream));
+  build_response_headers(stream, response_scratch_);
+  Bytes block = encode_block(response_scratch_);
   // Cache only side-effect-free encodes: no table inserts or evictions, no
   // §6.3 size-update instruction embedded in the block. (The first encode
   // of a response under an aggressive indexing policy inserts; the second,
@@ -841,8 +873,11 @@ void Http2Server::maybe_push(Stream& parent) {
                                  {":scheme", "https"},
                                  {":authority", site_->host()},
                                  {":path", push_path}};
-    send_frame(h2::make_push_promise(parent.sm.id(), promised,
-                                     encode_block(request)));
+    h2::Frame promise = h2::make_push_promise(parent.sm.id(), promised,
+                                              encode_block(request));
+    send_frame(promise);
+    BufferPool::local().release(
+        std::move(promise.as<h2::PushPromisePayload>().fragment));
 
     Stream pushed(promised, peer_settings_.initial_window_size(),
                   our_settings_.initial_window_size());
@@ -905,6 +940,16 @@ std::uint32_t Http2Server::pick_round_robin(bool fcfs) {
 
 void Http2Server::pump() {
   if (dead_) return;
+  // Presize the output for the DATA burst this pump may emit — at most
+  // the octets still owed, within the connection window, one frame header
+  // per quantum — so a round's frames land in one buffer instead of
+  // regrowing it chunk by chunk.
+  const std::size_t burst = std::min<std::size_t>(
+      pinned_octets_, static_cast<std::size_t>(std::max<std::int64_t>(
+                          0, conn_send_window_.available())));
+  if (burst > 0) {
+    reserve_output(burst + (burst / kEmitQuantum + 1) * h2::kFrameHeaderSize);
+  }
   for (;;) {
     std::uint32_t id = 0;
     const auto eligible = [this](std::uint32_t sid) {
@@ -1008,6 +1053,17 @@ void Http2Server::serve_one(std::uint32_t stream_id) {
   if (end_stream) close_stream(stream_id);
 }
 
+void Http2Server::reserve_output(std::size_t n) {
+  if (out_.capacity() - out_.size() >= n) return;
+  // Trade the writer's buffer for a pooled one with the room, rather than
+  // regrowing it while bigger buffers sit idle in the pool.
+  Bytes bigger = BufferPool::local().acquire(out_.size() + n);
+  Bytes current = out_.take();
+  bigger.insert(bigger.end(), current.begin(), current.end());
+  BufferPool::local().release(std::move(current));
+  out_ = ByteWriter(std::move(bigger));
+}
+
 void Http2Server::send_data_direct(std::uint32_t stream_id,
                                    const Resource* resource,
                                    std::size_t offset, std::size_t chunk,
@@ -1017,8 +1073,7 @@ void Http2Server::send_data_direct(std::uint32_t stream_id,
   if (resource != nullptr) {
     resource_body_into(out_, *resource, offset, chunk);
   } else {
-    auto dst = out_.extend(chunk);
-    std::fill(dst.begin(), dst.end(), static_cast<std::uint8_t>('.'));
+    out_.write_fill(chunk, static_cast<std::uint8_t>('.'));
   }
   if (recorder_ != nullptr) {
     recorder_->record(
@@ -1040,7 +1095,10 @@ void Http2Server::send_header_block(std::uint32_t stream_id, Bytes block,
   // split into HEADERS + CONTINUATION frames; END_HEADERS rides the last.
   const std::size_t limit = peer_settings_.max_frame_size();
   if (block.size() <= limit) {
-    send_frame(h2::make_headers(stream_id, std::move(block), end_stream));
+    h2::Frame frame = h2::make_headers(stream_id, std::move(block), end_stream);
+    send_frame(frame);
+    BufferPool::local().release(
+        std::move(frame.as<h2::HeadersPayload>().fragment));
     return;
   }
   Bytes first(block.begin(), block.begin() + static_cast<std::ptrdiff_t>(limit));

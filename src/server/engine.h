@@ -80,8 +80,8 @@ class Http2Server {
 
   /// Rewinds the engine to the just-constructed state of a fresh
   /// connection — parser, HPACK tables, settings, windows, streams and
-  /// priority tree all reset; the profile, site and transport buffer pool
-  /// are kept. A reset engine is observably identical to a newly
+  /// priority tree all reset, each keeping its storage; the profile and
+  /// site are kept. A reset engine is observably identical to a newly
   /// constructed one, minus the allocations.
   void reset();
 
@@ -157,10 +157,15 @@ class Http2Server {
   /// Drains queued server->client bytes.
   [[nodiscard]] Bytes take_output();
 
-  /// Hands a drained output buffer back for reuse, so steady-state frame
-  /// emission stops reallocating (the transport loop calls this after it
-  /// has shipped the bytes from take_output()).
-  void recycle(Bytes buffer) { buffer_pool_.release(std::move(buffer)); }
+  /// Hands the parser's reassembly buffer (keeping any unparsed tail) and
+  /// an empty output buffer to the thread's BufferPool, so an engine idling
+  /// between connections pins no transport buffers (see
+  /// ClientConnection::release_buffers).
+  void release_buffers();
+  /// Hands a drained output buffer back to the thread's BufferPool, so
+  /// steady-state frame emission stops reallocating (the transport loop
+  /// calls this after it has shipped the bytes from take_output()).
+  void recycle(Bytes buffer) { BufferPool::local().release(std::move(buffer)); }
 
   /// False once a connection error occurred or GOAWAY was exchanged.
   [[nodiscard]] bool alive() const noexcept { return !dead_; }
@@ -276,9 +281,9 @@ class Http2Server {
 
   // -- request/response ---------------------------------------------------
   void start_response(Stream& stream);
-  /// The deterministic GET/404 response header list for @p stream (shared
-  /// by the eager path and the cache-miss path).
-  [[nodiscard]] hpack::HeaderList build_response_headers(const Stream& stream);
+  /// Fills @p headers with the deterministic GET/404 response header list
+  /// for @p stream (shared by the eager path and the cache-miss path).
+  void build_response_headers(const Stream& stream, hpack::HeaderList& headers);
   /// Encoded response HEADERS block for @p stream: a cache memcpy on the
   /// hot path, a build+encode (and possibly a cache store) otherwise.
   [[nodiscard]] Bytes response_block(Stream& stream);
@@ -319,6 +324,8 @@ class Http2Server {
   void maybe_sweep() {
     if (closed_since_sweep_ >= kClosedStreamSweepBatch) sweep_closed_streams();
   }
+  /// Makes room for @p n more output octets, from the BufferPool if it can.
+  void reserve_output(std::size_t n);
   /// DATA emission fast path: frame header + procedurally generated body
   /// written straight into the output buffer — no Frame, no payload vector.
   void send_data_direct(std::uint32_t stream_id, const Resource* resource,
@@ -417,6 +424,7 @@ class Http2Server {
            e.cap_epoch == encoder_.capacity_epoch();
   }
   std::vector<BlockCacheEntry> block_cache_;
+  hpack::HeaderList response_scratch_;  ///< cache-miss header list, reused
   SharedBlockCache* shared_block_cache_ = nullptr;
   bool header_cache_enabled_ = true;
   std::uint64_t header_cache_hits_ = 0;
@@ -428,8 +436,8 @@ class Http2Server {
   bool continuation_end_stream_ = false;
   std::optional<h2::PriorityInfo> continuation_priority_;
 
+  h2::Frame preface_settings_ = h2::make_settings({});  ///< reused entries
   ByteWriter out_;
-  BufferPool buffer_pool_;
   bool dead_ = false;
   bool client_goaway_ = false;
   bool draining_ = false;  ///< graceful shutdown in progress

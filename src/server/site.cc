@@ -1,5 +1,11 @@
 #include "server/site.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+#include <span>
+
 namespace h2r::server {
 
 Site& Site::add_resource(Resource r) {
@@ -60,32 +66,51 @@ Site Site::standard_testbed_site(std::string host) {
 
 namespace {
 
-/// Fills @p out with the body pattern octets for absolute byte indices
-/// [offset, offset+out.size()): (h >> (i % 8)) + i * 131, truncated to an
-/// octet. The i % 8 lane cycle and the +131 accumulator mod 256 make the
-/// sequence periodic every lcm(8, 256/gcd(131·8, 256)) = 256 octets, so
-/// large bodies are one 256-octet tile synthesized scalar and then
-/// replicated with doubling copies at memcpy speed — the scan delivers
-/// hundreds of kilobytes of procedural DATA per site, and the original
-/// octet-at-a-time loop dominated whole-scan wall time.
-void fill_body_pattern(std::uint64_t h, std::size_t offset,
-                       std::span<std::uint8_t> out) {
+/// Appends the body pattern octets for absolute byte indices
+/// [offset, offset+n): (h >> (i % 8)) + i * 131, truncated to an octet.
+/// The i % 8 lane cycle and the +131 accumulator mod 256 make the sequence
+/// periodic every lcm(8, 256/gcd(131·8, 256)) = 256 octets, so one period
+/// is synthesized into a stack tile eight octets at a time, replicated
+/// with doubling copies, and the tile appended in chunks at memcpy speed —
+/// the scan delivers hundreds of kilobytes of procedural DATA per site.
+/// Appending (instead of growing the buffer and overwriting it) spares the
+/// output buffer a zero-fill of every payload octet.
+void append_body_pattern(std::uint64_t h, std::size_t offset, std::size_t n,
+                         ByteWriter& out) {
   constexpr std::size_t kPeriod = 256;
-  const std::size_t head = std::min(out.size(), kPeriod);
-  std::uint8_t base[8];
-  for (int k = 0; k < 8; ++k) base[k] = static_cast<std::uint8_t>(h >> k);
-  std::uint8_t mul = static_cast<std::uint8_t>(offset * 131u);
-  std::size_t lane = offset % 8;
-  for (std::size_t j = 0; j < head; ++j) {
-    out[j] = static_cast<std::uint8_t>(base[lane] + mul);
-    mul = static_cast<std::uint8_t>(mul + 131u);
-    if (++lane == 8) lane = 0;
+  constexpr std::size_t kTile = 16 * kPeriod;
+  std::array<std::uint8_t, kTile> tile;
+  const std::size_t tile_len = std::min(n, kTile);
+  const std::size_t head = std::min(tile_len, kPeriod);
+  // Octet k of the first eight: h >> ((offset + k) % 8), plus
+  // (offset + k) * 131. Each later group of eight adds 8 * 131 = 24
+  // (mod 256) to every octet: a carry-free per-octet add on the word.
+  const std::size_t lane = offset % 8;
+  const auto mul = static_cast<std::uint8_t>(offset * 131u);
+  std::uint64_t word = 0;
+  for (unsigned k = 0; k < 8; ++k) {
+    const std::uint64_t octet = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(h >> ((lane + k) % 8)) + mul + 131u * k);
+    word |= octet << (8 * (std::endian::native == std::endian::little
+                               ? k
+                               : 7 - k));
   }
-  std::size_t filled = head;
-  while (filled < out.size()) {
-    const std::size_t n = std::min(filled, out.size() - filled);
-    std::copy_n(out.data(), n, out.data() + filled);
-    filled += n;
+  constexpr std::uint64_t kStep = 0x1818181818181818ull;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  for (std::size_t j = 0; j < head; j += 8) {
+    std::memcpy(tile.data() + j, &word, sizeof word);
+    word = ((word & ~kHigh) + (kStep & ~kHigh)) ^ ((word ^ kStep) & kHigh);
+  }
+  for (std::size_t filled = head; filled < tile_len;) {
+    const std::size_t k = std::min(filled, tile_len - filled);
+    std::copy_n(tile.data(), k, tile.data() + filled);
+    filled += k;
+  }
+  out.reserve(n);
+  for (std::size_t left = n; left > 0;) {
+    const std::size_t k = std::min(left, tile_len);
+    out.write_bytes(std::span<const std::uint8_t>(tile.data(), k));
+    left -= k;
   }
 }
 
@@ -105,7 +130,7 @@ void resource_body_into(ByteWriter& out, const Resource& resource,
                         std::size_t offset, std::size_t len) {
   const std::size_t end = std::min(offset + len, resource.size);
   if (end <= offset) return;
-  fill_body_pattern(body_seed(resource), offset, out.extend(end - offset));
+  append_body_pattern(body_seed(resource), offset, end - offset, out);
 }
 
 Bytes resource_body(const Resource& resource, std::size_t offset,

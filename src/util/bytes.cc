@@ -1,5 +1,6 @@
 #include "util/bytes.h"
 
+#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
@@ -13,6 +14,42 @@ void ByteWriter::write_u24(std::uint32_t v) {
                               static_cast<std::uint8_t>(v >> 8),
                               static_cast<std::uint8_t>(v)};
   buf_.insert(buf_.end(), be, be + sizeof be);
+}
+
+BufferPool& BufferPool::local() {
+  thread_local BufferPool pool(kLocalSpare, kLocalCapacity);
+  return pool;
+}
+
+Bytes BufferPool::acquire(std::size_t n) {
+  const std::size_t most = std::max(8 * n, std::size_t{8 * 1024});
+  const auto fits = [&](const Bytes& b) {
+    return b.capacity() >= n && b.capacity() <= most;
+  };
+  // The most recently released buffer usually fits (endpoints cycle the
+  // same sizes round after round); otherwise take the smallest that does.
+  std::size_t pick = spare_.size();
+  if (!spare_.empty() && fits(spare_.back())) {
+    pick = spare_.size() - 1;
+  } else {
+    for (std::size_t i = 0; i < spare_.size(); ++i) {
+      if (!fits(spare_[i])) continue;
+      if (pick == spare_.size() ||
+          spare_[i].capacity() < spare_[pick].capacity()) {
+        pick = i;
+      }
+    }
+  }
+  if (pick == spare_.size()) {
+    Bytes fresh;
+    fresh.reserve(n);
+    return fresh;
+  }
+  Bytes b = std::move(spare_[pick]);
+  if (pick + 1 != spare_.size()) spare_[pick] = std::move(spare_.back());
+  spare_.pop_back();
+  b.clear();
+  return b;
 }
 
 Result<std::uint8_t> ByteReader::read_u8() {

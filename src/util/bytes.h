@@ -74,20 +74,18 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// Appends @p n uninitialized octets and returns a writable span over
-  /// them, so generators can synthesize payloads in place instead of
-  /// building a temporary buffer and copying it in. The span is valid only
-  /// until the next write.
-  [[nodiscard]] std::span<std::uint8_t> extend(std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    return {buf_.data() + at, n};
+  /// Appends @p n copies of @p octet in one grow.
+  void write_fill(std::size_t n, std::uint8_t octet) {
+    buf_.insert(buf_.end(), n, octet);
   }
 
   /// Appends @p n zero octets (frame padding) in one grow.
-  void write_zeros(std::size_t n) { buf_.insert(buf_.end(), n, 0); }
+  void write_zeros(std::size_t n) { write_fill(n, 0); }
 
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return buf_.capacity();
+  }
   [[nodiscard]] const Bytes& bytes() const noexcept { return buf_; }
 
   /// Moves the accumulated buffer out; the writer is empty afterwards.
@@ -97,13 +95,32 @@ class ByteWriter {
   Bytes buf_;
 };
 
-/// Recycles transport buffers between exchange rounds. An engine or client
-/// drains its output as a moved-out Bytes; handing the drained vector back
-/// via release() lets the next round's output writer start with the old
+/// Recycles transport and header-block buffers. An engine or client drains
+/// its output as a moved-out Bytes; handing the drained vector back via
+/// release() lets the next round's output writer start with the old
 /// capacity instead of reallocating from scratch on every frame flight.
+///
+/// A pool keeps at most max_spare buffers, and none whose capacity exceeds
+/// max_capacity, so the memory it pins stays bounded however many
+/// endpoints feed it.
 class BufferPool {
  public:
-  /// A cleared buffer, with whatever capacity a released one carried.
+  explicit BufferPool(std::size_t max_spare = 4,
+                      std::size_t max_capacity = SIZE_MAX) noexcept
+      : max_spare_(max_spare), max_capacity_(max_capacity) {}
+
+  /// The calling thread's pool, shared by every ClientConnection and
+  /// Http2Server on it: a connection that ends leaves its buffers warm for
+  /// the next one. Keeps up to kLocalSpare buffers of at most
+  /// kLocalCapacity octets each.
+  static BufferPool& local();
+  static constexpr std::size_t kLocalSpare = 16;
+  static constexpr std::size_t kLocalCapacity = 256 * 1024;
+  /// What an endpoint asks for when it re-arms its output writer: room for
+  /// a round of control frames and requests without regrowing.
+  static constexpr std::size_t kOutputFloor = 1024;
+
+  /// The most recently released buffer (cleared), or a new empty one.
   [[nodiscard]] Bytes acquire() {
     if (spare_.empty()) return {};
     Bytes b = std::move(spare_.back());
@@ -112,15 +129,26 @@ class BufferPool {
     return b;
   }
 
-  /// Returns a drained buffer to the pool (keeps at most a few).
+  /// A cleared buffer sized for @p n octets: a spare holding between n and
+  /// max(8n, 8 KiB) octets (the most recent if it fits, else the smallest),
+  /// else a new one reserved to n.
+  /// Asking by size keeps big buffers with the endpoints that emit DATA
+  /// bursts instead of parking them in idle endpoints' writers.
+  [[nodiscard]] Bytes acquire(std::size_t n);
+
+  /// Returns a drained buffer to the pool; buffers beyond the caps (and
+  /// empty ones) are simply freed.
   void release(Bytes b) {
-    if (spare_.size() < kMaxSpare && b.capacity() > 0) {
+    if (spare_.size() < max_spare_ && b.capacity() > 0 &&
+        b.capacity() <= max_capacity_) {
+      if (spare_.capacity() == 0) spare_.reserve(max_spare_);
       spare_.push_back(std::move(b));
     }
   }
 
  private:
-  static constexpr std::size_t kMaxSpare = 4;
+  std::size_t max_spare_;
+  std::size_t max_capacity_;
   std::vector<Bytes> spare_;
 };
 

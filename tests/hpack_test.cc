@@ -452,5 +452,141 @@ TEST(HpackDecoder, TruncatedLiteralFails) {
   EXPECT_FALSE(dec.decode(buf).ok());
 }
 
+// ------------------------------------------------------------------- reset
+// A rewound table, encoder or decoder must be indistinguishable from a new
+// one, whatever state it was in: entries evicted, capacity resized, a size
+// update pending, the lookup index built.
+
+/// Every observable of @p t: counts, occupancy and every addressable entry.
+std::string table_state(const IndexTable& t) {
+  std::string out = std::to_string(t.capacity()) + "/" +
+                    std::to_string(t.size_octets()) + "/" +
+                    std::to_string(t.dynamic_entry_count()) + "/" +
+                    std::to_string(t.insert_count()) + "/" +
+                    std::to_string(t.eviction_count());
+  for (std::uint32_t i = kStaticTableSize + 1;; ++i) {
+    const auto e = t.at(i);
+    if (!e.ok()) break;
+    out += "|" + e.value().name + "=" + e.value().value;
+  }
+  return out;
+}
+
+/// A workload that inserts past capacity (evictions), shrinks and regrows
+/// the table, and looks entries up often enough to build the hash index.
+void churn(IndexTable& t) {
+  for (int i = 0; i < 40; ++i) {
+    t.insert({"x-header-" + std::to_string(i % 7),
+              "value-" + std::to_string(i) + std::string(i % 5 * 9, 'v')});
+    (void)t.find({"x-header-3", "value-3"});
+  }
+  t.set_capacity(200);
+  t.insert({"after-shrink", "v"});
+  t.set_capacity(4096);
+}
+
+std::vector<std::string> finds(const IndexTable& t) {
+  std::vector<std::string> out;
+  for (int i = 0; i < 10; ++i) {
+    const MatchResult m = t.find({"x-header-" + std::to_string(i % 7),
+                                  "value-" + std::to_string(i)});
+    out.push_back(std::to_string(m.index) + (m.value_matched ? "v" : "n"));
+  }
+  return out;
+}
+
+TEST(HpackReset, TableBehavesLikeNew) {
+  IndexTable used(4096);
+  churn(used);
+  churn(used);
+  ASSERT_GT(used.eviction_count(), 0u);
+  used.reset(1024);
+  IndexTable fresh(1024);
+  EXPECT_EQ(table_state(used), table_state(fresh));
+  churn(used);
+  churn(fresh);
+  EXPECT_EQ(table_state(used), table_state(fresh));
+  EXPECT_EQ(finds(used), finds(fresh));
+}
+
+TEST(HpackReset, TableResetAfterOversizeFlush) {
+  IndexTable used(64);
+  used.insert({"a", "b"});
+  used.insert({"much-too-long-name", std::string(100, 'x')});  // flushes
+  used.reset(4096);
+  IndexTable fresh(4096);
+  churn(used);
+  churn(fresh);
+  EXPECT_EQ(table_state(used), table_state(fresh));
+}
+
+std::vector<HeaderList> blocks_to_encode() {
+  std::vector<HeaderList> lists;
+  for (int i = 0; i < 12; ++i) {
+    lists.push_back({{":status", "200"},
+                     {"server", "nginx"},
+                     {"x-request", "r" + std::to_string(i % 4)},
+                     {"set-cookie", std::string(60 + i * 17, 'c')},
+                     {"authorization", "secret", /*never=*/true}});
+  }
+  return lists;
+}
+
+TEST(HpackReset, EncoderBehavesLikeNew) {
+  for (const IndexingPolicy policy :
+       {IndexingPolicy::kAggressive, IndexingPolicy::kStaticOnly,
+        IndexingPolicy::kNone}) {
+    const EncoderOptions opts{.policy = policy, .use_huffman = true};
+    Encoder used({.policy = IndexingPolicy::kAggressive,
+                  .use_huffman = false,
+                  .table_capacity = 512});
+    for (const auto& list : blocks_to_encode()) (void)used.encode(list);
+    used.set_table_capacity(256);  // leaves a size update pending
+    ASSERT_TRUE(used.has_pending_capacity_update());
+    used.reset(opts);
+    Encoder fresh(opts);
+    EXPECT_EQ(used.capacity_epoch(), fresh.capacity_epoch());
+    EXPECT_FALSE(used.has_pending_capacity_update());
+    EXPECT_EQ(table_state(used.table()), table_state(fresh.table()));
+    for (const auto& list : blocks_to_encode()) {
+      EXPECT_EQ(used.encode(list), fresh.encode(list));
+    }
+    used.set_table_capacity(100);
+    fresh.set_table_capacity(100);
+    for (const auto& list : blocks_to_encode()) {
+      EXPECT_EQ(used.encode(list), fresh.encode(list));
+    }
+    EXPECT_EQ(table_state(used.table()), table_state(fresh.table()));
+  }
+}
+
+TEST(HpackReset, DecoderBehavesLikeNew) {
+  // The blocks a resizing, aggressively indexing peer sends.
+  Encoder peer({.policy = IndexingPolicy::kAggressive, .use_huffman = true});
+  std::vector<Bytes> blocks;
+  for (const auto& list : blocks_to_encode()) {
+    blocks.push_back(peer.encode(list));
+  }
+  peer.set_table_capacity(300);
+  for (const auto& list : blocks_to_encode()) {
+    blocks.push_back(peer.encode(list));
+  }
+
+  Decoder used({.max_table_capacity = 8192});
+  for (const Bytes& b : blocks) ASSERT_TRUE(used.decode(b).ok());
+  ASSERT_GT(used.table().eviction_count(), 0u);
+  used.reset({});
+  Decoder fresh;
+  EXPECT_EQ(table_state(used.table()), table_state(fresh.table()));
+  for (const Bytes& b : blocks) {
+    const auto a = used.decode(b);
+    const auto f = fresh.decode(b);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(f.ok());
+    EXPECT_EQ(a.value(), f.value());
+  }
+  EXPECT_EQ(table_state(used.table()), table_state(fresh.table()));
+}
+
 }  // namespace
 }  // namespace h2r::hpack

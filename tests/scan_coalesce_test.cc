@@ -150,13 +150,16 @@ TEST(ScanCoalesce, SessionScratchReuseIsObservablyFresh) {
   // The per-worker scratch hands the same client/engine to site after
   // site; a session on reused endpoints must observe exactly what a
   // session on fresh ones does.
-  core::SessionScratch scratch;
+  core::EndpointSlot scratch;
   const core::Target first =
       core::Target::testbed(server::profile_by_key("nginx"));
-  core::ProbeSession warmup(first, {}, &scratch);
-  (void)warmup.settings();
-  (void)warmup.priority();
-  (void)warmup.self_dependency();
+  {
+    // A slot serves one session at a time: the warm-up's lease ends here.
+    core::ProbeSession warmup(first, {}, &scratch);
+    (void)warmup.settings();
+    (void)warmup.priority();
+    (void)warmup.self_dependency();
+  }
 
   const core::Target second =
       core::Target::testbed(server::profile_by_key("gse"));

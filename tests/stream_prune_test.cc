@@ -341,5 +341,37 @@ INSTANTIATE_TEST_SUITE_P(Profiles, LongConnection,
                            return std::string(info.param);
                          });
 
+// HEADERS+END_STREAM that depends on itself, against a profile whose
+// self-dependency reaction is RST_STREAM: the reset is the whole answer.
+// No response starts and no push is offered on the reset stream, so it
+// pins nothing and is swept like any other closed stream.
+TEST(SelfDependentRequest, ResetStreamIsNotAnswered) {
+  const ServerProfile profile = server::profile_by_key("nginx");
+  ASSERT_EQ(profile.self_dependency, server::ErrorReaction::kRstStream);
+  Http2Server server(profile, Site::standard_testbed_site());
+  ClientConnection client;
+  net::LockstepTransport transport;
+  for (std::uint32_t i = 0; i < kBatch; ++i) {
+    const std::uint32_t id = 2 * i + 1;  // the id send_request will use
+    EXPECT_EQ(client.send_request("/", h2::PriorityInfo{.dependency = id}),
+              id);
+  }
+  transport.run(client, server);
+
+  ASSERT_TRUE(server.alive());
+  for (const core::ReceivedFrame& ev : client.events()) {
+    if (ev.frame.stream_id == 0) continue;
+    EXPECT_EQ(ev.frame.type(), h2::FrameType::kRstStream)
+        << "stream " << ev.frame.stream_id;
+  }
+  for (std::uint32_t i = 0; i < kBatch; ++i) {
+    EXPECT_EQ(client.rst_on(2 * i + 1), ErrorCode::kProtocolError);
+  }
+  EXPECT_TRUE(client.pushes().empty());
+  EXPECT_EQ(server.pinned_response_octets(), 0u);
+  EXPECT_EQ(server.pending_response_octets(), 0u);
+  EXPECT_EQ(server.tracked_stream_count(), 0u);
+}
+
 }  // namespace
 }  // namespace h2r

@@ -13,10 +13,9 @@
 // BENCH_scan_throughput.json in the working directory; override with
 // H2R_BENCH_JSON. H2R_SCALE / H2R_SEED / H2R_THREADS apply as in every
 // other bench; H2R_COALESCE=0 pins the scan_epoch2_coalesced row (and any
-// other coalesce-capable scan) sequential, H2R_EVENT_LOOP=0 pins the
-// scan_epoch2_faulted_async row on the historical one-site-per-worker
-// driver (the other scan rows are pinned sequential in code so their
-// trajectories keep measuring the same work). H2R_TRACE_OUT=<path>
+// other coalesce-capable scan) sequential (the other scan rows are pinned
+// sequential in code so their trajectories keep measuring the same work).
+// H2R_TRACE_OUT=<path>
 // additionally dumps the traced scan's H2Wiretap JSONL to <path> and its
 // metrics snapshot to <path>.metrics.json. H2R_FAULT_SEED reseeds the
 // scan_epoch2_faulted chaos row's fault schedules.
@@ -348,11 +347,9 @@ void bench_scan(std::uint64_t seed) {
   corpus::ScanOptions opts = bench::scan_options();
   opts.seed = seed;
   // The historical row stays pinned sequential (a fresh connection per
-  // probe, one blocking site per worker) so its trajectory — and the CI
-  // guard's ratio against the committed baseline — keeps measuring the
-  // same work across PRs. The event-loop driver gets its own row below.
+  // probe) so its trajectory — and the CI guard's ratio against the
+  // committed baseline — keeps measuring the same work across PRs.
   opts.coalesce = false;
-  opts.event_loop = false;
   const auto pop = bench::population_for(corpus::Epoch::kExp2);
   const double sites = static_cast<double>(pop.sites.size());
   const auto scan_allocs = [&sites](std::uint64_t allocs) {
@@ -372,7 +369,6 @@ void bench_scan(std::uint64_t seed) {
   // The report is asserted bitwise identical to the sequential row's.
   corpus::ScanOptions copts = bench::scan_options();
   copts.seed = seed;
-  copts.event_loop = false;  // vs scan_epoch2: isolate the coalescing win
   allocs0 = bench::heap_allocations();
   const auto cstart = Clock::now();
   const auto coalesced = corpus::scan_population(pop, copts);
@@ -440,42 +436,6 @@ void bench_scan(std::uint64_t seed) {
   if (faulted.fault_deadline_hits != 0) {
     std::fprintf(stderr, "!! faulted scan hit an exchange deadline — the "
                          "chaos loop is supposed to make that impossible\n");
-  }
-
-  // The same chaos scan on the shard-reactor event loop: stalled
-  // connections and retry backoffs park on the timer wheel while other
-  // sites run, so this row is the one that kills the faulted-scan cliff.
-  // The row honours H2R_EVENT_LOOP so a =0 run shows the two chaos rows
-  // converging. The report is asserted bitwise identical to the
-  // sequential chaos row's (tests/scan_reactor_test.cc pins the guarantee;
-  // the cross-check here is a cheap standing tripwire).
-  corpus::ScanOptions aopts = fopts;
-  aopts.event_loop = bench::event_loop_from_env();
-  allocs0 = bench::heap_allocations();
-  const auto astart = Clock::now();
-  const auto async_scan = corpus::scan_population(pop, aopts);
-  const double awall = ms_since(astart);
-  record("scan_epoch2_faulted_async", awall, sites, sites / (awall / 1000.0),
-         scan_allocs(bench::heap_allocations() - allocs0));
-  std::printf("  (reactor: %llu parks over %llu rounds, peak in-flight "
-              "%llu, deadline_hits=%llu)\n",
-              static_cast<unsigned long long>(
-                  async_scan.wire_metrics.reactor_parks),
-              static_cast<unsigned long long>(
-                  async_scan.wire_metrics.reactor_parked_rounds),
-              static_cast<unsigned long long>(
-                  async_scan.wire_metrics.reactor_peak_in_flight),
-              static_cast<unsigned long long>(
-                  async_scan.fault_deadline_hits));
-  if (async_scan.sites_ok != faulted.sites_ok ||
-      async_scan.fault_injected != faulted.fault_injected ||
-      async_scan.fault_retries != faulted.fault_retries) {
-    std::fprintf(stderr, "!! event-loop chaos scan disagrees with the "
-                         "sequential chaos scan\n");
-  }
-  if (async_scan.fault_deadline_hits != 0) {
-    std::fprintf(stderr, "!! event-loop faulted scan hit an exchange "
-                         "deadline\n");
   }
 }
 

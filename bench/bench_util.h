@@ -149,15 +149,6 @@ inline bool coalesce_from_env() {
   return s == nullptr || std::string_view(s) != "0";
 }
 
-/// `H2R_EVENT_LOOP=0` pins every bench scan on the historical sequential
-/// driver (one blocking site per worker); anything else — including unset —
-/// keeps the shard-reactor event loop on. The report is identical either
-/// way; only the wall clock moves.
-inline bool event_loop_from_env() {
-  const char* s = std::getenv("H2R_EVENT_LOOP");
-  return s == nullptr || std::string_view(s) != "0";
-}
-
 /// `H2R_TRACE_OUT=<path>`: where trace-capable benches dump the H2Wiretap
 /// JSONL trace (a sibling "<path>.metrics.json" gets the metrics snapshot).
 /// Empty string = tracing stays off.
@@ -180,14 +171,12 @@ inline void write_file_or_warn(const std::string& path,
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), contents.size());
 }
 
-/// ScanOptions seeded from the environment (H2R_THREADS, H2R_COALESCE,
-/// H2R_EVENT_LOOP); benches start from this instead of a
-/// default-constructed ScanOptions.
+/// ScanOptions seeded from the environment (H2R_THREADS, H2R_COALESCE);
+/// benches start from this instead of a default-constructed ScanOptions.
 inline corpus::ScanOptions scan_options() {
   corpus::ScanOptions opts;
   opts.threads = threads_from_env();
   opts.coalesce = coalesce_from_env();
-  opts.event_loop = event_loop_from_env();
   return opts;
 }
 

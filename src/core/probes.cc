@@ -198,17 +198,13 @@ H2cProbeResult probe_h2c_upgrade(const Target& target) {
 // ----------------------------------------------------------------- settings
 
 SettingsProbeResult probe_settings(const Target& target) {
-  return run_sync(probe_settings_task(target));
-}
-
-Task<SettingsProbeResult> probe_settings_task(const Target& target) {
   SettingsProbeResult out;
   const EndpointLease lease = target.lease_endpoints();
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/");
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
 
   out.settings_entry_count = client.server_settings_entry_count();
   const auto& s = client.server_settings();
@@ -222,7 +218,7 @@ Task<SettingsProbeResult> probe_settings_task(const Target& target) {
     out.headers_received = true;
     out.server_header = std::string(hpack::find_header(*headers, "server"));
   }
-  co_return out;
+  return out;
 }
 
 // ------------------------------------------------------------- multiplexing
@@ -296,11 +292,6 @@ ConcurrencyLimitProbeResult probe_concurrency_limit(const Target& target) {
 
 DataFrameControlResult probe_data_frame_control(const Target& target,
                                                 std::uint32_t sframe) {
-  return run_sync(probe_data_frame_control_task(target, sframe));
-}
-
-Task<DataFrameControlResult> probe_data_frame_control_task(
-    const Target& target, std::uint32_t sframe) {
   DataFrameControlResult out;
   const EndpointLease lease =
       target.lease_endpoints(with_initial_window(sframe));
@@ -308,13 +299,13 @@ Task<DataFrameControlResult> probe_data_frame_control_task(
   server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/small");
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
 
   out.headers_received = client.response_headers(sid).has_value();
   const ReceivedFrame* data = client.first_frame_of(FrameType::kData, sid);
   if (data == nullptr) {
     out.outcome = SmallWindowOutcome::kNoResponse;
-    co_return out;
+    return out;
   }
   out.first_data_size = data->header_block_size;
   if (out.first_data_size == sframe) {
@@ -324,22 +315,17 @@ Task<DataFrameControlResult> probe_data_frame_control_task(
   } else {
     out.outcome = SmallWindowOutcome::kOversized;
   }
-  co_return out;
+  return out;
 }
 
 ZeroWindowHeadersResult probe_zero_window_headers(const Target& target) {
-  return run_sync(probe_zero_window_headers_task(target));
-}
-
-Task<ZeroWindowHeadersResult> probe_zero_window_headers_task(
-    const Target& target) {
   ZeroWindowHeadersResult out;
   const EndpointLease lease = target.lease_endpoints(with_initial_window(0));
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/small");
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
   out.headers_received = client.response_headers(sid).has_value();
   for (const ReceivedFrame& ev : client.events()) {
     if (ev.frame.type() == FrameType::kData && ev.frame.stream_id == sid &&
@@ -347,15 +333,10 @@ Task<ZeroWindowHeadersResult> probe_zero_window_headers_task(
       out.data_received = true;
     }
   }
-  co_return out;
+  return out;
 }
 
 WindowUpdateProbeResult probe_window_update_reactions(const Target& target) {
-  return run_sync(probe_window_update_reactions_task(target));
-}
-
-Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
-    const Target& target) {
   WindowUpdateProbeResult out;
 
   {  // zero increment, stream scope — on a stream mid-response
@@ -366,9 +347,9 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     client.send_window_update(sid, 0);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.zero_on_stream = classify_update_reaction(client, sid, &out.zero_debug_data);
   }
   {  // zero increment, connection scope
@@ -377,7 +358,7 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     client.send_window_update(0, 0);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.zero_on_connection = classify_update_reaction(client, std::nullopt);
   }
   {  // overflowing increments, stream scope (two halves summing past 2^31-1)
@@ -388,10 +369,10 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     server::Http2Server& server = lease.server();
     auto transport = target.make_transport();
     const std::uint32_t sid = client.send_request("/large/0");
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     client.send_window_update(sid, kHalfWindow);
     client.send_window_update(sid, kHalfWindow);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.large_on_stream = classify_update_reaction(client, sid);
   }
   {  // overflowing increments, connection scope
@@ -403,19 +384,15 @@ Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
     (void)sid;
     client.send_window_update(0, kHalfWindow);
     client.send_window_update(0, kHalfWindow);
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
     out.large_on_connection = classify_update_reaction(client, std::nullopt);
   }
-  co_return out;
+  return out;
 }
 
 // ----------------------------------------------------------------- priority
 
 PriorityProbeResult probe_priority_mechanism(const Target& target) {
-  return run_sync(probe_priority_mechanism_task(target));
-}
-
-Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target) {
   // Huge stream windows so only the connection window gates DATA; no
   // automatic connection window updates, so draining it blocks the server.
   ClientOptions opts = with_initial_window(kHugeWindow);
@@ -425,30 +402,23 @@ Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target) {
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
   auto transport = target.make_transport();  // one connection, six exchanges
-  co_return co_await run_priority_rounds_task(client, server, *transport,
-                                              target.limits);
+  return run_priority_rounds(client, server, *transport, target.limits);
 }
 
 PriorityProbeResult run_priority_rounds(ClientConnection& client,
                                         server::Http2Server& server,
                                         net::Transport& transport,
                                         const net::ExchangeLimits& limits) {
-  return run_sync(run_priority_rounds_task(client, server, transport, limits));
-}
-
-Task<PriorityProbeResult> run_priority_rounds_task(
-    ClientConnection& client, server::Http2Server& server,
-    net::Transport& transport, net::ExchangeLimits limits) {
   PriorityProbeResult out;
 
   // Step 1 (Algorithm 1 lines 2-21): drain the connection window.
   const std::uint32_t drain = client.send_request("/object/0");  // 64 KiB
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
   if (client.data_received(drain) != h2::kDefaultInitialWindowSize) {
-    co_return out;  // context preparation failed; verdict unreliable
+    return out;  // context preparation failed; verdict unreliable
   }
   client.send_rst_stream(drain, ErrorCode::kCancel);
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
 
   // Step 2 (lines 22-28): six requests with the Table I dependency tree...
   auto prio = [](std::uint32_t dep, bool excl = false) {
@@ -461,7 +431,7 @@ Task<PriorityProbeResult> run_priority_rounds_task(
   const std::uint32_t d = client.send_request("/object/4", prio(a));
   const std::uint32_t e = client.send_request("/object/5", prio(b));
   const std::uint32_t f = client.send_request("/object/6", prio(d));
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
   out.headers_during_zero_window =
       client.response_headers(a).has_value();
 
@@ -470,11 +440,11 @@ Task<PriorityProbeResult> run_priority_rounds_task(
   client.send_priority(d, prio(0));
   client.send_priority(a, prio(d, /*excl=*/true));
   client.send_priority(e, prio(c));
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
 
   // Step 3 (line 29-30): reopen the connection window and observe order.
   client.send_window_update(0, 0x7FFF'0000u);
-  co_await AwaitExchange(transport, client, server, limits);
+  transport.run(client, server, limits);
 
   const std::vector<std::uint32_t> all = {a, b, c, d, e, f};
   std::map<std::uint32_t, std::size_t> first, last;
@@ -486,7 +456,7 @@ Task<PriorityProbeResult> run_priority_rounds_task(
     last[sid] = ev.sequence;
   }
   for (std::uint32_t sid : all) {
-    if (!client.stream_complete(sid)) co_return out;  // ran stays false
+    if (!client.stream_complete(sid)) return out;  // ran stays false
   }
   out.ran = true;
 
@@ -501,15 +471,10 @@ Task<PriorityProbeResult> run_priority_rounds_task(
   out.pass_by_first_data = check(first);
   out.pass_by_last_data = check(last);
   out.pass_by_both = out.pass_by_first_data && out.pass_by_last_data;
-  co_return out;
+  return out;
 }
 
 SelfDependencyProbeResult probe_self_dependency(const Target& target) {
-  return run_sync(probe_self_dependency_task(target));
-}
-
-Task<SelfDependencyProbeResult> probe_self_dependency_task(
-    const Target& target) {
   SelfDependencyProbeResult out;
   ClientOptions opts;
   opts.auto_stream_window_update = false;  // keep the stream alive
@@ -519,20 +484,15 @@ Task<SelfDependencyProbeResult> probe_self_dependency_task(
   auto transport = target.make_transport();
   const std::uint32_t sid = client.send_request("/large/0");
   client.send_priority(sid, {.dependency = sid, .weight_field = 0});
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
   out.reaction = classify_update_reaction(client, sid);
-  co_return out;
+  return out;
 }
 
 // --------------------------------------------------------------------- push
 
 PushProbeResult probe_server_push(const Target& target,
                                   const std::string& page) {
-  return run_sync(probe_server_push_task(target, page));
-}
-
-Task<PushProbeResult> probe_server_push_task(const Target& target,
-                                             std::string page) {
   PushProbeResult out;
   ClientOptions opts;
   opts.settings = {{SettingId::kEnablePush, 1}};  // §III-D: opt in explicitly
@@ -541,24 +501,19 @@ Task<PushProbeResult> probe_server_push_task(const Target& target,
   server::Http2Server& server = lease.server();
   auto transport = target.make_transport();
   client.send_request(page);
-  co_await AwaitExchange(*transport, client, server, target.limits);
+  transport->run(client, server, target.limits);
   for (const auto& [promised_id, request] : client.pushes()) {
     out.pushed_paths.emplace_back(hpack::find_header(request, ":path"));
     out.pushed_bytes += client.data_received(promised_id);
   }
   out.push_received = !out.pushed_paths.empty();
-  co_return out;
+  return out;
 }
 
 // -------------------------------------------------------------------- hpack
 
 HpackProbeResult probe_hpack_ratio(const Target& target, int h,
                                    const std::string& path) {
-  return run_sync(probe_hpack_ratio_task(target, h, path));
-}
-
-Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
-                                              std::string path) {
   HpackProbeResult out;
   const EndpointLease lease = target.lease_endpoints();
   ClientConnection& client = lease.client();
@@ -570,13 +525,13 @@ Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
     // Sequential requests so each response block sees the dynamic table
     // state left by the previous one (§III-E).
     streams.push_back(client.send_request(path));
-    co_await AwaitExchange(*transport, client, server, target.limits);
+    transport->run(client, server, target.limits);
   }
   out.header_sizes.reserve(streams.size());
   for (std::uint32_t sid : streams) {
     const ReceivedFrame* headers =
         client.first_frame_of(FrameType::kHeaders, sid);
-    if (headers == nullptr) co_return out;  // ran stays false
+    if (headers == nullptr) return out;  // ran stays false
     out.header_sizes.push_back(headers->header_block_size);
   }
   const double s1 = static_cast<double>(out.header_sizes.front());
@@ -584,7 +539,7 @@ Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h,
   for (std::size_t s : out.header_sizes) sum += static_cast<double>(s);
   out.ratio = sum / (s1 * static_cast<double>(h));
   out.ran = true;
-  co_return out;
+  return out;
 }
 
 // --------------------------------------------------------------------- ping

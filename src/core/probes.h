@@ -9,6 +9,11 @@
 // one shared connection per site; these free functions remain both the
 // fresh-connection path and the reference the coalesced scheduler must
 // match observation-for-observation.
+//
+// Each probe is one plain blocking function. Its exchanges run through
+// Transport::run, which skips a faulted transport's stalled stretches
+// inline (ExchangeDriver parks) and books them on the target's ledger, so
+// a stall costs no spun rounds and no scheduler is needed above it.
 #pragma once
 
 #include <array>
@@ -20,7 +25,6 @@
 #include <vector>
 
 #include "core/client.h"
-#include "core/task.h"
 #include "h2/constants.h"
 #include "net/alpn.h"
 #include "net/path.h"
@@ -208,7 +212,9 @@ struct Target {
 /// @p target — up to policy.max_attempts times, retrying (with simulated
 /// backoff booked into the target's ledger) whenever the attempt hit a
 /// transport fault or deadline. Returns the last attempt's result. With no
-/// ledger or no faults this collapses to a single plain call.
+/// ledger or no faults this collapses to a single plain call. Backoff is
+/// simulated time, never slept: each one is booked as a park of that many
+/// rounds, beside the exchange parks the transport books.
 template <typename Fn>
 auto probe_with_retry(const Target& target, const RetryPolicy& policy,
                       Fn&& fn) {
@@ -226,31 +232,9 @@ auto probe_with_retry(const Target& target, const RetryPolicy& policy,
     // again on fresh connections (the failed attempt's flags are dropped —
     // only the final attempt's outcome classifies the site).
     ledger->note_retry(backoff);
-    backoff *= policy.backoff_multiplier;
-  }
-}
-
-/// probe_with_retry for coroutine probes: @p make_task builds a fresh
-/// Task<R> per attempt. Identical bookkeeping to the sync wrapper, plus the
-/// backoff *parks* the task (ParkFor) so an event loop can run other sites
-/// while this one backs off — under run_sync the park is free, so the two
-/// wrappers stay result- and ledger-identical.
-template <typename Fn>
-auto probe_with_retry_task(const Target& target, RetryPolicy policy,
-                           Fn make_task)
-    -> Task<typename std::invoke_result_t<Fn&>::value_type> {
-  net::ExchangeLedger* ledger = target.ledger;
-  double backoff = policy.backoff_base_ms;
-  for (int attempt = 1;; ++attempt) {
-    if (ledger != nullptr) ledger->begin_attempt();
-    auto result = co_await make_task();
-    if (ledger == nullptr || !ledger->attempt_faulted() ||
-        attempt >= policy.max_attempts) {
-      if (ledger != nullptr) ledger->settle_attempt();
-      co_return result;
+    if (const int rounds = static_cast<int>(backoff); rounds > 0) {
+      ledger->note_park(rounds);
     }
-    ledger->note_retry(backoff);
-    co_await ParkFor{static_cast<int>(backoff)};
     backoff *= policy.backoff_multiplier;
   }
 }
@@ -293,15 +277,6 @@ struct SettingsProbeResult {
 };
 
 SettingsProbeResult probe_settings(const Target& target);
-
-/// Every probe the scan runs per site also exists as a *_task coroutine:
-/// the same body with each Transport::run rewritten as co_await
-/// AwaitExchange, so a faulted transport's stall parks the whole probe
-/// sequence instead of spinning its pump. The sync function is
-/// run_sync(*_task(...)) — one implementation, two drivers. Probes the
-/// scan doesn't multiplex (multiplexing, concurrency, ping, h2c) keep
-/// plain sync bodies; Transport::run services parks inline for them.
-Task<SettingsProbeResult> probe_settings_task(const Target& target);
 
 // ------------------------------------------------------------ multiplexing
 
@@ -346,8 +321,6 @@ struct DataFrameControlResult {
 
 DataFrameControlResult probe_data_frame_control(const Target& target,
                                                 std::uint32_t sframe = 1);
-Task<DataFrameControlResult> probe_data_frame_control_task(
-    const Target& target, std::uint32_t sframe = 1);
 
 /// Section III-B2: with SETTINGS_INITIAL_WINDOW_SIZE = 0 the server must
 /// still send HEADERS (flow control governs DATA only).
@@ -357,8 +330,6 @@ struct ZeroWindowHeadersResult {
 };
 
 ZeroWindowHeadersResult probe_zero_window_headers(const Target& target);
-Task<ZeroWindowHeadersResult> probe_zero_window_headers_task(
-    const Target& target);
 
 /// Sections III-B3/III-B4: how the server reacts to a zero or overflowing
 /// WINDOW_UPDATE, on stream and connection scope.
@@ -388,8 +359,6 @@ struct WindowUpdateProbeResult {
 };
 
 WindowUpdateProbeResult probe_window_update_reactions(const Target& target);
-Task<WindowUpdateProbeResult> probe_window_update_reactions_task(
-    const Target& target);
 
 // ---------------------------------------------------------------- priority
 
@@ -409,7 +378,6 @@ struct PriorityProbeResult {
 };
 
 PriorityProbeResult probe_priority_mechanism(const Target& target);
-Task<PriorityProbeResult> probe_priority_mechanism_task(const Target& target);
 
 /// Algorithm 1's body, from the drain step on. Assumes @p client already
 /// has huge (2^31-1) stream windows planted, both automatic window updates
@@ -421,9 +389,6 @@ PriorityProbeResult run_priority_rounds(ClientConnection& client,
                                         server::Http2Server& server,
                                         net::Transport& transport,
                                         const net::ExchangeLimits& limits);
-Task<PriorityProbeResult> run_priority_rounds_task(
-    ClientConnection& client, server::Http2Server& server,
-    net::Transport& transport, net::ExchangeLimits limits);
 
 /// Section III-C2: PRIORITY frame making a stream depend on itself.
 struct SelfDependencyProbeResult {
@@ -431,8 +396,6 @@ struct SelfDependencyProbeResult {
 };
 
 SelfDependencyProbeResult probe_self_dependency(const Target& target);
-Task<SelfDependencyProbeResult> probe_self_dependency_task(
-    const Target& target);
 
 // ------------------------------------------------------------------ push
 
@@ -446,8 +409,6 @@ struct PushProbeResult {
 
 PushProbeResult probe_server_push(const Target& target,
                                   const std::string& page = "/");
-Task<PushProbeResult> probe_server_push_task(const Target& target,
-                                             std::string page = "/");
 
 // ------------------------------------------------------------------ hpack
 
@@ -460,8 +421,6 @@ struct HpackProbeResult {
 
 HpackProbeResult probe_hpack_ratio(const Target& target, int h = 8,
                                    const std::string& path = "/");
-Task<HpackProbeResult> probe_hpack_ratio_task(const Target& target, int h = 8,
-                                              std::string path = "/");
 
 // ------------------------------------------------------------------- ping
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <thread>
 
-#include "corpus/reactor.h"
 #include "corpus/site_task.h"
 
 namespace h2r::corpus {
@@ -100,54 +99,20 @@ ScanReport scan_population(const Population& population,
   pool.reserve(static_cast<std::size_t>(threads));
   std::atomic<std::size_t> cursor{0};
 
-  if (options.event_loop) {
-    // Shard-per-worker: each worker owns one contiguous block of the site
-    // list and a reactor multiplexing its in-flight SiteTasks. No state is
-    // shared across shards, so the merge below is the only join point.
-    const std::size_t per =
-        (n + static_cast<std::size_t>(threads) - 1) /
-        static_cast<std::size_t>(threads);
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t begin =
-          std::min(n, static_cast<std::size_t>(t) * per);
-      const std::size_t end = std::min(n, begin + per);
-      pool.emplace_back([&, t, begin, end] {
-        Reactor reactor(
-            std::span<const SiteSpec>(population.sites.data() + begin,
-                                      end - begin),
-            options, partials[static_cast<std::size_t>(t)]);
-        reactor.run();
-        auto& gauge =
-            partials[static_cast<std::size_t>(t)].wire_metrics
-                .reactor_peak_in_flight;
-        gauge = std::max<std::uint64_t>(gauge, reactor.peak_in_flight());
-      });
-    }
-  } else {
-    // The historical sequential driver: each worker pulls the next
-    // unscanned site and drives its SiteTask to completion, servicing
-    // every park immediately (simulated time is free to a blocking
-    // worker). Same SiteTask, same probe coroutines — only the
-    // scheduling differs.
-    for (int t = 0; t < threads; ++t) {
-      pool.emplace_back([&, t] {
-        SiteScratch scratch;
-        ScanReport& r = partials[static_cast<std::size_t>(t)];
-        bool scanned = false;
-        for (;;) {
-          const std::size_t i = cursor.fetch_add(1);
-          if (i >= n) break;
-          scanned = true;
-          SiteTask task(population.sites[i], options, r, scratch);
-          while (!task.advance()) {
-          }
-        }
-        if (scanned) {
-          r.wire_metrics.reactor_peak_in_flight = std::max<std::uint64_t>(
-              r.wire_metrics.reactor_peak_in_flight, 1);
-        }
-      });
-    }
+  // Each worker pulls the next unscanned site and runs it to completion;
+  // its partial report is the only state it writes, so the merge below is
+  // the only join point.
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      SiteScratch scratch;
+      ScanReport& r = partials[static_cast<std::size_t>(t)];
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1);
+        if (i >= n) break;
+        scan_site(population.sites[i], options, r, scratch);
+        r.wire_metrics.reactor_peak_in_flight = 1;  // one site at a time
+      }
+    });
   }
   for (auto& th : pool) th.join();
 

@@ -1,12 +1,9 @@
 // Large-scale scan driver: runs the Section III probe suite over a whole
 // synthetic population (the paper's H2Scope uses a thread pool the same
 // way, Section IV-B) and aggregates the observations into exactly the
-// quantities the paper's tables and figures report. Each worker owns one
-// contiguous shard of the site list and — by default — drives it with the
-// event-loop reactor (corpus/reactor.h), multiplexing in-flight sites and
-// parking stalled faulted connections; ScanOptions::event_loop = false
-// selects the historical one-blocking-site-per-worker pool. The report is
-// bitwise identical either way.
+// quantities the paper's tables and figures report. Each worker pulls the
+// next unscanned site and runs it to completion (corpus/site_task.h); the
+// report is bitwise identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -38,22 +35,8 @@ struct ScanOptions {
   /// semantics are layout-dependent. H2R_COALESCE=0 pins the benches
   /// sequential.
   bool coalesce = true;
-  /// Event-loop scan core: each worker owns one contiguous shard of the
-  /// site list and runs a virtual-clock reactor (corpus/reactor.h) that
-  /// multiplexes up to max_in_flight resumable SiteTasks, parking stalled
-  /// faulted connections and retry backoffs on a timer wheel instead of
-  /// spinning. false = the historical one-site-at-a-time worker pool. The
-  /// report is bitwise identical either way (tests/scan_reactor_test.cc);
-  /// H2R_EVENT_LOOP=0 pins the benches sequential.
+  /// Inert: selects nothing. perfbench/ (frozen) still assigns it.
   bool event_loop = true;
-  /// In-flight site cap per reactor shard (event_loop only). The schedule
-  /// and the report are cap-independent (tests/scan_reactor_test.cc); the
-  /// cap only trades multiplexing width against cache locality. Under the
-  /// virtual clock a park costs zero wall time no matter how few sites are
-  /// in flight, so the default stays small enough to keep the interleaved
-  /// working sets hot; raise it into the thousands when parks cover real
-  /// latency (a future epoll-backed transport) instead of virtual rounds.
-  int max_in_flight = 64;
   std::uint64_t seed = 7;
   /// H2Wiretap: fold every probe connection's frames into the report's
   /// wire_metrics (and per-family shards). Off by default — the null sink

@@ -1,14 +1,12 @@
-// Where parked exchanges sleep.
+// Deadlines for the epoll loops.
 //
-// PR 7 split every exchange into resumable steps (net::ExchangeDriver) so a
-// parked connection costs nothing until something readies it. What "ready"
-// means is a property of the reactor, not of the exchange: the scan's
-// virtual-clock reactor wakes a park after N simulated rounds, while the
-// real-socket serving loop (src/netio) wakes it on epoll readiness and uses
-// the same wheel only for deadlines (connect timeouts, shutdown drains).
-// TimerWheel is that shared readiness source: a tick-ordered park structure
-// whose drain order is a pure function of (tick, insertion order), so every
-// reactor built on it inherits the determinism the scan suite pins.
+// Every exchange runs as resumable steps (net::ExchangeDriver), so a parked
+// connection costs nothing until something readies it. The scan needs no
+// wheel for that: under its virtual clock Transport::run skips a parked
+// stretch inline. The real-socket loops (src/netio) wake connections on
+// epoll readiness and keep their deadlines (connect timeouts, shutdown
+// drains) here: a tick-ordered park structure whose drain order is a pure
+// function of (tick, insertion order).
 #pragma once
 
 #include <cstdint>
@@ -18,11 +16,10 @@
 
 namespace h2r::net {
 
-/// Tick-ordered parking wheel. Ticks are whatever the owning reactor counts
-/// — simulated rounds for the virtual-clock scan reactor, steady-clock
-/// milliseconds for the epoll serving loop's deadlines. Items parked on the
-/// same tick drain in insertion order; the owner re-sorts when it needs a
-/// different deterministic key (the scan reactor orders by site index).
+/// Tick-ordered parking wheel. Ticks are whatever the owning loop counts —
+/// steady-clock milliseconds for the epoll loops' deadlines. Items parked on
+/// the same tick drain in insertion order; the owner re-sorts when it needs
+/// a different deterministic key.
 template <typename T>
 class TimerWheel {
  public:
@@ -41,8 +38,8 @@ class TimerWheel {
   /// Earliest occupied tick. Precondition: !empty().
   [[nodiscard]] std::uint64_t next_tick() const { return wheel_.begin()->first; }
 
-  /// Pops the whole batch at the earliest occupied tick — the virtual-clock
-  /// reactor's "jump to the next occupied instant". Precondition: !empty().
+  /// Pops the whole batch at the earliest occupied tick. Precondition:
+  /// !empty().
   [[nodiscard]] std::pair<std::uint64_t, std::vector<T>> pop_next() {
     auto due = wheel_.begin();
     std::pair<std::uint64_t, std::vector<T>> out{due->first,

@@ -28,9 +28,9 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "trace/event.h"
+#include "trace/metrics.h"
 #include "trace/recorder.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -189,18 +189,18 @@ struct ExchangeLedger {
   std::uint64_t deadline_hits = 0;
   double backoff_ms = 0.0;  ///< simulated retry backoff, accumulated
 
-  // Parking (ExchangeDriver): a stall held delivery, so the driver skipped
-  // the dead rounds in one step instead of spinning the pump through them.
-  // Booked identically by the sequential and event-loop scan drivers — the
-  // park points are a property of the exchange, not of who resumes it.
-  std::uint64_t parks = 0;          ///< park events on this site's exchanges
+  // Parking: a stall held delivery, so the ExchangeDriver skipped the dead
+  // rounds in one step instead of spinning the pump through them; a retry
+  // backoff (core::probe_with_retry) is booked the same way. The one park
+  // record of a site — the scan folds it into its wire metrics.
+  std::uint64_t parks = 0;          ///< park events on this site
   std::uint64_t parked_rounds = 0;  ///< rounds skipped while parked
-  std::vector<int> park_durations;  ///< per-park skipped rounds, in order
+  trace::Histogram park_durations;  ///< skipped rounds per park
 
   void note_park(int rounds) {
     ++parks;
     parked_rounds += static_cast<std::uint64_t>(rounds);
-    park_durations.push_back(rounds);
+    park_durations.add(static_cast<std::uint64_t>(rounds));
   }
 
   bool attempt_deadline = false;

@@ -14,7 +14,7 @@
 // Shutdown is graceful by construction: request_shutdown() (async-signal-
 // safe; h2serve wires SIGINT/SIGTERM to it) stops the accept path, sends
 // GOAWAY on every live engine, and drains in-flight streams under a bounded
-// deadline kept on the same net::TimerWheel the scan reactor uses. Sockets
+// deadline kept on a net::TimerWheel in milliseconds. Sockets
 // that outlive the deadline are force-closed and counted.
 #pragma once
 
@@ -174,8 +174,7 @@ class ServeLoop {
   std::vector<int> retired_;  ///< fds to reap after the dispatch pass
   ServeStats stats_;
   bool draining_ = false;
-  /// Drain deadline, on the same timer wheel the scan reactor sleeps on
-  /// (ticks are milliseconds here instead of virtual rounds).
+  /// Drain deadline, on a timer wheel ticking in milliseconds.
   net::TimerWheel<int> deadlines_;
   std::uint64_t drain_deadline_ms_ = 0;
   std::uint64_t t0_ = 0;  ///< steady-clock epoch for now_ms()

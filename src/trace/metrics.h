@@ -94,16 +94,17 @@ struct MetricsRegistry {
     }
   }
 
-  // Reactor observability (populated by faulted scans: the scan core books
-  // one park per stall stretch or retry backoff regardless of which driver
-  // — event-loop or sequential — serviced it, so these are sums a merge
-  // keeps independent of H2R_THREADS).
+  // Park record (populated by faulted scans: each site's ledger books one
+  // park per stall stretch or retry backoff, so these are sums a merge
+  // keeps independent of H2R_THREADS). The reactor_* names and the JSON
+  // "reactor" block predate the single scan driver and are kept as-is.
   std::uint64_t reactor_parks = 0;         ///< times any site parked
   std::uint64_t reactor_parked_rounds = 0; ///< simulated rounds spent parked
-  /// Most sites simultaneously in flight on any one shard. Unlike every
-  /// other field this is a property of the run *shape* (thread count, shard
-  /// sizes), so merge() takes the max and to_json() never emits it —
-  /// snapshots stay byte-identical across H2R_THREADS. to_text() shows it.
+  /// Most sites simultaneously in flight on any one worker: 1 once a
+  /// worker has scanned a site. Unlike every other field this is a
+  /// property of the run *shape*, so merge() takes the max and to_json()
+  /// never emits it — snapshots stay byte-identical across H2R_THREADS.
+  /// to_text() shows it.
   std::uint64_t reactor_peak_in_flight = 0;
 
   Histogram frame_size;             ///< wire octets per frame, both directions
@@ -111,7 +112,7 @@ struct MetricsRegistry {
   Histogram stall_span_events;      ///< stall->resume distance in trace events
   Histogram compression_ratio_pct;  ///< per-connection Equation-1 ratio x100
   Histogram park_duration_rounds;   ///< simulated rounds per individual park
-  Histogram wakeups_per_site;       ///< reactor wakeups each site needed
+  Histogram wakeups_per_site;       ///< parks each faulted site booked
 
   void merge(const MetricsRegistry& other);
   [[nodiscard]] std::uint64_t total_frames() const noexcept;

@@ -3,11 +3,14 @@
 // proportionally.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include "corpus/marginals.h"
 #include "corpus/population.h"
 #include "corpus/scan.h"
+#include "scan_fingerprint.h"
 
 namespace h2r::corpus {
 namespace {
@@ -296,17 +299,94 @@ TEST(Scan, DeterministicAcrossRuns) {
 }
 
 TEST(Scan, ThreadCountDoesNotChangeAggregates) {
-  Population pop = generate_population(Epoch::kExp1, 7, 500);
-  ScanOptions one;
+  // Workers pull sites in whatever order they finish, so only per-site
+  // facts folded into order-independent aggregates may reach the report:
+  // every field, the wire-metrics JSON (the park record included) and the
+  // per-site JSONL traces must be identical for any thread count.
+  const Population clean_pop = generate_population(Epoch::kExp1, 7, 500);
+  const Population faulted_pop =
+      generate_population(Epoch::kExp2, 7, /*scale=*/1000);
+  const Population traced_pop =
+      generate_population(Epoch::kExp2, 9, /*scale=*/4000);
+
+  struct Case {
+    const char* name;
+    const Population* pop;
+    ScanOptions opts;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"clean", &clean_pop, {}});
+  for (const std::uint64_t seed : {std::uint64_t{0xFA017}, std::uint64_t{2}}) {
+    ScanOptions faulted;
+    faulted.fault_injection = true;
+    faulted.fault_seed = seed;
+    cases.push_back({seed == 2 ? "faulted seed 2" : "faulted seed 0xFA017",
+                     &faulted_pop, faulted});
+  }
+  ScanOptions traced;
+  traced.wiretap_traces = true;
+  cases.push_back({"traced", &traced_pop, traced});
+
+  for (Case& c : cases) {
+    c.opts.threads = 1;
+    const ScanReport base = scan_population(*c.pop, c.opts);
+    if (c.opts.fault_injection) {
+      ASSERT_GT(base.fault_injected, 0u) << c.name;  // the chaos path ran
+      // Stalls park their exchanges whoever runs them.
+      EXPECT_GT(base.wire_metrics.reactor_parks, 0u) << c.name;
+    } else {
+      // A lockstep exchange never parks.
+      EXPECT_EQ(base.wire_metrics.reactor_parks, 0u) << c.name;
+      EXPECT_EQ(base.wire_metrics.reactor_parked_rounds, 0u) << c.name;
+    }
+    if (c.opts.wiretap_traces) {
+      ASSERT_FALSE(base.site_traces.empty());
+    }
+
+    for (const int threads : {2, 8}) {
+      c.opts.threads = threads;
+      const ScanReport got = scan_population(*c.pop, c.opts);
+      EXPECT_EQ(fingerprint(base), fingerprint(got))
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(base.wire_metrics.to_json(), got.wire_metrics.to_json())
+          << c.name << " threads=" << threads;
+      EXPECT_EQ(base.site_traces, got.site_traces)
+          << c.name << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Scan, StallStormCompletesWithoutSpinning) {
+  // Worst case for the scan: (nearly) every connection faulted, so (nearly)
+  // every site parks, repeatedly. Parked stretches are skipped, not pumped
+  // — visible as more parked rounds than parks — and every site is still
+  // classified.
+  const Population pop = generate_population(Epoch::kExp2, 7, /*scale=*/1000);
+
+  ScanOptions storm;
+  storm.fault_injection = true;
+  storm.fault_floor = 0.97;
+  storm.threads = 2;
+  const ScanReport r = scan_population(pop, storm);
+
+  const std::size_t classified = r.sites_ok + r.sites_retried_ok +
+                                 r.sites_truncated + r.sites_disconnected +
+                                 r.sites_timed_out;
+  EXPECT_GT(classified, 0u);
+  EXPECT_GT(r.fault_injected, 0u);
+  EXPECT_GT(r.wire_metrics.reactor_parks, 0u);
+  // Parks cover multi-round stall stretches; if the pump were spinning one
+  // round per park these two would be equal.
+  EXPECT_GT(r.wire_metrics.reactor_parked_rounds,
+            r.wire_metrics.reactor_parks);
+  EXPECT_EQ(r.wire_metrics.wakeups_per_site.count(), classified);
+
+  // And the storm, too, is thread-count independent.
+  ScanOptions one = storm;
   one.threads = 1;
-  ScanOptions many;
-  many.threads = 8;
-  const ScanReport a = scan_population(pop, one);
-  const ScanReport b = scan_population(pop, many);
-  EXPECT_EQ(a.responding_sites, b.responding_sites);
-  EXPECT_EQ(a.server_counts, b.server_counts);
-  EXPECT_EQ(a.sframe_respecting, b.sframe_respecting);
-  EXPECT_EQ(a.self_dep_rst, b.self_dep_rst);
+  const ScanReport s = scan_population(pop, one);
+  EXPECT_EQ(fingerprint(s), fingerprint(r));
+  EXPECT_EQ(s.wire_metrics.to_json(), r.wire_metrics.to_json());
 }
 
 TEST(Scan, PushHostsAreTheNamedSites) {

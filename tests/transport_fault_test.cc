@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "core/client.h"
+#include "core/probes.h"
 #include "net/transport.h"
 #include "server/engine.h"
 #include "server/profile.h"
@@ -299,13 +300,47 @@ TEST(ExchangeDriver, ParksAreBookedOnTheLedger) {
   EXPECT_EQ(result.outcome, net::ExchangeOutcome::kQuiescent);
   EXPECT_GT(ledger.parks, 0u);
   EXPECT_GE(ledger.parked_rounds, 64u);
-  ASSERT_EQ(ledger.park_durations.size(), ledger.parks);
-  std::uint64_t total = 0;
-  for (const int d : ledger.park_durations) {
-    EXPECT_GT(d, 0);
-    total += static_cast<std::uint64_t>(d);
+  EXPECT_EQ(ledger.park_durations.count(), ledger.parks);
+  EXPECT_EQ(ledger.park_durations.sum(), ledger.parked_rounds);
+  EXPECT_EQ(ledger.park_durations.buckets()[0], 0u);  // no zero-length park
+}
+
+TEST(ProbeWithRetry, BooksOneBackoffParkPerRetry) {
+  // Every connection faulted: attempts fail and are retried, and each
+  // retry's backoff lands on the ledger as one park of that many rounds,
+  // beside the parks the stalled exchanges book themselves.
+  core::Target target = core::Target::testbed(server::h2o_profile());
+  target.faults = {.enabled = true, .seed = 3, .probability = 1.0};
+  net::ExchangeLedger ledger;
+  target.ledger = &ledger;
+  core::RetryPolicy policy;
+  policy.max_attempts = 3;
+
+  std::uint64_t attempts = 0;
+  std::uint64_t exchange_parks = 0;
+  std::uint64_t exchange_rounds = 0;
+  (void)core::probe_with_retry(target, policy, [&] {
+    ++attempts;
+    const std::uint64_t parks = ledger.parks;
+    const std::uint64_t rounds = ledger.parked_rounds;
+    const auto result = core::probe_settings(target);
+    exchange_parks += ledger.parks - parks;
+    exchange_rounds += ledger.parked_rounds - rounds;
+    return result;
+  });
+
+  ASSERT_GT(ledger.retries, 0u);
+  EXPECT_EQ(attempts, ledger.retries + 1);
+  std::uint64_t backoff_rounds = 0;
+  double backoff = policy.backoff_base_ms;
+  for (std::uint64_t i = 0; i < ledger.retries; ++i) {
+    backoff_rounds += static_cast<std::uint64_t>(backoff);
+    backoff *= policy.backoff_multiplier;
   }
-  EXPECT_EQ(total, ledger.parked_rounds);
+  EXPECT_EQ(ledger.parks, exchange_parks + ledger.retries);
+  EXPECT_EQ(ledger.parked_rounds, exchange_rounds + backoff_rounds);
+  EXPECT_EQ(ledger.park_durations.count(), ledger.parks);
+  EXPECT_EQ(ledger.park_durations.sum(), ledger.parked_rounds);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 //   --profile KEY   server profile              [env H2R_SERVE_PROFILE; h2o]
 //   --shards N      serve shards (threads), SO_REUSEPORT accept [1]
 //   --accept-fallback  force the single-acceptor round-robin path
-//   --no-header-cache  disable the response header-block cache (ablation)
 //   --hardened      enable MitigationPolicy::hardened()
 //   --drain-ms N    graceful-shutdown drain budget [2000]
 //   --max-conns N   concurrent-connection cap       [1024]
@@ -64,7 +63,7 @@ constexpr std::size_t kIdleTapeRecords = 65536;
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--profile KEY] [--shards N] "
-               "[--accept-fallback] [--no-header-cache] [--hardened] "
+               "[--accept-fallback] [--hardened] "
                "[--drain-ms N] [--max-conns N] [--trace-out PATH] "
                "[--trace-format jsonl|bin] [--json]\n",
                argv0);
@@ -126,8 +125,6 @@ int main(int argc, char** argv) {
       shards = *v;
     } else if (arg == "--accept-fallback") {
       accept_fallback = true;
-    } else if (arg == "--no-header-cache") {
-      opts.header_block_cache = false;
     } else if (arg == "--hardened") {
       opts.hardened = true;
     } else if (arg == "--drain-ms") {

@@ -56,17 +56,24 @@ class Encoder {
   /// at the start of the next header block, and resizes our table.
   void set_table_capacity(std::uint32_t capacity);
 
-  /// Counts set_table_capacity() calls. Together with the table's
-  /// insert/eviction counts this fully versions the encoder state a header
-  /// block depends on: a block cached at version V re-encodes byte-identical
-  /// while the version is unchanged (see Http2Server's response-block cache).
+  /// Counts set_table_capacity() calls since construction or reset().
   [[nodiscard]] std::uint64_t capacity_epoch() const noexcept {
     return capacity_epoch_;
   }
   /// True while a §6.3 size-update instruction is queued for the next
-  /// block — such a block is context-dependent and must not be cached.
+  /// block.
   [[nodiscard]] bool has_pending_capacity_update() const noexcept {
     return pending_capacity_update_.has_value();
+  }
+  /// True while the encoder is in its just-constructed state: nothing
+  /// inserted, nothing evicted, never resized, no size update queued. Any
+  /// two pristine encoders with the same options encode a header list to
+  /// the same bytes, so a block encoded while pristine that leaves the
+  /// encoder pristine can be replayed by any other pristine encoder (see
+  /// server::SharedBlockCache).
+  [[nodiscard]] bool pristine() const noexcept {
+    return table_.insert_count() == 0 && table_.eviction_count() == 0 &&
+           capacity_epoch_ == 0 && !pending_capacity_update_.has_value();
   }
 
   [[nodiscard]] const IndexTable& table() const noexcept { return table_; }

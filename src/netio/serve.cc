@@ -329,10 +329,7 @@ void ServeLoop::drive(Conn& conn) {
     }
     conn.engine = std::make_unique<server::Http2Server>(profile_, site_,
                                                         conn.mode, sink);
-    conn.engine->set_header_block_cache(opts_.header_block_cache);
-    if (opts_.header_block_cache) {
-      conn.engine->set_shared_block_cache(&shared_blocks_);
-    }
+    conn.engine->set_shared_block_cache(&shared_blocks_);
     conn.engine->record_received_frames(true);
     conn.engine_ref.emplace(*conn.engine);
     conn.transport.push_inbound(conn.sniff);
@@ -368,8 +365,6 @@ void ServeLoop::settle(Conn& conn) {
   stats_.rounds += static_cast<std::uint64_t>(r.rounds);
   stats_.bytes_in += r.bytes_c2s;
   stats_.bytes_out += r.bytes_s2c;
-  stats_.header_cache_hits += conn.engine->header_cache_hits();
-  stats_.header_cache_misses += conn.engine->header_cache_misses();
   switch (r.outcome) {
     case net::ExchangeOutcome::kQuiescent:
       if (conn.mode == server::Http2Server::StartMode::kH2c &&

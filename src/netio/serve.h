@@ -11,6 +11,11 @@
 // octets re-enter the stream through the transport so the engine sees them
 // unbroken.
 //
+// Every engine on one loop shares the loop's server::SharedBlockCache of
+// static response header blocks, so repeated responses of a profile that
+// never indexes them (nginx) skip HPACK encoding; ServeStats counts one hit
+// or one miss per cacheable response.
+//
 // Shutdown is graceful by construction: request_shutdown() (async-signal-
 // safe; h2serve wires SIGINT/SIGTERM to it) stops the accept path, sends
 // GOAWAY on every live engine, and drains in-flight streams under a bounded
@@ -66,8 +71,6 @@ struct ServeOptions {
   /// No listener at all: connections arrive through post_connection()
   /// (the sharded listener's single-acceptor fallback mode).
   bool external_accept = false;
-  /// Engine response header-block cache (Http2Server::set_header_block_cache).
-  bool header_block_cache = true;
 };
 
 /// What the listener did, exportable as JSON after run() returns.
@@ -91,9 +94,10 @@ struct ServeStats {
   /// Trace records evicted from per-connection ring tapes before flush
   /// (oldest-first; see ServeOptions::tape_capacity).
   std::uint64_t trace_drops = 0;
-  /// Response header-block cache tallies, private (per-engine) + shared
-  /// (per-shard static blocks) combined. Counted at connection settle, so
-  /// force-closed stragglers' tallies are not included — like rounds.
+  /// Shard header-block cache (server::SharedBlockCache) tallies: one hit
+  /// or one miss per cacheable response. Taken when the shard's run()
+  /// returns, so responses to connections force-closed at the drain
+  /// deadline are included (unlike rounds and bytes, booked at settle).
   std::uint64_t header_cache_hits = 0;
   std::uint64_t header_cache_misses = 0;
   /// Terminal error taxonomy: errno_key / classifier → count.

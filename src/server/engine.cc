@@ -104,9 +104,6 @@ void Http2Server::reset(std::shared_ptr<const ServerProfile> profile,
   continuation_fragment_.clear();
   continuation_end_stream_ = false;
   continuation_priority_.reset();
-  block_cache_.clear();
-  header_cache_hits_ = 0;
-  header_cache_misses_ = 0;
   BufferPool::local().release(out_.take());
   out_ = ByteWriter(BufferPool::local().acquire(BufferPool::kOutputFloor));
   dead_ = false;
@@ -739,10 +736,10 @@ void Http2Server::start_response(Stream& stream) {
   }
   stream.body_size =
       stream.resource != nullptr ? stream.resource->size : std::size_t{180};
-  if (header_cache_enabled_ && !site_->cookie_churn()) {
+  if (!site_->cookie_churn()) {
     // The header list is a pure function of (profile, site, resource); defer
-    // building it to first encode, where the block cache usually supplies a
-    // prebuilt byte block instead.
+    // building it to first encode, where the shard's block cache usually
+    // supplies a prebuilt byte block instead.
     stream.cacheable_response = true;
   } else {
     build_response_headers(stream, stream.response_headers);
@@ -790,58 +787,30 @@ Bytes Http2Server::response_block(Stream& stream) {
   if (!stream.cacheable_response) {
     return encode_block(stream.response_headers);
   }
-  // Shard-shared static blocks first: while this engine's encoder is still
-  // pristine (nothing inserted, nothing evicted, never resized, no pending
-  // §6.3 update) it emits exactly the bytes any sibling pristine engine
-  // emitted — so the very first response of a fresh connection can reuse a
-  // block another connection on this shard already built.
-  const bool pristine = encoder_.table().insert_count() == 0 &&
-                        encoder_.table().eviction_count() == 0 &&
-                        encoder_.capacity_epoch() == 0 &&
-                        !encoder_.has_pending_capacity_update();
-  if (shared_block_cache_ != nullptr && pristine) {
-    for (const auto& entry : shared_block_cache_->entries) {
-      if (entry.resource == stream.resource) {
-        ++shared_block_cache_->hits;
-        Bytes block = BufferPool::local().acquire(entry.block.size());
-        block.assign(entry.block.begin(), entry.block.end());
-        return block;
+  // While this engine's encoder is pristine it emits exactly the bytes any
+  // sibling pristine engine emitted, so even the first response of a fresh
+  // connection can reuse a block another connection on this shard built.
+  const bool pristine = encoder_.pristine();
+  if (shared_block_cache_ != nullptr) {
+    if (pristine) {
+      for (const auto& entry : shared_block_cache_->entries) {
+        if (entry.resource == stream.resource) {
+          ++shared_block_cache_->hits;
+          Bytes block = BufferPool::local().acquire(entry.block.size());
+          block.assign(entry.block.begin(), entry.block.end());
+          return block;
+        }
       }
     }
     ++shared_block_cache_->misses;
   }
-  for (const auto& entry : block_cache_) {
-    if (entry.resource == stream.resource && cache_entry_valid(entry)) {
-      // Replaying is byte-identical to re-encoding: the encoder state is
-      // exactly what the cached encode saw, and that encode had no side
-      // effects — so the peer's HPACK decoder cannot tell the difference.
-      ++header_cache_hits_;
-      Bytes block = BufferPool::local().acquire(entry.block.size());
-      block.assign(entry.block.begin(), entry.block.end());
-      return block;
-    }
-  }
-  ++header_cache_misses_;
-  const bool had_pending_update = encoder_.has_pending_capacity_update();
-  const std::uint64_t ins = encoder_.table().insert_count();
-  const std::uint64_t ev = encoder_.table().eviction_count();
-  const std::uint64_t cap = encoder_.capacity_epoch();
   build_response_headers(stream, response_scratch_);
   Bytes block = encode_block(response_scratch_);
-  // Cache only side-effect-free encodes: no table inserts or evictions, no
-  // §6.3 size-update instruction embedded in the block. (The first encode
-  // of a response under an aggressive indexing policy inserts; the second,
-  // fully-indexed encode is the one that sticks.)
-  if (!had_pending_update && ins == encoder_.table().insert_count() &&
-      ev == encoder_.table().eviction_count() &&
-      cap == encoder_.capacity_epoch()) {
-    std::erase_if(block_cache_, [&](const BlockCacheEntry& e) {
-      return e.resource == stream.resource || !cache_entry_valid(e);
-    });
-    block_cache_.push_back({stream.resource, block, ins, ev, cap});
-    if (shared_block_cache_ != nullptr && pristine) {
-      shared_block_cache_->entries.push_back({stream.resource, block});
-    }
+  // Store only encodes that left the encoder pristine: no table inserts or
+  // evictions (the first encode under an aggressive indexing policy
+  // inserts, and its encoder never matches again).
+  if (shared_block_cache_ != nullptr && pristine && encoder_.pristine()) {
+    shared_block_cache_->entries.push_back({stream.resource, block});
   }
   return block;
 }

@@ -8,6 +8,11 @@
 // Transport model: the owner feeds client->server bytes into receive() and
 // drains server->client bytes from take_output(). The engine is synchronous
 // and deterministic; no threads, no wall clock.
+//
+// Response header blocks are HPACK-encoded per response. A serving loop may
+// attach a SharedBlockCache (one per shard) so pristine encoders replay
+// blocks a sibling connection already encoded; without one (scans, attacks,
+// in-process tests) the engine just encodes.
 #pragma once
 
 #include <cstdint>
@@ -35,18 +40,22 @@
 namespace h2r::server {
 
 /// Prebuilt response header blocks shared by every connection engine on one
-/// serving thread (shard). Entries are *static* blocks: produced against a
-/// pristine HPACK encoder (empty dynamic table, never resized, no pending
-/// size update), so any other pristine engine with the same profile emits
-/// the identical bytes. Keyed by Resource pointer (nullptr = the 404 page);
-/// sound because sibling engines share one Site, so pointers are stable.
-/// Deliberately lock-free and un-shared across threads — one per shard.
+/// serving thread (shard). Entries are *static* blocks: encoded by a
+/// pristine HPACK encoder that stayed pristine (hpack::Encoder::pristine():
+/// empty dynamic table, never resized, no pending size update), so any other
+/// pristine engine with the same profile emits the identical bytes. An
+/// encoder that never indexes response headers (nginx, Tengine) stays
+/// pristine for the whole connection, so every repeated response hits.
+/// Keyed by Resource pointer (nullptr = the 404 page); sound because sibling
+/// engines share one Site, so pointers are stable. Deliberately lock-free
+/// and un-shared across threads — one per shard.
 struct SharedBlockCache {
   struct Entry {
     const Resource* resource;
     Bytes block;
   };
   std::vector<Entry> entries;
+  /// Each cacheable response an attached engine serves books one of these.
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
@@ -125,31 +134,13 @@ class Http2Server {
   /// the client's frames on the tape.
   void record_received_frames(bool on) noexcept { record_received_ = on; }
 
-  /// Enables/disables the encoded response-header-block cache (on by
-  /// default). Reuse is byte-identical by construction: a block is cached
-  /// only when producing it had no HPACK side effects (no dynamic-table
-  /// inserts, evictions, or pending §6.3 size updates) and is replayed only
-  /// while the encoder state it was produced against is unchanged — so the
-  /// knob exists purely for ablation, never for correctness.
-  void set_header_block_cache(bool on) {
-    header_cache_enabled_ = on;
-    block_cache_.clear();
-  }
-  [[nodiscard]] std::uint64_t header_cache_hits() const noexcept {
-    return header_cache_hits_;
-  }
-  [[nodiscard]] std::uint64_t header_cache_misses() const noexcept {
-    return header_cache_misses_;
-  }
-
-  /// Attaches a cache shared by every engine on one serving thread (shard).
-  /// It may only hold *static* blocks: encodes produced against a pristine
-  /// encoder (empty dynamic table, never resized) with no side effects, so
-  /// any other pristine engine with the same profile replays them
-  /// byte-identically. Engines whose dynamic table has diverged (aggressive
-  /// indexing, peer table resizes) simply stop matching — they fall back to
-  /// their private versioned cache. NOT thread-safe: one per shard, by
-  /// construction never reached from two threads.
+  /// Attaches the shard's block cache; null (the default) detaches it and
+  /// the engine encodes every response. With a cache attached, every
+  /// cacheable response books exactly one hit or one miss; it can hit only
+  /// while this engine's encoder is pristine, so an engine whose dynamic
+  /// table has diverged (aggressive indexing, a peer table resize) books a
+  /// miss and encodes. NOT thread-safe: one per shard, by construction
+  /// never reached from two threads.
   void set_shared_block_cache(SharedBlockCache* cache) noexcept {
     shared_block_cache_ = cache;
   }
@@ -247,7 +238,7 @@ class Http2Server {
     bool stall_traced = false;  ///< open kWindowStall event for this stream
     /// Response headers are a pure function of (profile, site, resource):
     /// the header list build is deferred to first encode and the encoded
-    /// block may come from the response-block cache. Never set for POST
+    /// block may come from the shard's SharedBlockCache. Never set for POST
     /// (upload-dependent headers) or cookie-churn sites.
     bool cacheable_response = false;
     std::size_t opened_at_frame = 0;  ///< frames_received_ at creation
@@ -407,28 +398,8 @@ class Http2Server {
   std::uint32_t priority_in_window_ = 0;
   bool slow_post_suspect_ = false;  ///< amortized O(streams) scan result
 
-  // Response header-block cache. Keyed by resource identity (nullptr = the
-  // synthetic 404); an entry is valid only while the HPACK encoder state it
-  // was produced against is untouched, so replaying it is byte-identical to
-  // re-encoding. A handful of resources per site → linear scan beats a map.
-  struct BlockCacheEntry {
-    const Resource* resource;
-    Bytes block;
-    std::uint64_t inserts;    ///< encoder insert_count at encode time
-    std::uint64_t evictions;  ///< encoder eviction_count at encode time
-    std::uint64_t cap_epoch;  ///< encoder capacity_epoch at encode time
-  };
-  [[nodiscard]] bool cache_entry_valid(const BlockCacheEntry& e) const {
-    return e.inserts == encoder_.table().insert_count() &&
-           e.evictions == encoder_.table().eviction_count() &&
-           e.cap_epoch == encoder_.capacity_epoch();
-  }
-  std::vector<BlockCacheEntry> block_cache_;
-  hpack::HeaderList response_scratch_;  ///< cache-miss header list, reused
+  hpack::HeaderList response_scratch_;  ///< deferred header list, reused
   SharedBlockCache* shared_block_cache_ = nullptr;
-  bool header_cache_enabled_ = true;
-  std::uint64_t header_cache_hits_ = 0;
-  std::uint64_t header_cache_misses_ = 0;
 
   // CONTINUATION reassembly state.
   std::optional<std::uint32_t> continuation_stream_;

@@ -2,10 +2,12 @@
 // acceptor fallback's deterministic round-robin, merged-stats = per-shard
 // sums, GOAWAY on every shard at drain (with an untorn merged trace), a
 // fingerprint-identity check that sharding never alters wire behaviour,
-// bounded shard tapes that merge exactly like unbounded ones, and the
-// response header-block cache's byte-identity guarantees.
+// bounded shard tapes that merge exactly like unbounded ones, one cache
+// booking per served response, and the shard header-block cache's
+// byte-identity guarantees.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -136,6 +138,39 @@ TEST(ShardedServe, FourShardsServeLoadWithZeroErrors) {
 
 TEST(ShardedServe, FallbackAcceptorServesLoadWithZeroErrors) {
   run_sharded_load(3, /*force_fallback=*/true);
+}
+
+TEST(ShardedServe, EveryResponseBooksOneCacheHitOrMiss) {
+  netio::ShardedServeOptions opts;
+  opts.base.profile_key = "nginx";
+  opts.shards = 2;
+  ShardedRunner runner(opts);
+  ASSERT_TRUE(runner.serve);
+
+  // A served page and the synthetic 404: both are cacheable responses.
+  std::uint64_t completed = 0;
+  for (const std::string path : {"/", "/no-such-page"}) {
+    netio::LoadOptions load;
+    load.port = runner.serve->port();
+    load.connections = 4;
+    load.requests = 200;
+    load.streams = 4;
+    load.threads = 2;
+    load.path = path;
+    const netio::LoadReport report = netio::run_load(load);
+    EXPECT_EQ(report.completed, 200u) << path;
+    EXPECT_EQ(report.failed, 0u) << path;
+    completed += report.completed;
+  }
+
+  runner.stop();
+  const netio::ServeStats& stats = runner.serve->stats();
+  // An nginx encoder never indexes response headers, so it stays pristine
+  // and the shard cache answers every repeat; the first encode of each
+  // resource on each shard is the only miss.
+  EXPECT_EQ(stats.header_cache_hits + stats.header_cache_misses, completed);
+  EXPECT_GT(stats.header_cache_hits, 0u);
+  EXPECT_LE(stats.header_cache_misses, 2u * opts.shards);
 }
 
 // ------------------------------------------- deterministic fallback intake
@@ -411,70 +446,142 @@ TEST(ShardedServe, ShardingNeverAltersWireBehaviour) {
 
 struct LockstepOutcome {
   std::string print;
-  std::uint64_t hits = 0;
+  std::uint64_t responses = 0;  ///< HEADERS blocks received, pushes included
+  std::uint64_t hits = 0;       ///< booked on the attached cache by this run
   std::uint64_t misses = 0;
 };
 
-/// Serves @p repeats GETs for "/" over one lockstep connection, optionally
-/// shrinking the server's HPACK encode table mid-run via client SETTINGS.
-LockstepOutcome serve_repeats(const std::string& profile_key, server::Site site,
-                              bool cache_on, int repeats,
-                              bool resize_table_mid_run) {
-  server::Http2Server server(server::profile_by_key(profile_key),
-                             std::move(site));
-  server.set_header_block_cache(cache_on);
+/// One Site shared by every engine of a test, as a shard's engines share
+/// one: cache entries are keyed by Resource pointer.
+std::shared_ptr<const server::Site> shared_site(bool cookie_churn = false) {
+  server::Site site = server::Site::standard_testbed_site();
+  site.set_cookie_churn(cookie_churn);
+  return std::make_shared<const server::Site>(std::move(site));
+}
+
+/// Serves @p repeats GETs for "/" over one lockstep connection with
+/// @p cache attached (null = no cache). With @p resize_after >= 0 the client
+/// shrinks the server's HPACK encode table via SETTINGS after that many
+/// requests.
+LockstepOutcome serve_repeats(const std::string& profile_key,
+                              const std::shared_ptr<const server::Site>& site,
+                              server::SharedBlockCache* cache, int repeats,
+                              int resize_after = -1) {
+  server::Http2Server server(std::make_shared<const server::ServerProfile>(
+                                 server::profile_by_key(profile_key)),
+                             site);
+  server.set_shared_block_cache(cache);
+  const std::uint64_t hits_before = cache != nullptr ? cache->hits : 0;
+  const std::uint64_t misses_before = cache != nullptr ? cache->misses : 0;
   core::ClientConnection client;
-  client.send_request("/");
-  if (resize_table_mid_run) {
-    client.send_settings({{h2::SettingId::kHeaderTableSize, 64}});
+  for (int i = 0; i < repeats; ++i) {
+    if (i == resize_after) {
+      client.send_settings({{h2::SettingId::kHeaderTableSize, 64}});
+    }
+    client.send_request("/");
   }
-  for (int i = 1; i < repeats; ++i) client.send_request("/");
   net::LockstepTransport().run(client, server);
-  return {fingerprint(client), server.header_cache_hits(),
-          server.header_cache_misses()};
+  LockstepOutcome out{fingerprint(client)};
+  for (const auto& received : client.events()) {
+    if (received.frame.type() == h2::FrameType::kHeaders) ++out.responses;
+  }
+  if (cache != nullptr) {
+    out.hits = cache->hits - hits_before;
+    out.misses = cache->misses - misses_before;
+  }
+  return out;
 }
 
 TEST(HeaderBlockCache, CachedBlocksAreByteIdenticalToFreshEncodes) {
+  const auto site = shared_site();
   for (const std::string profile : {"nginx", "h2o"}) {
-    const LockstepOutcome cached = serve_repeats(
-        profile, server::Site::standard_testbed_site(), true, 8, false);
-    const LockstepOutcome fresh = serve_repeats(
-        profile, server::Site::standard_testbed_site(), false, 8, false);
+    server::SharedBlockCache cache;
+    const LockstepOutcome cached = serve_repeats(profile, site, &cache, 8);
+    const LockstepOutcome fresh = serve_repeats(profile, site, nullptr, 8);
     ASSERT_FALSE(cached.print.empty());
     EXPECT_EQ(cached.print, fresh.print) << profile;
-    EXPECT_GT(cached.hits, 0u) << profile;
-    EXPECT_EQ(fresh.hits, 0u) << profile;
+    EXPECT_GE(cached.responses, 8u) << profile;
+    EXPECT_EQ(cached.hits + cached.misses, cached.responses) << profile;
+    if (profile == "nginx") {
+      // nginx never indexes response headers: one miss, then every repeat
+      // hits.
+      EXPECT_EQ(cached.misses, 1u);
+      EXPECT_EQ(cached.hits, 7u);
+    }
   }
 }
 
+TEST(HeaderBlockCache, PristineEnginesOnOneShardShareBlocks) {
+  const auto site = shared_site();
+  server::SharedBlockCache cache;
+  const LockstepOutcome first = serve_repeats("nginx", site, &cache, 1);
+  const LockstepOutcome second = serve_repeats("nginx", site, &cache, 1);
+  const LockstepOutcome fresh = serve_repeats("nginx", site, nullptr, 1);
+  EXPECT_EQ(first.hits, 0u);
+  EXPECT_EQ(first.misses, 1u);
+  // The second connection's very first response replays the block the
+  // first connection encoded, byte for byte.
+  EXPECT_EQ(second.hits, 1u);
+  EXPECT_EQ(second.misses, 0u);
+  ASSERT_FALSE(fresh.print.empty());
+  EXPECT_EQ(second.print, fresh.print);
+  EXPECT_EQ(first.print, fresh.print);
+  EXPECT_EQ(cache.entries.size(), 1u);
+}
+
+TEST(HeaderBlockCache, IndexingEncodesAreNeverStored) {
+  const auto site = shared_site();
+  // h2o indexes response headers aggressively: its first encode inserts into
+  // the dynamic table, so neither that block nor any later one (encoded
+  // against a non-empty table) may be shared.
+  server::SharedBlockCache cache;
+  const LockstepOutcome cached = serve_repeats("h2o", site, &cache, 8);
+  EXPECT_TRUE(cache.entries.empty());
+  EXPECT_EQ(cached.hits, 0u);
+  EXPECT_GE(cached.misses, 8u);
+  EXPECT_EQ(cached.misses, cached.responses);
+}
+
 TEST(HeaderBlockCache, CookieChurnSitesNeverServeCachedBlocks) {
-  auto churn_site = [] {
-    server::Site site = server::Site::standard_testbed_site();
-    site.set_cookie_churn(true);
-    return site;
-  };
-  const LockstepOutcome cached =
-      serve_repeats("nginx", churn_site(), true, 6, false);
-  const LockstepOutcome fresh =
-      serve_repeats("nginx", churn_site(), false, 6, false);
+  const auto site = shared_site(/*cookie_churn=*/true);
+  server::SharedBlockCache cache;
+  const LockstepOutcome cached = serve_repeats("nginx", site, &cache, 6);
+  const LockstepOutcome fresh = serve_repeats("nginx", site, nullptr, 6);
   ASSERT_FALSE(cached.print.empty());
   // Every response carries a fresh set-cookie, so a replayed block would be
   // visibly wrong — the cache must stand aside entirely.
   EXPECT_EQ(cached.print, fresh.print);
   EXPECT_EQ(cached.hits, 0u);
+  EXPECT_TRUE(cache.entries.empty());
 }
 
 TEST(HeaderBlockCache, PeerTableResizeInvalidatesWithoutCorruption) {
+  const auto site = shared_site();
   for (const std::string profile : {"nginx", "h2o"}) {
-    const LockstepOutcome cached = serve_repeats(
-        profile, server::Site::standard_testbed_site(), true, 8, true);
-    const LockstepOutcome fresh = serve_repeats(
-        profile, server::Site::standard_testbed_site(), false, 8, true);
+    server::SharedBlockCache cache;
+    const LockstepOutcome cached = serve_repeats(profile, site, &cache, 8, 1);
+    const LockstepOutcome fresh = serve_repeats(profile, site, nullptr, 8, 1);
     ASSERT_FALSE(cached.print.empty());
     // A §6.3 table-size update changes every block encoded after it; stale
     // entries from before the resize must never replay.
     EXPECT_EQ(cached.print, fresh.print) << profile;
   }
+}
+
+TEST(HeaderBlockCache, PeerTableResizeStopsMatching) {
+  const auto site = shared_site();
+  server::SharedBlockCache cache;
+  serve_repeats("nginx", site, &cache, 1);
+  ASSERT_EQ(cache.entries.size(), 1u);
+  // The peer resizes the table before its first request: every block this
+  // engine emits differs from the pristine one (the first opens with a §6.3
+  // size update), so none may come from the cache.
+  const LockstepOutcome resized = serve_repeats("nginx", site, &cache, 4, 0);
+  const LockstepOutcome fresh = serve_repeats("nginx", site, nullptr, 4, 0);
+  EXPECT_EQ(resized.hits, 0u);
+  EXPECT_EQ(resized.misses, 4u);
+  EXPECT_EQ(resized.print, fresh.print);
+  EXPECT_EQ(cache.entries.size(), 1u);
 }
 
 }  // namespace

@@ -7,9 +7,7 @@
 #include <netinet/tcp.h>
 #include <optional>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -120,18 +118,6 @@ class ServeLoop::AcceptHandler final : public IoHandler {
   ServeLoop& serve_;
 };
 
-class ServeLoop::MailboxHandler final : public IoHandler {
- public:
-  explicit MailboxHandler(ServeLoop& serve) : serve_(serve) {}
-  void on_ready(std::uint32_t events) override {
-    (void)events;
-    serve_.on_mailbox_ready();
-  }
-
- private:
-  ServeLoop& serve_;
-};
-
 // ------------------------------------------------------------------ setup
 
 ServeLoop::ServeLoop(const ServeOptions& opts) : opts_(opts) {
@@ -148,10 +134,6 @@ ServeLoop::~ServeLoop() {
     conn->transport.close();
   }
   conns_.clear();
-  // Posted-but-never-dispatched sockets would otherwise leak their fds.
-  const std::lock_guard<std::mutex> lock(mailbox_mu_);
-  for (const int fd : mailbox_pending_) ::close(fd);
-  mailbox_pending_.clear();
 }
 
 Result<std::unique_ptr<ServeLoop>> ServeLoop::create(
@@ -173,21 +155,6 @@ Result<std::unique_ptr<ServeLoop>> ServeLoop::create(
       std::move(profile));
   serve->site_ = std::make_shared<const server::Site>(
       server::Site::standard_testbed_site());
-
-  if (opts.external_accept) {
-    // Sharded-fallback mode: no listener of our own; accepted sockets
-    // arrive cross-thread via post_connection → eventfd mailbox.
-    serve->mailbox_ =
-        Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-    if (!serve->mailbox_.valid()) return errno_status(errno, "eventfd");
-    serve->mailbox_handler_ = std::make_unique<MailboxHandler>(*serve);
-    if (Status s = serve->loop_.add(serve->mailbox_.get(),
-                                    serve->mailbox_handler_.get(), EPOLLIN);
-        !s.ok()) {
-      return s;
-    }
-    return serve;
-  }
 
   auto listener = listen_loopback(opts.port, opts.backlog, opts.reuse_port);
   if (!listener.ok()) return listener.status();
@@ -228,37 +195,6 @@ void ServeLoop::on_accept_ready() {
       ++stats_.errors[errno_key(errno)];
       return;
     }
-    ++stats_.accepted;
-    if (draining_ || conns_.size() >= opts_.max_connections) {
-      ++stats_.accept_refused;
-      ++stats_.errors[draining_ ? "shutting-down" : "overloaded"];
-      continue;  // fd closes on scope exit
-    }
-    adopt(std::move(fd));
-  }
-}
-
-void ServeLoop::post_connection(int fd) noexcept {
-  {
-    const std::lock_guard<std::mutex> lock(mailbox_mu_);
-    mailbox_pending_.push_back(fd);
-  }
-  if (mailbox_.valid()) {
-    const std::uint64_t one = 1;
-    (void)::write(mailbox_.get(), &one, sizeof(one));
-  }
-}
-
-void ServeLoop::on_mailbox_ready() {
-  std::uint64_t drained = 0;
-  (void)::read(mailbox_.get(), &drained, sizeof(drained));
-  std::vector<int> batch;
-  {
-    const std::lock_guard<std::mutex> lock(mailbox_mu_);
-    batch.swap(mailbox_pending_);
-  }
-  for (const int raw : batch) {
-    Fd fd(raw);
     ++stats_.accepted;
     if (draining_ || conns_.size() >= opts_.max_connections) {
       ++stats_.accept_refused;
@@ -433,10 +369,8 @@ void ServeLoop::begin_drain() {
       now_ms() + static_cast<std::uint64_t>(
                      opts_.drain_ms < 0 ? 0 : opts_.drain_ms);
   deadlines_.park(drain_deadline_ms_, 0);
-  if (listener_.valid()) {
-    loop_.remove(listener_.get());
-    listener_.reset();
-  }
+  loop_.remove(listener_.get());
+  listener_.reset();
   // GOAWAY + drain every live engine; pre-handshake sockets just close.
   std::vector<int> fds;
   fds.reserve(conns_.size());

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,16 +64,14 @@ struct ServeOptions {
   /// per connection no matter how long one lives.
   std::size_t tape_capacity = 4096;
   /// Sets SO_REUSEPORT on the listener so sibling shards can bind the same
-  /// port (create() fails where the kernel refuses — the sharded listener
-  /// falls back to external_accept).
+  /// port. A lone ServeLoop leaves it off and owns its port exclusively.
   bool reuse_port = false;
-  /// No listener at all: connections arrive through post_connection()
-  /// (the sharded listener's single-acceptor fallback mode).
-  bool external_accept = false;
 };
 
 /// What the listener did, exportable as JSON after run() returns.
 struct ServeStats {
+  /// Sockets accept4() handed over. A socket the max_connections gate or
+  /// the drain then refuses still counts here, and in accept_refused too.
   std::uint64_t accepted = 0;
   /// Exchanges that ended cleanly: engine-side close, or peer GOAWAY +
   /// close with no streams in flight (the load generator's normal exit).
@@ -84,7 +81,9 @@ struct ServeStats {
   /// HTTP/1.1 clients whose upgrade offer the profile declined (or that
   /// never offered one); answered with HTTP/1.1 and closed.
   std::uint64_t declined_h1 = 0;
-  /// Accepts refused: EMFILE-class errno or the max_connections gate.
+  /// Accepts refused: an EMFILE-class errno (no socket, so not counted
+  /// in accepted), or a gate refusal — max_connections ("overloaded") or
+  /// drain ("shutting-down") — which counts in both accepted and here.
   std::uint64_t accept_refused = 0;
   /// Connections force-closed when the drain deadline expired.
   std::uint64_t drain_expired = 0;
@@ -129,12 +128,6 @@ class ServeLoop {
   /// Async-signal-safe: wakes the reactor and begins the graceful drain.
   void request_shutdown() noexcept { loop_.request_shutdown(); }
 
-  /// Thread-safe: hands an accepted, nonblocking socket to this loop (the
-  /// external_accept mode's intake — a sharded listener's acceptor thread
-  /// round-robins here). The fd is adopted on the next dispatch pass; after
-  /// run() returned or during drain it is closed and counted refused.
-  void post_connection(int fd) noexcept;
-
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t open_connections() const noexcept {
     return conns_.size();
@@ -143,12 +136,10 @@ class ServeLoop {
  private:
   struct Conn;
   class AcceptHandler;
-  class MailboxHandler;
 
   explicit ServeLoop(const ServeOptions& opts);
 
   void on_accept_ready();
-  void on_mailbox_ready();
   void adopt(Fd fd);
   void drive(Conn& conn);
   void settle(Conn& conn);
@@ -165,12 +156,6 @@ class ServeLoop {
   std::shared_ptr<const server::ServerProfile> profile_;
   std::shared_ptr<const server::Site> site_;
   std::unique_ptr<AcceptHandler> accept_handler_;
-  /// external_accept intake: posted fds wait here until the eventfd wake
-  /// dispatches them on the loop thread. The only cross-thread state.
-  std::unique_ptr<MailboxHandler> mailbox_handler_;
-  Fd mailbox_;
-  std::mutex mailbox_mu_;
-  std::vector<int> mailbox_pending_;
   std::map<int, std::unique_ptr<Conn>> conns_;  ///< keyed by fd
   /// Static response header blocks shared across this loop's connections —
   /// the per-shard cache (one ServeLoop per shard thread, so no locking).

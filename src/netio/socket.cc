@@ -89,9 +89,7 @@ Result<Fd> listen_loopback(std::uint16_t port, int backlog,
   if (reuse_port &&
       ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) <
           0) {
-    // kRefused by taxonomy choice: "the kernel would not give us the
-    // resource", so the sharded listener can branch on status code.
-    return RefusedError("setsockopt(SO_REUSEPORT): " + errno_key(errno));
+    return errno_status(errno, "setsockopt(SO_REUSEPORT)");
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

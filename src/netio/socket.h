@@ -69,8 +69,8 @@ class Fd {
 /// an ephemeral port; read it back with local_port) and listens. With
 /// @p reuse_port, sets SO_REUSEPORT before binding so several listeners —
 /// one per serve shard — share the port and the kernel load-balances
-/// accepts across them; fails (kRefused) where the kernel lacks support,
-/// which is the sharded listener's cue to fall back to a single acceptor.
+/// accepts across them. Every failure, SO_REUSEPORT included, is classified
+/// by errno_status.
 [[nodiscard]] Result<Fd> listen_loopback(std::uint16_t port, int backlog,
                                          bool reuse_port = false);
 

@@ -1,16 +1,20 @@
 // End-to-end tests for the real-socket serving mode: the listener + load
 // generator pair on loopback, graceful shutdown semantics, and the socket
-// error taxonomy (refused connects, abrupt resets, non-h2 clients).
+// error taxonomy (refused connects, abrupt resets, non-h2 clients, the
+// max_connections slot gate).
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <netinet/in.h>
 #include <poll.h>
 #include <string>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include "core/client.h"
 #include "h2/constants.h"
@@ -249,6 +253,58 @@ TEST(ServeLoopback, PlainHttp1ClientIsDeclinedNotCrashed) {
 
   server.stop();
   EXPECT_EQ(server.serve->stats().declined_h1, 1u);
+}
+
+TEST(ServeLoopback, SlotGateClosesTheConnectionBeyondMaxConnections) {
+  netio::ServeOptions sopts;
+  sopts.profile_key = "nginx";
+  sopts.max_connections = 2;
+  RunningServer server(sopts);
+
+  // Two connections take both slots. The server's SETTINGS proves each one
+  // was adopted: the engine that sends it exists only after the accept.
+  std::vector<std::unique_ptr<netio::SocketClient>> held;
+  for (int i = 0; i < 2; ++i) {
+    auto sock = netio::SocketClient::connect("127.0.0.1", server.serve->port());
+    ASSERT_TRUE(sock.ok()) << sock.status().message();
+    ASSERT_TRUE(sock.value()
+                    ->pump_until([](core::ClientConnection& c) {
+                      return c.server_settings_received();
+                    })
+                    .ok());
+    held.push_back(std::move(sock.value()));
+  }
+
+  // The third is accepted and closed at once: the client reads EOF (or a
+  // reset) without sending a byte.
+  auto fd = netio::connect_tcp("127.0.0.1", server.serve->port());
+  ASSERT_TRUE(fd.ok());
+  pollfd readable{fd.value().get(), POLLIN, 0};
+  ASSERT_GT(::poll(&readable, 1, 2000), 0) << "third connection left open";
+  char byte = 0;
+  const ssize_t n = ::recv(fd.value().get(), &byte, 1, 0);
+  EXPECT_TRUE(n == 0 || (n < 0 && errno == ECONNRESET)) << n;
+  fd.value().reset();
+
+  // The two held connections still serve a GET and close clean.
+  for (auto& sock : held) {
+    const std::uint32_t sid = sock->client().send_request("/");
+    ASSERT_TRUE(sock->pump_until([sid](core::ClientConnection& c) {
+                      return c.stream_complete(sid);
+                    })
+                    .ok());
+    EXPECT_TRUE(sock->finish().ok());
+  }
+  held.clear();
+
+  server.stop();
+  const netio::ServeStats& stats = server.serve->stats();
+  EXPECT_EQ(stats.accepted, 3u);
+  EXPECT_EQ(stats.accept_refused, 1u);
+  EXPECT_EQ(stats.served_clean, 2u);
+  EXPECT_EQ(stats.disconnected, 0u);
+  ASSERT_EQ(stats.errors.size(), 1u) << stats.json();
+  EXPECT_EQ(stats.errors.at("overloaded"), 1u);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // netio unit + integration tests: the shared timer wheel, strict CLI/env
-// parsing, the errno → terminal-taxonomy mapping, and the load-bearing
-// property of the whole subsystem — that a real-socket exchange is
-// observably identical to the lockstep transport for the same profile.
+// parsing, the errno → terminal-taxonomy mapping, the write backlog under a
+// slow reader, and the load-bearing property of the whole subsystem — that
+// a real-socket exchange is observably identical to the lockstep transport
+// for the same profile.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/client.h"
 #include "net/readiness.h"
@@ -14,6 +19,7 @@
 #include "netio/load.h"
 #include "netio/serve.h"
 #include "netio/socket.h"
+#include "netio/socket_transport.h"
 #include "server/engine.h"
 #include "server/profile.h"
 #include "server/site.h"
@@ -106,6 +112,133 @@ TEST(ErrnoTaxonomy, KeysAreStableNames) {
   EXPECT_EQ(netio::errno_key(EMFILE), "EMFILE");
   // Unnamed errnos still get a stable, greppable key.
   EXPECT_EQ(netio::errno_key(9999), "errno-9999");
+}
+
+// ------------------------------------------- write backlog under a slow read
+
+/// Forwards to the engine and keeps a copy of every octet it produced, so
+/// the test can compare what the peer read against what was sent.
+class RecordingServer final : public net::Endpoint {
+ public:
+  explicit RecordingServer(server::Http2Server& engine) : engine_(engine) {}
+  [[nodiscard]] Bytes take_output() override {
+    Bytes out = engine_.take_output();
+    produced.insert(produced.end(), out.begin(), out.end());
+    return out;
+  }
+  void receive(std::span<const std::uint8_t> bytes) override {
+    engine_.receive(bytes);
+  }
+  void recycle(Bytes buffer) override { engine_.recycle(std::move(buffer)); }
+  [[nodiscard]] bool alive() const override { return engine_.alive(); }
+
+  Bytes produced;
+
+ private:
+  server::Http2Server& engine_;
+};
+
+// A peer with a 16 MiB stream window that reads 2 KiB per turn behind a
+// small kernel send buffer keeps the server's write backlog from emptying:
+// each connection WINDOW_UPDATE it sends lets the engine append more DATA
+// behind octets the kernel has not taken yet. Across eight 512 KiB GETs
+// the backlog must hold only unsent octets, never everything sent since it
+// last emptied, and the peer must read exactly what the engine produced.
+TEST(SocketBacklog, SlowReaderBacklogHoldsOnlyUnsentOctets) {
+  // A stream socketpair rather than TCP loopback: same send() semantics,
+  // but no delayed-ACK or receive-window pacing to slow the test down. The
+  // small send buffer is what forces short writes.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, fds), 0);
+  netio::Fd server_end(fds[0]);
+  netio::Fd peer(fds[1]);
+  const int peer_fd = peer.get();
+  const int small_buffer = 4096;
+  ASSERT_EQ(::setsockopt(server_end.get(), SOL_SOCKET, SO_SNDBUF,
+                         &small_buffer, sizeof small_buffer),
+            0);
+
+  server::Http2Server engine(server::profile_by_key("nginx"),
+                             server::Site::standard_testbed_site());
+  RecordingServer recording(engine);
+  netio::SocketTransport transport(std::move(server_end));
+  net::ExchangeDriver driver(transport, transport.wire(), recording,
+                             {.max_rounds = 1 << 30});
+
+  core::ClientOptions options;
+  options.with_initial_window(1u << 24);
+  core::ClientConnection client(options);
+  std::vector<std::uint32_t> streams;
+  for (int i = 0; i < 8; ++i) {
+    streams.push_back(client.send_request("/large/" + std::to_string(i)));
+  }
+  const auto all_complete = [&] {
+    return std::all_of(streams.begin(), streams.end(),
+                       [&](std::uint32_t sid) {
+                         return client.stream_complete(sid);
+                       });
+  };
+
+  Bytes received;
+  std::size_t peak_unsent = 0;
+  std::size_t peak_capacity = 0;
+  int idle_turns = 0;
+  while (!(all_complete() && received.size() == recording.produced.size())) {
+    ASSERT_TRUE(client.alive()) << "peer saw a garbled stream";
+    ASSERT_LT(idle_turns, 100) << "slow read stalled";
+    // Peer → server: the preface, the GETs and each WINDOW_UPDATE.
+    Bytes request = client.take_output();
+    for (std::size_t off = 0; off < request.size();) {
+      const ssize_t n = ::send(peer_fd, request.data() + off,
+                               request.size() - off, MSG_NOSIGNAL);
+      if (n > 0) {
+        off += static_cast<std::size_t>(n);
+        continue;
+      }
+      ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EINTR));
+      pollfd writable{peer_fd, POLLOUT, 0};
+      (void)::poll(&writable, 1, 100);
+    }
+    client.recycle(std::move(request));
+
+    // One event-loop turn of the server.
+    if (driver.state() == net::ExchangeDriver::State::kParked) {
+      driver.unpark();
+    }
+    ASSERT_NE(driver.pump(), net::ExchangeDriver::State::kDone);
+    peak_unsent = std::max(peak_unsent, transport.unsent_bytes());
+    peak_capacity = std::max(peak_capacity, transport.backlog_capacity());
+
+    // The slow read: at most 2 KiB per turn.
+    std::uint8_t chunk[2048];
+    const ssize_t n = ::recv(peer_fd, chunk, sizeof chunk, 0);
+    if (n > 0) {
+      const std::span<const std::uint8_t> got(chunk,
+                                              static_cast<std::size_t>(n));
+      received.insert(received.end(), got.begin(), got.end());
+      client.receive(got);
+      idle_turns = 0;
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EINTR))
+        << "peer read failed: n=" << n << " errno=" << errno;
+    ++idle_turns;
+    pollfd readable{peer_fd, POLLIN, 0};
+    (void)::poll(&readable, 1, 10);
+  }
+
+  for (const std::uint32_t sid : streams) {
+    EXPECT_EQ(client.data_received(sid), 512u * 1024u);
+  }
+  EXPECT_TRUE(received == recording.produced)
+      << "peer read " << received.size() << " octets, engine produced "
+      << recording.produced.size() << " (or same length, different order)";
+  // The backlog really stayed behind the kernel...
+  EXPECT_GT(peak_unsent, 32u * 1024u);
+  // ...yet its allocation tracked the unsent octets, not the 4 MiB served.
+  EXPECT_LE(peak_capacity, 4 * peak_unsent + 64 * 1024)
+      << "peak unsent " << peak_unsent;
+  EXPECT_LT(peak_capacity * 8, recording.produced.size());
 }
 
 // ------------------------------------------------- lockstep vs real socket

@@ -9,6 +9,7 @@ namespace {
 
 using h2::Frame;
 using h2::FrameType;
+using Keep = ClientOptions::Keep;
 
 /// The value keyed @p id in @p sorted (ascending ids), inserted
 /// value-initialized when absent.
@@ -118,6 +119,7 @@ void ClientConnection::reset() {
   records_.clear();
   rst_.clear();
   pushed_.clear();
+  last_promised_id_ = 0;
   goaway_.reset();
   continuation_stream_.reset();
   continuation_buffer_.clear();
@@ -304,35 +306,41 @@ void ClientConnection::receive(std::span<const std::uint8_t> bytes) {
     if (!next->ok()) {
       // Surface the evidence, not just "parse error": the parser knows
       // which frame (stream offset + type octet) poisoned the stream.
-      terminal_.state = ClientTerminal::kProtocolError;
-      terminal_.status = next->status();
-      if (const auto& ctx = parser_.error_context(); ctx.has_value()) {
-        terminal_.byte_offset = ctx->frame_offset;
-        terminal_.frame_type = ctx->frame_type;
-        terminal_.frame_type_known = ctx->type_known;
-      }
-      if (options_.recorder != nullptr) {
-        options_.recorder->record(
-            {.dir = trace::Direction::kServerToClient,
-             .kind = trace::EventKind::kParseError,
-             .frame_type = terminal_.frame_type,
-             .detail_a = static_cast<std::uint32_t>(terminal_.byte_offset),
-             .detail_b = terminal_.frame_type_known ? 1u : 0u,
-             .note = next->status().message()});
-      }
-      dead_ = true;
+      const auto& ctx = parser_.error_context();
+      fail_protocol(next->status(), ctx ? ctx->frame_offset : 0,
+                    ctx ? ctx->frame_type : 0, ctx && ctx->type_known);
       return;
     }
     on_frame(next->value());
+    if (dead_) return;
   }
+}
+
+void ClientConnection::fail_protocol(Status status, std::uint64_t byte_offset,
+                                     std::uint8_t frame_type,
+                                     bool frame_type_known) {
+  terminal_.state = ClientTerminal::kProtocolError;
+  terminal_.status = std::move(status);
+  terminal_.byte_offset = byte_offset;
+  terminal_.frame_type = frame_type;
+  terminal_.frame_type_known = frame_type_known;
+  if (options_.recorder != nullptr) {
+    options_.recorder->record(
+        {.dir = trace::Direction::kServerToClient,
+         .kind = trace::EventKind::kParseError,
+         .frame_type = frame_type,
+         .detail_a = static_cast<std::uint32_t>(byte_offset),
+         .detail_b = frame_type_known ? 1u : 0u,
+         .note = terminal_.status.message()});
+  }
+  dead_ = true;
 }
 
 void ClientConnection::close(h2::ErrorCode code) {
   if (dead_) return;
   // Last peer-initiated stream we processed: the highest PUSH_PROMISE id
   // seen, or 0 when the server never pushed (RFC 7540 §6.8).
-  const std::uint32_t last_push = pushed_.empty() ? 0u : pushed_.back().first;
-  send_frame(h2::make_goaway(last_push, code, ""));
+  send_frame(h2::make_goaway(last_promised_id_, code, ""));
   dead_ = true;
 }
 
@@ -349,6 +357,10 @@ void ClientConnection::on_transport_close(const Status& status) {
 }
 
 void ClientConnection::on_frame(const h2::FrameView& view) {
+  if (options_.keep == Keep::kCompletions) {
+    apply_frame(view, nullptr);
+    return;
+  }
   ReceivedFrame ev;
   ev.sequence = events_.size();
   // Payload octets for the frame kinds whose sizes probes reason about.
@@ -356,7 +368,42 @@ void ClientConnection::on_frame(const h2::FrameView& view) {
       view.type() == FrameType::kPushPromise) {
     ev.header_block_size = view.body.size();
   }
+  apply_frame(view, &ev);
+  events_.push_back(std::move(ev));
+  if (view.type() == FrameType::kData && options_.keep == Keep::kFrameSizes) {
+    // Size-only observation: the event keeps the frame's identity (type,
+    // flags, stream) and header_block_size; the body octets stay behind in
+    // the parser buffer.
+    Frame stripped;
+    stripped.flags = view.flags;
+    stripped.stream_id = view.stream_id;
+    stripped.payload = h2::DataPayload{};
+    events_.back().frame = std::move(stripped);
+  } else {
+    events_.back().frame = h2::materialize(view);
+  }
+}
 
+bool ClientConnection::decode_block(std::span<const std::uint8_t> block,
+                                    const h2::FrameView& view,
+                                    ReceivedFrame* ev) {
+  if (ev != nullptr) {
+    auto decoded = decoder_.decode(block);
+    if (decoded.ok()) ev->headers = std::move(decoded).value();
+    return true;
+  }
+  Status status = decoder_.decode_into(block, decoded_headers_);
+  if (status.ok()) return true;
+  const std::uint64_t frame_offset = parser_.fed_total() -
+                                     parser_.unparsed_bytes() -
+                                     h2::kFrameHeaderSize -
+                                     view.payload_wire_octets;
+  fail_protocol(std::move(status), frame_offset, view.raw_type, true);
+  return false;
+}
+
+void ClientConnection::apply_frame(const h2::FrameView& view,
+                                   ReceivedFrame* ev) {
   switch (view.type()) {
     case FrameType::kData: {
       response_seen_ = true;
@@ -381,8 +428,7 @@ void ClientConnection::on_frame(const h2::FrameView& view) {
         continuation_end_stream_ = view.has_flag(h2::flags::kEndStream);
         break;
       }
-      auto decoded = decoder_.decode(view.body);
-      if (decoded.ok()) ev.headers = std::move(decoded).value();
+      if (!decode_block(view.body, view, ev)) return;
       if (view.has_flag(h2::flags::kEndStream)) {
         upsert(records_, view.stream_id).complete = true;
       }
@@ -395,9 +441,8 @@ void ClientConnection::on_frame(const h2::FrameView& view) {
       continuation_buffer_.insert(continuation_buffer_.end(),
                                   view.body.begin(), view.body.end());
       if (!view.has_flag(h2::flags::kEndHeaders)) break;
-      auto decoded = decoder_.decode(continuation_buffer_);
-      if (decoded.ok()) ev.headers = std::move(decoded).value();
-      ev.header_block_size = continuation_buffer_.size();
+      if (!decode_block(continuation_buffer_, view, ev)) return;
+      if (ev != nullptr) ev->header_block_size = continuation_buffer_.size();
       if (continuation_end_stream_) {
         upsert(records_, view.stream_id).complete = true;
       }
@@ -406,11 +451,10 @@ void ClientConnection::on_frame(const h2::FrameView& view) {
       break;
     }
     case FrameType::kPushPromise: {
-      auto decoded = decoder_.decode(view.body);
-      if (decoded.ok()) {
-        ev.headers = decoded.value();
-        upsert(pushed_, view.promised_stream_id) = std::move(decoded).value();
-      }
+      if (!decode_block(view.body, view, ev)) return;
+      if (ev != nullptr && !ev->headers) break;  // undecodable: not a push
+      last_promised_id_ = std::max(last_promised_id_, view.promised_stream_id);
+      if (ev != nullptr) upsert(pushed_, view.promised_stream_id) = *ev->headers;
       break;
     }
     case FrameType::kSettings: {
@@ -482,19 +526,6 @@ void ClientConnection::on_frame(const h2::FrameView& view) {
     }
     default:
       break;
-  }
-  events_.push_back(std::move(ev));
-  if (view.type() == FrameType::kData && !options_.retain_data_payloads) {
-    // Size-only observation: the event keeps the frame's identity (type,
-    // flags, stream) and header_block_size; the body octets stay behind in
-    // the parser buffer.
-    Frame stripped;
-    stripped.flags = view.flags;
-    stripped.stream_id = view.stream_id;
-    stripped.payload = h2::DataPayload{};
-    events_.back().frame = std::move(stripped);
-  } else {
-    events_.back().frame = h2::materialize(view);
   }
 }
 

@@ -31,7 +31,9 @@ namespace h2r::core {
 enum class ClientTerminal : std::uint8_t {
   kQuiescent = 0,   ///< no terminal fault: idle, or cleanly closed (GOAWAY)
   kTransportError,  ///< the transport died (truncation / disconnect)
-  kProtocolError,   ///< inbound bytes violated HTTP/2 framing (parse error)
+  kProtocolError,   ///< inbound bytes violated HTTP/2 framing (parse error),
+                    ///< or a header block failed to decode under
+                    ///< ClientOptions::Keep::kCompletions
 };
 
 std::string_view to_string(ClientTerminal t) noexcept;
@@ -54,8 +56,8 @@ struct ReceivedFrame {
   std::size_t sequence = 0;          ///< arrival index on this connection
   /// Payload octets as parsed: the HPACK fragment size for HEADERS /
   /// PUSH_PROMISE (whole reassembled block on the final CONTINUATION) and
-  /// the DATA payload size — authoritative even when the connection runs
-  /// with retain_data_payloads off and frame's payload is empty.
+  /// the DATA payload size — authoritative even under Keep::kFrameSizes,
+  /// where frame's DATA payload is empty.
   std::size_t header_block_size = 0;
   std::optional<hpack::HeaderList> headers;  ///< decoded block, if any
 };
@@ -69,11 +71,27 @@ struct ClientOptions {
   bool auto_connection_window_update = true;
   /// Replenish per-stream windows as DATA arrives.
   bool auto_stream_window_update = true;
-  /// Keep the payload octets of received DATA frames. The probes only ever
-  /// look at DATA *sizes* (ReceivedFrame::header_block_size and
-  /// data_received()), so the scan turns this off and the receive path skips
-  /// copying response bodies out of the parser buffer entirely.
-  bool retain_data_payloads = true;
+  /// What the connection keeps of each received frame. Every mode keeps
+  /// the per-stream records (data_received(), stream_complete(), rst_on()),
+  /// the server's SETTINGS, the GOAWAY and the flow-control windows, and
+  /// every mode runs each header block through the HPACK decoder so the
+  /// dynamic table stays in sync with the server's encoder.
+  enum class Keep : std::uint8_t {
+    /// Every frame as a ReceivedFrame in events(), with its payload and its
+    /// decoded header list, plus pushes(). What tests and SocketClient use.
+    kFrames,
+    /// kFrames without DATA payload octets: the probes only ever look at
+    /// DATA *sizes* (ReceivedFrame::header_block_size and data_received()),
+    /// so the scan skips copying response bodies out of the parser buffer.
+    kFrameSizes,
+    /// No events() and no pushes(): header blocks decode into one scratch
+    /// list the connection reuses, so state grows with streams, not with
+    /// frames or octets received. A block that fails to decode ends the
+    /// connection as ClientTerminal::kProtocolError without completing its
+    /// stream. The load generator (netio::run_load) runs in this mode.
+    kCompletions,
+  };
+  Keep keep = Keep::kFrames;
   std::string authority = "example.test";
   /// H2Wiretap sink; null disables tracing. When set, the constructor marks
   /// a connection start and every frame the client puts on the wire — plus
@@ -240,10 +258,28 @@ class ClientConnection {
     return terminal_;
   }
 
+  /// The decoder for server header blocks; its table mirrors the server's
+  /// encoder table in every Keep mode.
+  [[nodiscard]] const hpack::Decoder& decoder() const noexcept {
+    return decoder_;
+  }
+
  private:
   /// Queues the connection preface and the initial SETTINGS frame.
   void send_preface();
   void on_frame(const h2::FrameView& view);
+  /// Applies @p view to the connection state; @p ev, when not null, is the
+  /// event being recorded for it (null under Keep::kCompletions).
+  void apply_frame(const h2::FrameView& view, ReceivedFrame* ev);
+  /// Decodes one complete header block into @p ev's list, or into the
+  /// scratch list when @p ev is null. A failure leaves @p ev without a list,
+  /// or, with no event to carry the evidence, ends the connection as a
+  /// protocol error and returns false.
+  bool decode_block(std::span<const std::uint8_t> block,
+                    const h2::FrameView& view, ReceivedFrame* ev);
+  /// Marks the connection dead with a kProtocolError terminal.
+  void fail_protocol(Status status, std::uint64_t byte_offset,
+                     std::uint8_t frame_type, bool frame_type_known);
   /// encoder_.encode with HPACK table-churn trace events. Only the encoding
   /// endpoint records churn — the peer's decoder replays the identical
   /// instruction stream, so recording both sides would double-count.
@@ -281,7 +317,9 @@ class ClientConnection {
   std::vector<std::pair<std::uint32_t, StreamRecord>> records_;
   std::vector<std::pair<std::uint32_t, h2::ErrorCode>> rst_;
   PushList pushed_;
+  std::uint32_t last_promised_id_ = 0;  ///< highest decoded PUSH_PROMISE id
   hpack::HeaderList request_headers_;  ///< scratch list for send_request
+  hpack::HeaderList decoded_headers_;  ///< Keep::kCompletions decode target
   std::optional<h2::GoawayPayload> goaway_;
 
   // Reassembly of server header blocks split across CONTINUATIONs (§4.3).

@@ -171,7 +171,7 @@ struct Target {
   /// DATA frame *sizes* only, so response payload octets are not retained.
   [[nodiscard]] ClientOptions client_options(ClientOptions opts = {}) const {
     opts.recorder = recorder;
-    opts.retain_data_payloads = false;
+    opts.keep = ClientOptions::Keep::kFrameSizes;
     return opts;
   }
 

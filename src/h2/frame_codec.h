@@ -89,6 +89,10 @@ class FrameParser {
 
   /// Total octets ever fed to this parser (consumed or still buffered).
   [[nodiscard]] std::uint64_t fed_total() const noexcept { return fed_total_; }
+  /// Octets fed but not yet returned as frames.
+  [[nodiscard]] std::size_t unparsed_bytes() const noexcept {
+    return buf_.size() - consumed_;
+  }
 
   /// Populated once the parser poisons; empty while the stream is healthy.
   [[nodiscard]] const std::optional<ParseErrorContext>& error_context()

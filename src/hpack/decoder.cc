@@ -19,12 +19,23 @@ void Decoder::set_max_table_capacity(std::uint32_t capacity) {
 }
 
 Result<HeaderList> Decoder::decode(std::span<const std::uint8_t> block) {
-  ByteReader in(block);
   HeaderList out;
   out.reserve(8);  // typical request/response blocks; avoids growth churn
-  std::size_t list_size = 0;
-  bool saw_field = false;
+  H2R_RETURN_IF_ERROR(decode_into(block, out));
+  return out;
+}
 
+Status Decoder::decode_into(std::span<const std::uint8_t> block,
+                            HeaderList& out) {
+  ByteReader in(block);
+  std::size_t count = 0;  // fields decoded; out[count..] is spare storage
+  std::size_t list_size = 0;
+
+  // The next output slot: a spare entry of @p out when there is one.
+  auto next_field = [&]() -> HeaderField& {
+    if (count == out.size()) out.emplace_back();
+    return out[count++];
+  };
   auto account = [&](const HeaderField& f) -> Status {
     list_size += f.hpack_size();
     if (options_.max_header_list_size && list_size > *options_.max_header_list_size) {
@@ -38,15 +49,17 @@ Result<HeaderList> Decoder::decode(std::span<const std::uint8_t> block) {
 
     if (first & 0x80) {  // §6.1 indexed header field
       H2R_ASSIGN_OR_RETURN(std::uint32_t index, decode_integer(in, first, 7));
-      H2R_ASSIGN_OR_RETURN(HeaderField field, table_.at(index));
+      H2R_ASSIGN_OR_RETURN(const HeaderField* entry, table_.at(index));
+      HeaderField& field = next_field();
+      field.name.assign(entry->name);
+      field.value.assign(entry->value);
+      field.never_indexed = entry->never_indexed;
       H2R_RETURN_IF_ERROR(account(field));
-      out.push_back(std::move(field));
-      saw_field = true;
       continue;
     }
 
     if ((first & 0xE0) == 0x20) {  // §6.3 dynamic table size update
-      if (saw_field) {
+      if (count != 0) {
         return CompressionFailureError(
             "table size update after header fields in block");
       }
@@ -75,31 +88,32 @@ Result<HeaderList> Decoder::decode(std::span<const std::uint8_t> block) {
 
     H2R_ASSIGN_OR_RETURN(std::uint32_t name_index,
                          decode_integer(in, first, prefix));
-    HeaderField field;
+    HeaderField& field = next_field();
     field.never_indexed = never_indexed;
     if (name_index > 0) {
-      H2R_ASSIGN_OR_RETURN(HeaderField referenced, table_.at(name_index));
-      field.name = std::move(referenced.name);
+      H2R_ASSIGN_OR_RETURN(const HeaderField* referenced,
+                           table_.at(name_index));
+      field.name.assign(referenced->name);
     } else {
-      H2R_ASSIGN_OR_RETURN(field.name, decode_string(in));
+      H2R_RETURN_IF_ERROR(decode_string(in, field.name));
     }
-    H2R_ASSIGN_OR_RETURN(field.value, decode_string(in));
+    H2R_RETURN_IF_ERROR(decode_string(in, field.value));
 
     if (add_to_table) table_.insert(field);
     H2R_RETURN_IF_ERROR(account(field));
-    out.push_back(std::move(field));
-    saw_field = true;
   }
-  return out;
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(count), out.end());
+  return OkStatus();
 }
 
-Result<std::string> Decoder::decode_string(ByteReader& in) const {
+Status Decoder::decode_string(ByteReader& in, std::string& out) const {
   H2R_ASSIGN_OR_RETURN(std::uint8_t first, in.read_u8());
   const bool huffman = (first & 0x80) != 0;
   H2R_ASSIGN_OR_RETURN(std::uint32_t length, decode_integer(in, first, 7));
   H2R_ASSIGN_OR_RETURN(auto raw, in.read_bytes(length));
-  if (!huffman) return std::string(raw.begin(), raw.end());
-  return huffman_decode(raw);
+  if (huffman) return huffman_decode_into(raw, out);
+  out.assign(raw.begin(), raw.end());
+  return OkStatus();
 }
 
 }  // namespace h2r::hpack

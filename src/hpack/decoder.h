@@ -36,6 +36,13 @@ class Decoder {
   /// RFC 7540 §4.3.
   [[nodiscard]] Result<HeaderList> decode(std::span<const std::uint8_t> block);
 
+  /// decode() into @p out, overwriting its fields in place so a reused list
+  /// keeps its entries' string capacity. On success @p out holds exactly
+  /// the block's fields; on failure its contents are unspecified. The
+  /// table sees the same instructions either way.
+  [[nodiscard]] Status decode_into(std::span<const std::uint8_t> block,
+                                   HeaderList& out);
+
   /// Applies a new SETTINGS_HEADER_TABLE_SIZE we advertised and the peer
   /// acknowledged: size-update instructions above this are errors.
   void set_max_table_capacity(std::uint32_t capacity);
@@ -43,7 +50,7 @@ class Decoder {
   [[nodiscard]] const IndexTable& table() const noexcept { return table_; }
 
  private:
-  [[nodiscard]] Result<std::string> decode_string(ByteReader& in) const;
+  [[nodiscard]] Status decode_string(ByteReader& in, std::string& out) const;
 
   DecoderOptions options_;
   IndexTable table_;

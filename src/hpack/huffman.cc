@@ -172,9 +172,16 @@ void huffman_encode(ByteWriter& out, std::string_view s) {
 }
 
 Result<std::string> huffman_decode(std::span<const std::uint8_t> data) {
+  std::string out;
+  H2R_RETURN_IF_ERROR(huffman_decode_into(data, out));
+  return out;
+}
+
+Status huffman_decode_into(std::span<const std::uint8_t> data,
+                           std::string& out) {
   const Fsm& f = fsm();
   const Fsm::Transition* table = f.table.data();
-  std::string out;
+  out.clear();
   // Shortest codes are 5 bits: 8/5 output octets per input octet, tops.
   out.reserve(data.size() * 8 / 5 + 1);
   std::uint32_t state = 0;
@@ -198,7 +205,7 @@ Result<std::string> huffman_decode(std::span<const std::uint8_t> data) {
   if (st.depth > 0 && !st.all_ones) {
     return CompressionFailureError("Huffman: padding is not an EOS prefix");
   }
-  return out;
+  return OkStatus();
 }
 
 Result<std::string> huffman_decode_reference(

@@ -32,6 +32,11 @@ void huffman_encode(ByteWriter& out, std::string_view s);
 /// body, invalid padding, or truncated codes.
 Result<std::string> huffman_decode(std::span<const std::uint8_t> data);
 
+/// huffman_decode() into @p out, replacing its contents and keeping its
+/// capacity. On failure @p out holds the symbols decoded before the error.
+Status huffman_decode_into(std::span<const std::uint8_t> data,
+                           std::string& out);
+
 /// The original bit-at-a-time trie decoder, kept as the test oracle for the
 /// FSM: both must agree (value and error message) on every input.
 Result<std::string> huffman_decode_reference(

@@ -108,18 +108,18 @@ const HeaderField& static_table_entry(std::uint32_t index_1based) {
   return static_table()[index_1based - 1];
 }
 
-Result<HeaderField> IndexTable::at(std::uint32_t index) const {
+Result<const HeaderField*> IndexTable::at(std::uint32_t index) const {
   if (index == 0) {
     return CompressionFailureError("HPACK index 0 is invalid");
   }
   if (index <= kStaticTableSize) {
-    return static_table()[index - 1];
+    return &static_table()[index - 1];
   }
   const std::uint32_t dyn = index - kStaticTableSize - 1;
   if (dyn >= count_) {
     return CompressionFailureError("HPACK index beyond dynamic table");
   }
-  return entry(dyn);
+  return &entry(dyn);
 }
 
 void IndexTable::reset(std::uint32_t capacity) {

@@ -59,9 +59,10 @@ class IndexTable {
   /// slots and their string buffers for the next connection.
   void reset(std::uint32_t capacity);
 
-  /// Entry at unified @p index (1-based). Errors on 0 or out-of-range —
-  /// a COMPRESSION_ERROR at the connection level for a decoder.
-  [[nodiscard]] Result<HeaderField> at(std::uint32_t index) const;
+  /// Entry at unified @p index (1-based), valid until the next insert or
+  /// capacity change. Errors on 0 or out-of-range — a COMPRESSION_ERROR at
+  /// the connection level for a decoder.
+  [[nodiscard]] Result<const HeaderField*> at(std::uint32_t index) const;
 
   /// Inserts at the head of the dynamic table, evicting from the tail until
   /// the size constraint holds (§4.4). An entry larger than the capacity

@@ -27,6 +27,13 @@ std::uint64_t steady_us() {
           .count());
 }
 
+/// The load client keeps in-flight state only, never the responses.
+core::ClientOptions completions_only() {
+  core::ClientOptions options;
+  options.keep = core::ClientOptions::Keep::kCompletions;
+  return options;
+}
+
 std::string fmt_ms(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -98,12 +105,15 @@ namespace {
 class Runner;
 
 struct Cn final : IoHandler {
-  Cn(Runner& runner, int index, Fd fd, int target)
+  Cn(Runner& runner, int index, Fd fd, int target, int streams)
       : runner(runner),
         index(index),
         transport(std::move(fd)),
+        client(completions_only()),
         client_ref(client),
-        target(target) {}
+        target(target) {
+    inflight.reserve(static_cast<std::size_t>(std::max(1, streams)));
+  }
 
   void on_ready(std::uint32_t events) override;
 
@@ -113,7 +123,8 @@ struct Cn final : IoHandler {
   core::ClientConnection client;
   net::EndpointRef<core::ClientConnection> client_ref;
   std::optional<net::ExchangeDriver> driver;
-  std::map<std::uint32_t, std::uint64_t> inflight;  ///< stream → submit us
+  /// (stream id, submit µs) per request in flight; at most `streams`.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> inflight;
   int target;       ///< this connection's share of the request budget
   int issued = 0;
   std::uint32_t interest = EPOLLOUT;
@@ -178,25 +189,24 @@ void Runner::update_interest(Cn& cn) {
 bool Runner::harvest(Cn& cn) {
   bool queued = false;
   const std::uint64_t now = steady_us();
-  for (auto it = cn.inflight.begin(); it != cn.inflight.end();) {
-    const std::uint32_t id = it->first;
+  std::size_t kept = 0;
+  for (const auto& [id, submit_us] : cn.inflight) {
     if (cn.client.stream_complete(id)) {
       ++report_.completed;
-      report_.latency_ms.add(static_cast<double>(now - it->second) / 1000.0);
-      it = cn.inflight.erase(it);
+      report_.latency_ms.add(static_cast<double>(now - submit_us) / 1000.0);
     } else if (cn.client.rst_on(id).has_value()) {
       ++report_.rst_streams;
       ++report_.failed;
       ++report_.errors["RST_STREAM"];
-      it = cn.inflight.erase(it);
     } else {
-      ++it;
+      cn.inflight[kept++] = {id, submit_us};
     }
   }
+  cn.inflight.resize(kept);
   while (cn.client.alive() && cn.issued < cn.target &&
          cn.inflight.size() < static_cast<std::size_t>(opts_.streams)) {
     const std::uint32_t id = cn.client.send_request(opts_.path);
-    cn.inflight.emplace(id, steady_us());
+    cn.inflight.emplace_back(id, steady_us());
     ++cn.issued;
     queued = true;
   }
@@ -286,7 +296,8 @@ LoadReport Runner::run() {
       report_.failed += static_cast<std::uint64_t>(target);
       continue;
     }
-    auto cn = std::make_unique<Cn>(*this, i, std::move(fd).value(), target);
+    auto cn = std::make_unique<Cn>(*this, i, std::move(fd).value(), target,
+                                   opts_.streams);
     if (!loop_.add(cn->transport.fd(), cn.get(), EPOLLOUT).ok()) {
       ++report_.connect_errors;
       ++report_.errors["epoll-add"];

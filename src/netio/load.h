@@ -6,7 +6,9 @@
 // stack the scan runs in-process, pointed at a real listener. Every
 // connection keeps `streams` GETs in flight (seawreck-style multiplexing),
 // refills as responses complete, and closes with GOAWAY once its share of
-// the request budget is served. The report carries RPS, a per-request
+// the request budget is served. Clients run in Keep::kCompletions, so a
+// connection holds its in-flight requests and per-stream records, never the
+// responses themselves. The report carries RPS, a per-request
 // latency distribution, and the error taxonomy (connect / transport /
 // protocol, keyed by errno name where one exists).
 #pragma once

@@ -2,9 +2,13 @@
 // built from must itself be trustworthy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/client.h"
 #include "net/transport.h"
 #include "server/engine.h"
+#include "server/profile.h"
 
 namespace h2r::core {
 namespace {
@@ -14,6 +18,12 @@ using server::Site;
 
 Http2Server make_server() {
   return Http2Server(server::h2o_profile(), Site::standard_testbed_site());
+}
+
+ClientOptions keeping(ClientOptions::Keep keep) {
+  ClientOptions options;
+  options.keep = keep;
+  return options;
 }
 
 /// The net::Transport replacement for the retired run_exchange shim: one
@@ -163,6 +173,132 @@ TEST(Client, AutoWindowUpdatesCanBeDisabledIndependently) {
   pump(client, server);
   EXPECT_EQ(client.data_received(sid), h2::kDefaultInitialWindowSize);
   EXPECT_FALSE(client.stream_complete(sid));
+}
+
+// A HEADERS+END_STREAM whose block is 0x80 (indexed field 0, which
+// RFC 7541 §6.1 forbids). The probe modes record the frame with no header
+// list and still complete the stream; the completions-only mode has no
+// event to carry that evidence, so the connection fails instead.
+Bytes headers_with_bad_block() {
+  return h2::serialize_frame(h2::make_headers(1, Bytes{0x80},
+                                              /*end_stream=*/true,
+                                              /*end_headers=*/true));
+}
+
+TEST(Client, UndecodableBlockFailsCompletionsConnection) {
+  ClientConnection client(keeping(ClientOptions::Keep::kCompletions));
+  const std::uint32_t id = client.send_request("/");
+  ASSERT_EQ(id, 1u);
+  const Bytes frame = headers_with_bad_block();
+  client.receive(frame);
+  EXPECT_FALSE(client.alive());
+  EXPECT_EQ(client.terminal().state, ClientTerminal::kProtocolError);
+  EXPECT_EQ(client.terminal().status.code(), StatusCode::kCompressionError);
+  EXPECT_EQ(client.terminal().status.message(), "HPACK index 0 is invalid");
+  EXPECT_EQ(client.terminal().byte_offset, 0u);
+  EXPECT_EQ(client.terminal().frame_type,
+            static_cast<std::uint8_t>(h2::FrameType::kHeaders));
+  EXPECT_TRUE(client.terminal().frame_type_known);
+  EXPECT_FALSE(client.stream_complete(1));
+  EXPECT_TRUE(client.events().empty());
+}
+
+TEST(Client, UndecodableBlockIsEvidenceInProbeModes) {
+  for (const auto keep :
+       {ClientOptions::Keep::kFrames, ClientOptions::Keep::kFrameSizes}) {
+    ClientConnection client(keeping(keep));
+    client.send_request("/");
+    client.receive(headers_with_bad_block());
+    EXPECT_TRUE(client.alive());
+    EXPECT_EQ(client.terminal().state, ClientTerminal::kQuiescent);
+    EXPECT_TRUE(client.stream_complete(1));
+    ASSERT_EQ(client.events().size(), 1u);
+    EXPECT_FALSE(client.events()[0].headers.has_value());
+    EXPECT_EQ(client.response_headers(1), std::nullopt);
+  }
+}
+
+/// What one closed-loop lockstep connection left behind in the client.
+struct ClosedLoop {
+  std::uint64_t decoder_inserts = 0;
+  std::size_t decoder_octets = 0;
+  std::size_t c2s_octets = 0;
+  std::size_t s2c_octets = 0;
+  std::size_t pushes = 0;
+  std::size_t events = 0;
+};
+
+/// 2,000 requests kept 16 in flight against @p profile, every tenth the page
+/// (which h2o answers with three pushes), then a drain to quiescence. Every
+/// request must complete.
+ClosedLoop run_closed_loop(const char* profile, ClientOptions::Keep keep) {
+  constexpr std::uint32_t kRequests = 2'000;
+  constexpr std::size_t kInFlight = 16;
+  Http2Server server(server::profile_by_key(profile),
+                     Site::standard_testbed_site());
+  ClientConnection client(keeping(keep));
+  ClosedLoop out;
+  std::vector<std::uint32_t> in_flight;
+  std::uint32_t issued = 0;
+  std::uint32_t completed = 0;
+  const auto round = [&] {
+    const Bytes c2s = client.take_output();
+    out.c2s_octets += c2s.size();
+    if (!c2s.empty()) server.receive(c2s);
+    const Bytes s2c = server.take_output();
+    out.s2c_octets += s2c.size();
+    client.receive(s2c);
+    return !c2s.empty() || !s2c.empty();
+  };
+  while (completed < kRequests) {
+    while (issued < kRequests && in_flight.size() < kInFlight) {
+      in_flight.push_back(
+          client.send_request(issued % 10 == 0 ? "/" : "/small"));
+      ++issued;
+    }
+    if (!round()) {
+      ADD_FAILURE() << profile << ": stalled after " << completed;
+      return out;
+    }
+    const auto done = std::remove_if(
+        in_flight.begin(), in_flight.end(),
+        [&](std::uint32_t id) { return client.stream_complete(id); });
+    completed += static_cast<std::uint32_t>(in_flight.end() - done);
+    in_flight.erase(done, in_flight.end());
+  }
+  while (round()) {
+  }
+  EXPECT_TRUE(client.alive()) << profile;
+  EXPECT_EQ(client.terminal().state, ClientTerminal::kQuiescent) << profile;
+  for (std::uint32_t id = 1; id < 2 * kRequests; id += 2) {
+    EXPECT_TRUE(client.stream_complete(id)) << profile << " stream " << id;
+  }
+  out.decoder_inserts = client.decoder().table().insert_count();
+  out.decoder_octets = client.decoder().table().size_octets();
+  out.pushes = client.pushes().size();
+  out.events = client.events().size();
+  return out;
+}
+
+TEST(Client, CompletionsModeKeepsNoFramesAndTracksTheDecoderTable) {
+  for (const char* profile : {"nginx", "h2o"}) {
+    const ClosedLoop lean =
+        run_closed_loop(profile, ClientOptions::Keep::kCompletions);
+    const ClosedLoop full =
+        run_closed_loop(profile, ClientOptions::Keep::kFrames);
+    EXPECT_EQ(lean.events, 0u) << profile;
+    EXPECT_EQ(lean.pushes, 0u) << profile;
+    EXPECT_GT(full.events, 2'000u) << profile;
+    // The same exchange on the wire, so the same decoder table at the end.
+    EXPECT_EQ(lean.c2s_octets, full.c2s_octets) << profile;
+    EXPECT_EQ(lean.s2c_octets, full.s2c_octets) << profile;
+    EXPECT_EQ(lean.decoder_inserts, full.decoder_inserts) << profile;
+    EXPECT_EQ(lean.decoder_octets, full.decoder_octets) << profile;
+    if (server::profile_by_key(profile).supports_push) {
+      EXPECT_EQ(full.pushes, 3u * 200u) << profile;
+      EXPECT_GT(lean.decoder_inserts, 0u) << profile;
+    }
+  }
 }
 
 }  // namespace

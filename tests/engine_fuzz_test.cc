@@ -145,7 +145,7 @@ TEST_P(EngineFuzz, LongRandomSessionsSweepClosedStreams) {
   Rng rng(GetParam() * 0x3131u);
   auto server = fresh_server();
   core::ClientOptions options;
-  options.retain_data_payloads = false;
+  options.keep = core::ClientOptions::Keep::kFrameSizes;
   core::ClientConnection client(options);
   net::LockstepTransport transport(client.recorder());
   const auto some_stream = [&] {  // any id opened so far

@@ -165,8 +165,8 @@ TEST(IndexTable, InsertionOrderAndAddressing) {
   t.insert({"x-a", "1"});
   t.insert({"x-b", "2"});
   // Most recent insertion occupies index 62.
-  EXPECT_EQ(t.at(62)->name, "x-b");
-  EXPECT_EQ(t.at(63)->name, "x-a");
+  EXPECT_EQ(t.at(62).value()->name, "x-b");
+  EXPECT_EQ(t.at(63).value()->name, "x-a");
   EXPECT_EQ(t.at(64).status().code(), StatusCode::kCompressionError);
   EXPECT_EQ(t.at(0).status().code(), StatusCode::kCompressionError);
 }
@@ -183,8 +183,8 @@ TEST(IndexTable, EvictsFromTail) {
   t.insert({"x2", "v2"});
   t.insert({"x3", "v3"});
   EXPECT_EQ(t.dynamic_entry_count(), 2u);
-  EXPECT_EQ(t.at(62)->name, "x3");
-  EXPECT_EQ(t.at(63)->name, "x2");  // x1 evicted
+  EXPECT_EQ(t.at(62).value()->name, "x3");
+  EXPECT_EQ(t.at(63).value()->name, "x2");  // x1 evicted
 }
 
 TEST(IndexTable, OversizeEntryFlushesTable) {
@@ -201,7 +201,7 @@ TEST(IndexTable, CapacityReductionEvicts) {
   t.insert({"x2", "v2"});
   t.set_capacity(36);
   EXPECT_EQ(t.dynamic_entry_count(), 1u);
-  EXPECT_EQ(t.at(62)->name, "x2");
+  EXPECT_EQ(t.at(62).value()->name, "x2");
 }
 
 TEST(IndexTable, FindPrefersFullMatch) {
@@ -226,6 +226,86 @@ TEST(IndexTable, FindSeesDynamicEntries) {
   EXPECT_EQ(m.index, 62u);
   EXPECT_TRUE(m.value_matched);
 }
+
+// ------------------------------------------------------- decoder twins
+
+/// Every observable of @p t: counts, occupancy and every addressable entry.
+std::string table_state(const IndexTable& t) {
+  std::string out = std::to_string(t.capacity()) + "/" +
+                    std::to_string(t.size_octets()) + "/" +
+                    std::to_string(t.dynamic_entry_count()) + "/" +
+                    std::to_string(t.insert_count()) + "/" +
+                    std::to_string(t.eviction_count());
+  for (std::uint32_t i = kStaticTableSize + 1;; ++i) {
+    const auto e = t.at(i);
+    if (!e.ok()) break;
+    out += "|" + e.value()->name + "=" + e.value()->value;
+  }
+  return out;
+}
+
+/// More and longer fields than any block in this file decodes to, all
+/// never-indexed: what a reused list may hold when the next block arrives.
+HeaderList long_list() {
+  HeaderList list;
+  for (int i = 0; i < 12; ++i) {
+    list.emplace_back(std::string(80, 'n') + std::to_string(i),
+                      std::string(300, 'v'), /*never=*/true);
+  }
+  return list;
+}
+
+/// A Decoder whose every decode() is checked against decode_into() on two
+/// twin decoders: one decodes into a list reused across blocks, the other
+/// into a list refilled with long_list() before each block. The twins must
+/// match decode() exactly — fields and never-indexed bits on success, code
+/// and message on failure — and leave the same table behind.
+class CheckedDecoder {
+ public:
+  explicit CheckedDecoder(DecoderOptions options = {})
+      : plain_(options), warm_(options), primed_(options) {}
+
+  Result<HeaderList> decode(std::span<const std::uint8_t> block) {
+    auto want = plain_.decode(block);
+    expect_same(want, warm_.decode_into(block, warm_list_), warm_list_);
+    primed_list_ = long_list();
+    expect_same(want, primed_.decode_into(block, primed_list_), primed_list_);
+    EXPECT_EQ(table_state(warm_.table()), table_state(plain_.table()));
+    EXPECT_EQ(table_state(primed_.table()), table_state(plain_.table()));
+    return want;
+  }
+
+  void reset(DecoderOptions options) {
+    plain_.reset(options);
+    warm_.reset(options);
+    primed_.reset(options);
+  }
+
+  [[nodiscard]] const IndexTable& table() const { return plain_.table(); }
+
+ private:
+  static void expect_same(const Result<HeaderList>& want, const Status& got,
+                          const HeaderList& list) {
+    ASSERT_EQ(got.ok(), want.ok()) << got.to_string();
+    if (!want.ok()) {
+      EXPECT_EQ(got.code(), want.status().code());
+      EXPECT_EQ(got.message(), want.status().message());
+      return;
+    }
+    ASSERT_EQ(list.size(), want->size());
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      EXPECT_EQ(list[i].name, (*want)[i].name);
+      EXPECT_EQ(list[i].value, (*want)[i].value);
+      EXPECT_EQ(list[i].never_indexed, (*want)[i].never_indexed);
+    }
+  }
+
+  Decoder plain_;
+  Decoder warm_;
+  Decoder primed_;
+  HeaderList warm_list_;
+  HeaderList primed_list_;
+};
 
 // --------------------------------------------- Appendix C: header blocks
 
@@ -264,7 +344,7 @@ TEST(HpackAppendixC, C4_RequestsWithHuffman_EncodeExactly) {
 }
 
 TEST(HpackAppendixC, C3_RequestsDecodeExactly) {
-  Decoder dec;
+  CheckedDecoder dec;
   auto h1 = dec.decode(hex("828684410f7777772e6578616d706c652e636f6d"));
   ASSERT_TRUE(h1.ok());
   EXPECT_EQ(*h1, kRequest1);
@@ -278,7 +358,7 @@ TEST(HpackAppendixC, C3_RequestsDecodeExactly) {
 }
 
 TEST(HpackAppendixC, C4_HuffmanRequestsDecodeExactly) {
-  Decoder dec;
+  CheckedDecoder dec;
   auto h1 = dec.decode(hex("828684418cf1e3c2e5f23a6ba0ab90f4ff"));
   ASSERT_TRUE(h1.ok());
   EXPECT_EQ(*h1, kRequest1);
@@ -311,7 +391,7 @@ const HeaderList kResponse3 = {
 
 TEST(HpackAppendixC, C5_ResponsesWithEvictionDecodeExactly) {
   // Table capacity 256 forces evictions across the three blocks.
-  Decoder dec({.max_table_capacity = 256, .max_header_list_size = {}});
+  CheckedDecoder dec({.max_table_capacity = 256, .max_header_list_size = {}});
   auto h1 = dec.decode(hex(
       "4803333032580770726976617465611d4d6f6e2c203231204f637420323031332032"
       "303a31333a323120474d546e1768747470733a2f2f7777772e6578616d706c652e63"
@@ -330,7 +410,7 @@ TEST(HpackAppendixC, C5_ResponsesWithEvictionDecodeExactly) {
 }
 
 TEST(HpackAppendixC, C6_HuffmanResponsesDecodeExactly) {
-  Decoder dec({.max_table_capacity = 256, .max_header_list_size = {}});
+  CheckedDecoder dec({.max_table_capacity = 256, .max_header_list_size = {}});
   auto h1 = dec.decode(hex(
       "488264025885aec3771a4b6196d07abe941054d444a8200595040b8166e082a62d1b"
       "ff6e919d29ad171863c78f0b97c8e9ae82ae43d3"));
@@ -360,7 +440,7 @@ TEST(HpackPair, RoundTripUnderAllPolicies) {
                       IndexingPolicy::kNone}) {
     for (bool huffman : {false, true}) {
       Encoder enc({.policy = policy, .use_huffman = huffman});
-      Decoder dec;
+      CheckedDecoder dec;
       for (int round = 0; round < 3; ++round) {
         auto got = dec.decode(enc.encode(headers));
         ASSERT_TRUE(got.ok()) << got.status().to_string();
@@ -376,7 +456,7 @@ TEST(HpackPair, RoundTripUnderAllPolicies) {
 
 TEST(HpackPair, NeverIndexedSurvivesRoundTrip) {
   Encoder enc;
-  Decoder dec;
+  CheckedDecoder dec;
   const HeaderList headers = {{"authorization", "Bearer token", true}};
   auto got = dec.decode(enc.encode(headers));
   ASSERT_TRUE(got.ok());
@@ -407,7 +487,7 @@ TEST(HpackPair, StaticOnlyPolicyNeverShrinks) {
 
 TEST(HpackPair, TableCapacityUpdateInstructionFlows) {
   Encoder enc;
-  Decoder dec;
+  CheckedDecoder dec;
   enc.set_table_capacity(128);
   auto got = dec.decode(enc.encode({{"x", "y"}}));
   ASSERT_TRUE(got.ok());
@@ -418,7 +498,7 @@ TEST(HpackDecoder, RejectsTableUpdateBeyondAdvertised) {
   // Size update to 8192 when we advertised 4096: compression error.
   ByteWriter w;
   encode_integer(w, 8192, 5, 0x20);
-  Decoder dec;
+  CheckedDecoder dec;
   EXPECT_EQ(dec.decode(w.bytes()).status().code(),
             StatusCode::kCompressionError);
 }
@@ -427,19 +507,19 @@ TEST(HpackDecoder, RejectsTableUpdateAfterFields) {
   ByteWriter w;
   w.write_u8(0x82);                    // :method GET
   encode_integer(w, 0, 5, 0x20);       // size update — illegal here
-  Decoder dec;
+  CheckedDecoder dec;
   EXPECT_EQ(dec.decode(w.bytes()).status().code(),
             StatusCode::kCompressionError);
 }
 
 TEST(HpackDecoder, RejectsInvalidIndex) {
-  Decoder dec;
+  CheckedDecoder dec;
   const Bytes buf = {0xFF, 0x00};  // indexed field, index 127: empty dynamic
   EXPECT_EQ(dec.decode(buf).status().code(), StatusCode::kCompressionError);
 }
 
 TEST(HpackDecoder, EnforcesMaxHeaderListSize) {
-  Decoder dec({.max_header_list_size = 50});
+  CheckedDecoder dec({.max_header_list_size = 50});
   Encoder enc;
   const HeaderList big = {{"x-large-header", std::string(100, 'v')}};
   EXPECT_EQ(dec.decode(enc.encode(big)).status().code(), StatusCode::kRefused);
@@ -448,7 +528,7 @@ TEST(HpackDecoder, EnforcesMaxHeaderListSize) {
 TEST(HpackDecoder, TruncatedLiteralFails) {
   // Literal with incremental indexing announcing a 10-octet name, 2 given.
   const Bytes buf = {0x40, 0x0a, 'a', 'b'};
-  Decoder dec;
+  CheckedDecoder dec;
   EXPECT_FALSE(dec.decode(buf).ok());
 }
 
@@ -456,21 +536,6 @@ TEST(HpackDecoder, TruncatedLiteralFails) {
 // A rewound table, encoder or decoder must be indistinguishable from a new
 // one, whatever state it was in: entries evicted, capacity resized, a size
 // update pending, the lookup index built.
-
-/// Every observable of @p t: counts, occupancy and every addressable entry.
-std::string table_state(const IndexTable& t) {
-  std::string out = std::to_string(t.capacity()) + "/" +
-                    std::to_string(t.size_octets()) + "/" +
-                    std::to_string(t.dynamic_entry_count()) + "/" +
-                    std::to_string(t.insert_count()) + "/" +
-                    std::to_string(t.eviction_count());
-  for (std::uint32_t i = kStaticTableSize + 1;; ++i) {
-    const auto e = t.at(i);
-    if (!e.ok()) break;
-    out += "|" + e.value().name + "=" + e.value().value;
-  }
-  return out;
-}
 
 /// A workload that inserts past capacity (evictions), shrinks and regrows
 /// the table, and looks entries up often enough to build the hash index.
@@ -572,11 +637,11 @@ TEST(HpackReset, DecoderBehavesLikeNew) {
     blocks.push_back(peer.encode(list));
   }
 
-  Decoder used({.max_table_capacity = 8192});
+  CheckedDecoder used({.max_table_capacity = 8192});
   for (const Bytes& b : blocks) ASSERT_TRUE(used.decode(b).ok());
   ASSERT_GT(used.table().eviction_count(), 0u);
   used.reset({});
-  Decoder fresh;
+  CheckedDecoder fresh;
   EXPECT_EQ(table_state(used.table()), table_state(fresh.table()));
   for (const Bytes& b : blocks) {
     const auto a = used.decode(b);

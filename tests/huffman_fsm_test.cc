@@ -1,9 +1,10 @@
 // Differential tests for the Huffman FSM decoder: on every input — valid
 // encodings, random garbage, and hand-built adversarial paddings — the
 // byte-at-a-time FSM must agree with the retained bit-walk reference
-// decoder on both the decoded value and the exact error message. The
-// probes key error categories off those messages, so "agree" means
-// string-equal, not merely both-failed.
+// decoder on both the decoded value and the exact error message, whether
+// it decodes into a fresh string (huffman_decode) or into a reused one
+// (huffman_decode_into). The probes key error categories off those
+// messages, so "agree" means string-equal, not merely both-failed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,16 +18,27 @@
 namespace h2r::hpack {
 namespace {
 
-/// Asserts FSM and reference agree exactly on @p data.
+/// Asserts FSM and reference agree exactly on @p data, through both FSM
+/// entry points. huffman_decode_into writes into one string reused across
+/// every input of the test, so it starts out holding the previous input's
+/// output (or a long filler), never an empty string.
 void expect_agreement(const Bytes& data) {
+  static std::string reused(256, 'x');
   const auto fsm = huffman_decode(data);
+  const Status into = huffman_decode_into(data, reused);
   const auto ref = huffman_decode_reference(data);
   ASSERT_EQ(fsm.ok(), ref.ok()) << "input: " << to_hex(data);
+  ASSERT_EQ(into.ok(), ref.ok()) << "input: " << to_hex(data);
   if (fsm.ok()) {
     EXPECT_EQ(fsm.value(), ref.value()) << "input: " << to_hex(data);
+    EXPECT_EQ(reused, ref.value()) << "input: " << to_hex(data);
   } else {
     EXPECT_EQ(fsm.status().message(), ref.status().message())
         << "input: " << to_hex(data);
+    EXPECT_EQ(into.code(), ref.status().code()) << "input: " << to_hex(data);
+    EXPECT_EQ(into.message(), ref.status().message())
+        << "input: " << to_hex(data);
+    reused.assign(256, 'x');  // a failed decode leaves a partial prefix
   }
 }
 

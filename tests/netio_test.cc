@@ -1,11 +1,13 @@
 // netio unit + integration tests: the shared timer wheel, strict CLI/env
-// parsing, the errno → terminal-taxonomy mapping, the write backlog under a
+// parsing, the errno → terminal-taxonomy mapping, the load generator's
+// verdict on an undecodable response, the write backlog under a
 // slow reader, and the load-bearing property of the whole subsystem — that
 // a real-socket exchange is observably identical to the lockstep transport
 // for the same profile.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -112,6 +114,52 @@ TEST(ErrnoTaxonomy, KeysAreStableNames) {
   EXPECT_EQ(netio::errno_key(EMFILE), "EMFILE");
   // Unnamed errnos still get a stable, greppable key.
   EXPECT_EQ(netio::errno_key(9999), "errno-9999");
+}
+
+// ------------------------------------------------- load generator verdicts
+
+// A server whose first response carries an HPACK block that cannot decode
+// (indexed field 0). The load generator keeps no per-frame evidence, so the
+// connection must end as a protocol error with its request failed, not
+// served.
+TEST(LoadGenerator, UndecodableHeaderBlockIsAProtocolError) {
+  auto listener = netio::listen_loopback(0, 4);
+  ASSERT_TRUE(listener.ok()) << listener.status().message();
+  auto port = netio::local_port(listener.value().get());
+  ASSERT_TRUE(port.ok());
+
+  std::thread peer([fd = listener.value().get()] {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 5000) != 1) return;
+    const int conn = ::accept(fd, nullptr, nullptr);
+    if (conn < 0) return;
+    Bytes out = h2::serialize_frame(h2::make_settings({}));
+    const Bytes headers = h2::serialize_frame(h2::make_headers(
+        1, Bytes{0x80}, /*end_stream=*/true, /*end_headers=*/true));
+    out.insert(out.end(), headers.begin(), headers.end());
+    EXPECT_EQ(::send(conn, out.data(), out.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(out.size()));
+    // Read until the load generator hangs up.
+    std::uint8_t sink[4096];
+    pollfd c{conn, POLLIN, 0};
+    while (::poll(&c, 1, 5000) == 1 && ::recv(conn, sink, sizeof(sink), 0) > 0) {
+    }
+    ::close(conn);
+  });
+
+  netio::LoadOptions opts;
+  opts.port = port.value();
+  opts.connections = 1;
+  opts.requests = 1;
+  opts.streams = 1;
+  opts.run_timeout_ms = 5000;
+  const netio::LoadReport report = netio::run_load(opts);
+  peer.join();
+  EXPECT_EQ(report.completed, 0u);
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.protocol_errors, 1u);
+  EXPECT_EQ(report.total_errors(), 1u);
+  EXPECT_EQ(report.errors.count("protocol"), 1u);
 }
 
 // ------------------------------------------- write backlog under a slow read

@@ -299,7 +299,7 @@ TEST_P(LongConnection, TableStaysBoundedOverTenThousandRequests) {
   Http2Server server(server::profile_by_key(GetParam()),
                      Site::standard_testbed_site());
   ClientOptions options;
-  options.retain_data_payloads = false;
+  options.keep = ClientOptions::Keep::kFrameSizes;
   ClientConnection client(options);
   constexpr std::uint32_t kRequests = 10'000;
   constexpr std::uint32_t kConcurrency = 16;

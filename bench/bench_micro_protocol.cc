@@ -8,6 +8,7 @@
 #include "h2/frame_codec.h"
 #include "h2/priority_tree.h"
 #include "server/engine.h"
+#include "server/site.h"
 
 namespace {
 
@@ -24,12 +25,18 @@ void BM_SerializeDataFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeDataFrame)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_ParseFrameStream(benchmark::State& state) {
+// 64 DATA frames of 1 KiB each.
+Bytes data_wire() {
   std::vector<h2::Frame> frames;
   for (int i = 0; i < 64; ++i) {
     frames.push_back(h2::make_data(1, Bytes(1024, 0x5A), false));
   }
-  const Bytes wire = h2::serialize_frames(frames);
+  return h2::serialize_frames(frames);
+}
+
+// Parse and materialize every frame into an owning h2::Frame.
+void BM_ParseFrameStream(benchmark::State& state) {
+  const Bytes wire = data_wire();
   std::size_t parsed = 0;
   for (auto _ : state) {
     h2::FrameParser parser;
@@ -44,6 +51,65 @@ void BM_ParseFrameStream(benchmark::State& state) {
   benchmark::DoNotOptimize(parsed);
 }
 BENCHMARK(BM_ParseFrameStream);
+
+// The frame parse stage alone, on the same wire: feed() copies it into the
+// reassembly buffer and next_view() hands out views of the copy...
+void BM_ParseFrameStreamView(benchmark::State& state) {
+  const Bytes wire = data_wire();
+  std::size_t body = 0;
+  for (auto _ : state) {
+    h2::FrameParser parser;
+    parser.feed(wire);
+    while (auto f = parser.next_view()) {
+      if (!f->ok()) break;
+      body += f->value().body.size();
+    }
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(wire.size() * state.iterations()));
+  benchmark::DoNotOptimize(body);
+}
+BENCHMARK(BM_ParseFrameStreamView);
+
+// ...while parse_in_place() hands out views of the delivery itself, the
+// path Http2Server::receive and ClientConnection::receive take.
+void BM_ParseFrameStreamInPlace(benchmark::State& state) {
+  const Bytes wire = data_wire();
+  std::size_t body = 0;
+  for (auto _ : state) {
+    h2::FrameParser parser;
+    auto frames = parser.parse_in_place(wire);
+    while (auto f = frames.next()) {
+      if (!f->ok()) break;
+      body += f->value().body.size();
+    }
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(wire.size() * state.iterations()));
+  benchmark::DoNotOptimize(body);
+}
+BENCHMARK(BM_ParseFrameStreamInPlace);
+
+// The server's body stage: one 16 KiB DATA payload per iteration, at a
+// drifting start phase, into a reused output buffer.
+void BM_ResourceBody(benchmark::State& state) {
+  const server::Resource resource{.path = "/object/3", .size = 1 << 20};
+  constexpr std::size_t kChunk = 16 * 1024;
+  Bytes buffer;
+  std::size_t offset = 0;
+  for (auto _ : state) {
+    buffer.clear();
+    ByteWriter out(std::move(buffer));
+    server::resource_body_into(out, resource, offset, kChunk);
+    buffer = out.take();
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+    offset = (offset + kChunk + 37) % (resource.size - kChunk);
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(kChunk * state.iterations()));
+}
+BENCHMARK(BM_ResourceBody);
 
 void BM_PriorityTreeChurn(benchmark::State& state) {
   const auto streams = static_cast<std::uint32_t>(state.range(0));

@@ -301,8 +301,8 @@ void ClientConnection::send_settings(
 
 void ClientConnection::receive(std::span<const std::uint8_t> bytes) {
   if (dead_) return;
-  parser_.feed(bytes);
-  while (auto next = parser_.next_view()) {
+  auto frames = parser_.parse_in_place(bytes);
+  while (auto next = frames.next()) {
     if (!next->ok()) {
       // Surface the evidence, not just "parse error": the parser knows
       // which frame (stream offset + type octet) poisoned the stream.

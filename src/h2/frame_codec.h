@@ -1,9 +1,11 @@
 // Frame <-> bytes conversion (RFC 7540 §4.1-4.2, §6).
 //
 // `serialize_frame` is pure. `FrameParser` is incremental: feed it arbitrary
-// byte chunks (as a transport delivers them) and poll complete frames out.
-// Violations that RFC 7540 defines as connection errors (oversized frames,
-// malformed fixed-size payloads, bad padding) surface as error Results.
+// byte chunks (as a transport delivers them) and poll complete frames out,
+// either by copying each chunk in (`feed()` + `next_view()`) or by parsing
+// the chunk where it lies (`parse_in_place()`). Violations that RFC 7540
+// defines as connection errors (oversized frames, malformed fixed-size
+// payloads, bad padding) surface as error Results.
 #pragma once
 
 #include <deque>
@@ -82,16 +84,38 @@ class FrameParser {
   /// next(): the same inputs poison the stream with the same status.
   [[nodiscard]] std::optional<Result<FrameView>> next_view();
 
+  class InPlace;
+
+  /// In-place entry: parses @p bytes where the caller holds them. The
+  /// returned guard hands out the same frames and errors, in the same
+  /// order, as feed(bytes) followed by next_view() calls, and fed_total(),
+  /// unparsed_bytes(), poisoning and error_context() read exactly as they
+  /// would on that path, after every call. Only two things are copied into
+  /// the reassembly buffer: the octets that complete a frame already
+  /// partly buffered, and, when the guard is destroyed, whatever it did not
+  /// hand out (a trailing partial frame, or the whole unparsed rest when
+  /// the caller stopped early).
+  ///
+  /// Lifetime: @p bytes must stay valid and unmodified while the guard
+  /// lives. A view from InPlace::next() aliases either @p bytes or the
+  /// reassembly buffer and is valid only until the guard's next next() or
+  /// its destruction, whichever comes first. While the guard lives, the
+  /// parser takes no feed(), next(), next_view(), release_buffer(), reset()
+  /// or second parse_in_place(); its const accessors stay usable.
+  [[nodiscard]] InPlace parse_in_place(std::span<const std::uint8_t> bytes);
+
   /// Raises the acceptable frame size (after the peer ACKs our SETTINGS).
   void set_max_frame_size(std::uint32_t size) { max_frame_size_ = size; }
 
+  /// Octets held in the reassembly buffer (parsed or not).
   [[nodiscard]] std::size_t buffered_bytes() const noexcept { return buf_.size(); }
 
   /// Total octets ever fed to this parser (consumed or still buffered).
   [[nodiscard]] std::uint64_t fed_total() const noexcept { return fed_total_; }
-  /// Octets fed but not yet returned as frames.
+  /// Octets fed but not yet returned as frames (buffered, or still in the
+  /// delivery an InPlace guard is parsing).
   [[nodiscard]] std::size_t unparsed_bytes() const noexcept {
-    return buf_.size() - consumed_;
+    return buf_.size() - consumed_ + borrowed_.size();
   }
 
   /// Populated once the parser poisons; empty while the stream is healthy.
@@ -101,6 +125,23 @@ class FrameParser {
   }
 
  private:
+  /// The one frame parser both entries share: validates the frame at the
+  /// head of @p avail (the next unparsed octets of the stream), poisoning
+  /// the parser on error. nullopt when @p avail holds no complete frame.
+  /// Sets @p taken to the octets the frame occupies (0 when none).
+  [[nodiscard]] std::optional<Result<FrameView>> parse_front(
+      std::span<const std::uint8_t> avail, std::size_t& taken);
+  /// next_view() without the poison check: parses the buffer's head frame.
+  [[nodiscard]] std::optional<Result<FrameView>> next_buffered();
+  [[nodiscard]] std::optional<Result<FrameView>> next_in_place();
+  /// Moves octets from the borrowed delivery into the buffer until the
+  /// buffered head frame is complete, rejected, or the delivery runs out.
+  void top_up();
+  /// Appends @p bytes to the reassembly buffer (no fed_total_ change).
+  void append(std::span<const std::uint8_t> bytes);
+  /// Ends an in-place parse: buffers what it did not hand out.
+  void stash_borrowed();
+
   [[nodiscard]] Result<FrameView> parse_view(std::uint8_t type,
                                              std::uint8_t flagbits,
                                              std::uint32_t stream_id,
@@ -109,9 +150,31 @@ class FrameParser {
   std::vector<std::uint8_t> buf_;
   std::size_t consumed_ = 0;  // bytes of buf_ already parsed
   std::uint64_t fed_total_ = 0;  // octets ever fed (for error offsets)
+  // Unparsed rest of the delivery an InPlace guard is parsing.
+  std::span<const std::uint8_t> borrowed_;
+  bool in_place_ = false;  // an InPlace guard is alive
   std::uint32_t max_frame_size_;
   std::optional<Status> poisoned_;
   std::optional<ParseErrorContext> error_context_;
+};
+
+/// Scope guard of one in-place parse (see FrameParser::parse_in_place). It
+/// cannot be copied or moved, so no borrow outlives the scope that made it.
+class FrameParser::InPlace {
+ public:
+  InPlace(const InPlace&) = delete;
+  InPlace& operator=(const InPlace&) = delete;
+  ~InPlace() { parser_.stash_borrowed(); }
+
+  /// The next frame of the delivery, with next_view()'s result contract.
+  [[nodiscard]] std::optional<Result<FrameView>> next() {
+    return parser_.next_in_place();
+  }
+
+ private:
+  friend class FrameParser;
+  explicit InPlace(FrameParser& parser) : parser_(parser) {}
+  FrameParser& parser_;
 };
 
 }  // namespace h2r::h2

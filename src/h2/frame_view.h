@@ -1,15 +1,23 @@
 // Non-owning view of one parsed frame (RFC 7540 §4.1-4.2, §6).
 //
-// `FrameParser::next_view()` validates a frame in place and returns a
-// FrameView whose `body` span aliases the parser's reassembly buffer:
-// small fixed fields (priority info, error codes, window increments) are
-// decoded eagerly, variable-length payloads (DATA bytes, header-block
-// fragments, GOAWAY debug data) stay where the transport wrote them. The
-// engine and client consume frames through this path so a 512 KiB DATA
-// frame costs a span, not a heap copy. `materialize()` converts a view
-// into the classic owning `Frame` — bit-identical to what
-// `FrameParser::next()` has always produced — for callers that must keep
-// the frame beyond the view's lifetime (event logs, tests).
+// `FrameParser` validates a frame in place and returns a FrameView: small
+// fixed fields (priority info, error codes, window increments) are decoded
+// eagerly, variable-length payloads (DATA bytes, header-block fragments,
+// GOAWAY debug data) stay where they lie. Where that is depends on the
+// entry:
+// - `FrameParser::next_view()`: `body` aliases the parser's reassembly
+//   buffer, which feed() copied the transport's bytes into. The view lives
+//   until the parser's next feed()/next()/next_view() call.
+// - `FrameParser::parse_in_place()`: `body` aliases the caller's delivery
+//   itself, except for a frame that straddled two deliveries, which was
+//   completed in the reassembly buffer. The view lives until the
+//   InPlace guard's next next() call or its destruction; the guard cannot
+//   outlive the scope that made it. The engine and client receive through
+//   this entry, so a 16 KiB DATA frame costs a span, not a copy.
+// `materialize()` converts a view into the classic owning `Frame` —
+// bit-identical to what `FrameParser::next()` has always produced — for
+// callers that must keep the frame beyond the view's lifetime (event
+// logs, tests).
 #pragma once
 
 #include <optional>
@@ -30,7 +38,7 @@ struct FrameView {
   /// buffer: DATA bytes, HEADERS/PUSH_PROMISE/CONTINUATION header-block
   /// fragment (after the fixed prefix), raw SETTINGS entries, PING opaque
   /// octets, GOAWAY debug data, or an unknown frame's payload. Valid only
-  /// until the parser's next feed()/next()/next_view() call.
+  /// as long as the view (see the file comment).
   std::span<const std::uint8_t> body;
 
   std::optional<PriorityInfo> priority;   ///< PRIORITY, HEADERS+PRIORITY

@@ -259,9 +259,8 @@ void Http2Server::receive(std::span<const std::uint8_t> bytes) {
     ++preface_matched_;
     ++offset;
   }
-  parser_.feed(bytes.subspan(offset));
-
-  while (auto next = parser_.next_view()) {
+  auto frames = parser_.parse_in_place(bytes.subspan(offset));
+  while (auto next = frames.next()) {
     if (!next->ok()) {
       if (recorder_ != nullptr) {
         recorder_->record({.dir = trace::Direction::kClientToServer,

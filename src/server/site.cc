@@ -66,55 +66,80 @@ Site Site::standard_testbed_site(std::string host) {
 
 namespace {
 
-/// Appends the body pattern octets for absolute byte indices
-/// [offset, offset+n): (h >> (i % 8)) + i * 131, truncated to an octet.
-/// The i % 8 lane cycle and the +131 accumulator mod 256 make the sequence
-/// periodic every lcm(8, 256/gcd(131·8, 256)) = 256 octets, so one period
-/// is synthesized into a stack tile eight octets at a time, replicated
-/// with doubling copies, and the tile appended in chunks at memcpy speed —
-/// the scan delivers hundreds of kilobytes of procedural DATA per site.
-/// Appending (instead of growing the buffer and overwriting it) spares the
-/// output buffer a zero-fill of every payload octet.
-void append_body_pattern(std::uint64_t h, std::size_t offset, std::size_t n,
-                         ByteWriter& out) {
-  constexpr std::size_t kPeriod = 256;
-  constexpr std::size_t kTile = 16 * kPeriod;
-  std::array<std::uint8_t, kTile> tile;
-  const std::size_t tile_len = std::min(n, kTile);
-  const std::size_t head = std::min(tile_len, kPeriod);
-  // Octet k of the first eight: h >> ((offset + k) % 8), plus
-  // (offset + k) * 131. Each later group of eight adds 8 * 131 = 24
-  // (mod 256) to every octet: a carry-free per-octet add on the word.
-  const std::size_t lane = offset % 8;
-  const auto mul = static_cast<std::uint8_t>(offset * 131u);
+constexpr std::size_t kPeriod = 256;
+constexpr std::size_t kTileRun = 16 * kPeriod;
+
+/// One seed's body pattern from absolute offset 0: a period of lead-in,
+/// so a copy can start at any offset % 256, then a 4 KiB run.
+struct PatternTile {
+  std::uint64_t seed = 0;
+  bool filled = false;
+  std::array<std::uint8_t, kPeriod + kTileRun> octets{};
+};
+
+/// Synthesizes the pattern (h >> (i % 8)) + i * 131, truncated to an
+/// octet, for absolute indices i in [0, kPeriod + kTileRun). The i % 8
+/// lane cycle and the +131 accumulator mod 256 make the sequence periodic
+/// every lcm(8, 256/gcd(131·8, 256)) = 256 octets, so one period is built
+/// eight octets at a time and replicated with doubling copies.
+void fill_tile(PatternTile& tile, std::uint64_t h) {
+  // Octet k of the first eight: (h >> k) + k * 131. Each later group of
+  // eight adds 8 * 131 = 24 (mod 256) to every octet: a carry-free
+  // per-octet add on the word.
   std::uint64_t word = 0;
   for (unsigned k = 0; k < 8; ++k) {
-    const std::uint64_t octet = static_cast<std::uint8_t>(
-        static_cast<std::uint8_t>(h >> ((lane + k) % 8)) + mul + 131u * k);
+    const std::uint64_t octet =
+        static_cast<std::uint8_t>(static_cast<std::uint8_t>(h >> k) + 131u * k);
     word |= octet << (8 * (std::endian::native == std::endian::little
                                ? k
                                : 7 - k));
   }
   constexpr std::uint64_t kStep = 0x1818181818181818ull;
   constexpr std::uint64_t kHigh = 0x8080808080808080ull;
-  for (std::size_t j = 0; j < head; j += 8) {
-    std::memcpy(tile.data() + j, &word, sizeof word);
+  std::uint8_t* const out = tile.octets.data();
+  for (std::size_t j = 0; j < kPeriod; j += 8) {
+    std::memcpy(out + j, &word, sizeof word);
     word = ((word & ~kHigh) + (kStep & ~kHigh)) ^ ((word ^ kStep) & kHigh);
   }
-  for (std::size_t filled = head; filled < tile_len;) {
-    const std::size_t k = std::min(filled, tile_len - filled);
-    std::copy_n(tile.data(), k, tile.data() + filled);
+  for (std::size_t filled = kPeriod; filled < tile.octets.size();) {
+    const std::size_t k = std::min(filled, tile.octets.size() - filled);
+    std::memcpy(out + filled, out, k);
     filled += k;
   }
+  tile.seed = h;
+  tile.filled = true;
+}
+
+/// The calling thread's tile for seed @p h, from a small direct-mapped
+/// cache: every site serves the same few paths, so DATA frames copy from
+/// a warm tile instead of re-synthesizing the pattern.
+const PatternTile& pattern_tile(std::uint64_t h) {
+  thread_local std::array<PatternTile, kBodyTileSlots> cache;
+  PatternTile& tile = cache[body_tile_slot(h)];
+  if (!tile.filled || tile.seed != h) fill_tile(tile, h);
+  return tile;
+}
+
+/// Appends the body pattern octets for absolute byte indices
+/// [offset, offset+n), copied from the seed's tile in runs of at most
+/// 4 KiB. Every run is a whole number of periods, so each one starts at
+/// the same tile octet, offset % 256. Appending (instead of growing the
+/// buffer and overwriting it) spares the output buffer a zero-fill of
+/// every payload octet.
+void append_body_pattern(std::uint64_t h, std::size_t offset, std::size_t n,
+                         ByteWriter& out) {
+  const std::span<const std::uint8_t> run(
+      pattern_tile(h).octets.data() + offset % kPeriod, kTileRun);
   out.reserve(n);
   for (std::size_t left = n; left > 0;) {
-    const std::size_t k = std::min(left, tile_len);
-    out.write_bytes(std::span<const std::uint8_t>(tile.data(), k));
+    const std::size_t k = std::min(left, kTileRun);
+    out.write_bytes(run.first(k));
     left -= k;
   }
 }
 
-/// FNV-1a over the path seeds the pattern.
+}  // namespace
+
 std::uint64_t body_seed(const Resource& resource) {
   std::uint64_t h = 1469598103934665603ull;
   for (char c : resource.path) {
@@ -123,8 +148,6 @@ std::uint64_t body_seed(const Resource& resource) {
   }
   return h;
 }
-
-}  // namespace
 
 void resource_body_into(ByteWriter& out, const Resource& resource,
                         std::size_t offset, std::size_t len) {

@@ -69,15 +69,26 @@ class Site {
   bool cookie_churn_ = false;
 };
 
-/// Deterministic body bytes for @p resource at [offset, offset+len): a
-/// pattern derived from the path, stable across reads.
+/// Deterministic body bytes for @p resource at [offset, offset+len): octet
+/// i of the body is (h >> (i % 8)) + i * 131, truncated to an octet, with
+/// h = body_seed(resource). Stable across reads and threads.
 Bytes resource_body(const Resource& resource, std::size_t offset,
                     std::size_t len);
 
-/// Same pattern, synthesized directly into @p out — the engine's DATA
+/// Same pattern, copied directly into @p out — the engine's DATA
 /// emission path appends body octets after the frame header it already
 /// wrote, with no intermediate buffer.
 void resource_body_into(ByteWriter& out, const Resource& resource,
                         std::size_t offset, std::size_t len);
+
+/// FNV-1a (64-bit) over the resource's path: the body pattern's seed.
+[[nodiscard]] std::uint64_t body_seed(const Resource& resource);
+
+/// resource_body_into() copies from a per-thread, direct-mapped cache of
+/// pattern tiles, one tile per slot; a seed lives in this slot.
+inline constexpr std::size_t kBodyTileSlots = 16;
+[[nodiscard]] constexpr std::size_t body_tile_slot(std::uint64_t seed) noexcept {
+  return static_cast<std::size_t>(seed % kBodyTileSlots);
+}
 
 }  // namespace h2r::server

@@ -136,13 +136,24 @@ class BufferPool {
   /// bursts instead of parking them in idle endpoints' writers.
   [[nodiscard]] Bytes acquire(std::size_t n);
 
-  /// Returns a drained buffer to the pool; buffers beyond the caps (and
-  /// empty ones) are simply freed.
+  /// Returns a drained buffer to the pool; empty ones and ones above the
+  /// capacity cap are simply freed. A full pool keeps the smaller of @p b
+  /// and its largest spare: endpoints re-arm their writers with small
+  /// asks (kOutputFloor) far more often than they grow big ones, so a
+  /// pool silted up with big buffers would miss on every re-arm.
   void release(Bytes b) {
-    if (spare_.size() < max_spare_ && b.capacity() > 0 &&
-        b.capacity() <= max_capacity_) {
+    if (b.capacity() == 0 || b.capacity() > max_capacity_) return;
+    if (spare_.size() < max_spare_) {
       if (spare_.capacity() == 0) spare_.reserve(max_spare_);
       spare_.push_back(std::move(b));
+      return;
+    }
+    const auto largest = std::max_element(
+        spare_.begin(), spare_.end(), [](const Bytes& x, const Bytes& y) {
+          return x.capacity() < y.capacity();
+        });
+    if (largest != spare_.end() && b.capacity() < largest->capacity()) {
+      *largest = std::move(b);
     }
   }
 

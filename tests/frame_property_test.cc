@@ -1,7 +1,11 @@
 // Property tests for the frame codec: randomized frames survive
-// serialization under arbitrary transport chunking, and the parser is
-// crash-free on arbitrary byte soup and on bit-flipped valid streams.
+// serialization under arbitrary transport chunking, the parser is
+// crash-free on arbitrary byte soup and on bit-flipped valid streams, and
+// its in-place entry is indistinguishable from feed() + next_view().
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "h2/frame.h"
 #include "h2/frame_codec.h"
@@ -192,6 +196,196 @@ TEST(FrameParserFuzzMutation, BitFlippedValidStreamsNeverCrash) {
       if (!next || !next->ok()) break;
     }
   }
+}
+
+// What one delivery hands out and leaves behind, read the same way from
+// both parser entries.
+struct Delivery {
+  std::vector<Bytes> frames;  // every frame handed out, re-serialized
+  // (fed_total, unparsed_bytes) right after each frame was handed out: a
+  // receiver derives a frame's stream offset from them mid-delivery.
+  std::vector<std::pair<std::uint64_t, std::size_t>> offsets;
+  std::optional<Status> error;
+  std::uint64_t fed_total = 0;
+  std::size_t unparsed = 0;
+  std::optional<ParseErrorContext> context;
+};
+
+// Polls @p next until it runs dry, errors, or @p budget frames were taken
+// (a receiver that stops early because its connection died).
+template <class Next>
+void poll(Delivery& d, const FrameParser& parser, Next next,
+          std::size_t budget) {
+  while (d.frames.size() < budget) {
+    auto view = next();
+    if (!view) break;
+    if (!view->ok()) {
+      d.error = view->status();
+      break;
+    }
+    d.frames.push_back(serialize_frame(materialize(view->value())));
+    d.offsets.emplace_back(parser.fed_total(), parser.unparsed_bytes());
+  }
+}
+
+void settle(Delivery& d, const FrameParser& parser) {
+  d.fed_total = parser.fed_total();
+  d.unparsed = parser.unparsed_bytes();
+  d.context = parser.error_context();
+}
+
+Delivery feed_and_poll(FrameParser& parser, std::span<const std::uint8_t> chunk,
+                       std::size_t budget) {
+  Delivery d;
+  parser.feed(chunk);
+  poll(d, parser, [&] { return parser.next_view(); }, budget);
+  settle(d, parser);
+  return d;
+}
+
+Delivery parse_in_place(FrameParser& parser, std::span<const std::uint8_t> chunk,
+                        std::size_t budget) {
+  // The delivery lives only as long as this call, as a transport's round
+  // buffer does: a borrow that outlived it would read freed memory.
+  const Bytes owned(chunk.begin(), chunk.end());
+  Delivery d;
+  {
+    auto frames = parser.parse_in_place(owned);
+    poll(d, parser, [&] { return frames.next(); }, budget);
+  }
+  settle(d, parser);
+  return d;
+}
+
+void expect_same(const Delivery& in_place, const Delivery& reference,
+                 std::size_t call) {
+  SCOPED_TRACE("delivery " + std::to_string(call));
+  EXPECT_EQ(in_place.frames, reference.frames);
+  EXPECT_EQ(in_place.offsets, reference.offsets);
+  EXPECT_EQ(in_place.error.has_value(), reference.error.has_value());
+  if (in_place.error && reference.error) {
+    EXPECT_EQ(in_place.error->to_string(), reference.error->to_string());
+  }
+  EXPECT_EQ(in_place.fed_total, reference.fed_total);
+  EXPECT_EQ(in_place.unparsed, reference.unparsed);
+  ASSERT_EQ(in_place.context.has_value(), reference.context.has_value());
+  if (in_place.context) {
+    EXPECT_EQ(in_place.context->frame_offset, reference.context->frame_offset);
+    EXPECT_EQ(in_place.context->frame_type, reference.context->frame_type);
+    EXPECT_EQ(in_place.context->type_known, reference.context->type_known);
+  }
+}
+
+// Cut points for @p wire: single octets, or one cut per frame boundary
+// drawn from "inside the 9-octet header", "inside the payload" and "not
+// here" (so a delivery spans several frames). @p frames is the unmutated
+// stream's framing; on a bit-flipped stream the cuts are just offsets.
+std::vector<std::size_t> random_cuts(Rng& rng, std::span<const Frame> frames,
+                                     std::size_t wire_size) {
+  std::vector<std::size_t> cuts;
+  if (rng.next_bool(0.2)) {
+    for (std::size_t i = 1; i < wire_size; ++i) cuts.push_back(i);
+  } else {
+    std::size_t at = 0;
+    for (const Frame& f : frames) {
+      const std::size_t len = serialize_frame(f).size();
+      switch (rng.next_below(4)) {
+        case 0:
+          cuts.push_back(at + 1 + rng.next_below(kFrameHeaderSize - 1));
+          break;
+        case 1:
+          if (len > kFrameHeaderSize) {
+            cuts.push_back(at + kFrameHeaderSize +
+                           rng.next_below(len - kFrameHeaderSize));
+          }
+          break;
+        case 2:
+          cuts.push_back(at);
+          break;
+        default:
+          break;  // this boundary rides inside a delivery
+      }
+      at += len;
+    }
+  }
+  cuts.push_back(wire_size);
+  std::erase_if(cuts, [&](std::size_t c) { return c == 0 || c > wire_size; });
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+class InPlaceDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(InPlaceDifferential, MatchesFeedAndNextViewAfterEveryDelivery) {
+  Rng rng(GetParam() * 0x51ED27u);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<Frame> frames;
+    const std::size_t count = 1 + rng.next_below(24);
+    for (std::size_t i = 0; i < count; ++i) frames.push_back(random_frame(rng));
+    Bytes wire = serialize_frames(frames);
+    if (rng.next_bool(0.5)) {
+      const std::size_t flips = 1 + rng.next_below(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        wire[rng.next_below(wire.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+    }
+    // A small limit makes flipped length octets trip FRAME_SIZE_ERROR.
+    const std::uint32_t max_frame = rng.next_bool(0.5) ? 256 : kDefaultMaxFrameSize;
+    FrameParser reference(max_frame);
+    FrameParser in_place(max_frame);
+    std::size_t from = 0;
+    std::size_t call = 0;
+    for (std::size_t cut : random_cuts(rng, frames, wire.size())) {
+      const std::span<const std::uint8_t> chunk(wire.data() + from, cut - from);
+      from = cut;
+      // Now and then the receiver stops after a few frames, leaving the
+      // rest of the delivery for a later call.
+      const std::size_t budget =
+          rng.next_bool(0.25) ? rng.next_below(3) : SIZE_MAX;
+      const Delivery want = feed_and_poll(reference, chunk, budget);
+      const Delivery got = parse_in_place(in_place, chunk, budget);
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      expect_same(got, want, call++);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Drain what early stops left behind, through each side's own entry
+    // (an empty delivery is a valid in-place call).
+    for (int i = 0; i < 4; ++i) {
+      expect_same(parse_in_place(in_place, {}, SIZE_MAX),
+                  feed_and_poll(reference, {}, SIZE_MAX), call++);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InPlaceDifferential,
+                         ::testing::Range<std::uint64_t>(1, 17));
+
+TEST(InPlaceParse, CopiesOnlyTheFrameThatStraddlesDeliveries) {
+  const Bytes a = serialize_frame(make_data(1, Bytes(1000, 0xAB), false));
+  const Bytes b = serialize_frame(make_ping({}, false));
+  Bytes wire = a;
+  wire.insert(wire.end(), b.begin(), b.end());
+  FrameParser parser;
+  const std::size_t cut = a.size() + 4;  // inside the PING header
+  {
+    auto frames = parser.parse_in_place({wire.data(), cut});
+    auto first = frames.next();
+    ASSERT_TRUE(first && first->ok());
+    // The whole DATA frame sat in the delivery: its body aliases it.
+    EXPECT_EQ(first->value().body.data(), wire.data() + kFrameHeaderSize);
+    EXPECT_FALSE(frames.next());
+  }
+  EXPECT_EQ(parser.buffered_bytes(), 4u);  // just the partial header
+  {
+    auto frames = parser.parse_in_place({wire.data() + cut, wire.size() - cut});
+    auto ping = frames.next();
+    ASSERT_TRUE(ping && ping->ok());
+    EXPECT_EQ(ping->value().type(), FrameType::kPing);
+    EXPECT_FALSE(frames.next());
+  }
+  EXPECT_EQ(parser.unparsed_bytes(), 0u);
 }
 
 }  // namespace

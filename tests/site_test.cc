@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "h2/settings.h"
 #include "hpack/huffman_table.h"
@@ -71,6 +74,92 @@ TEST(ResourceBody, ClampsAtResourceEnd) {
   EXPECT_EQ(resource_body(r, 8, 100).size(), 2u);
   EXPECT_TRUE(resource_body(r, 10, 5).empty());
   EXPECT_TRUE(resource_body(r, 999, 5).empty());
+}
+
+// The body formula itself, independent of how the server produces it:
+// octet i is (h >> (i % 8)) + i * 131 with h = FNV-1a(path).
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+::testing::AssertionResult body_matches_formula(const Resource& r,
+                                                std::size_t off,
+                                                std::size_t len) {
+  const std::uint64_t h = fnv1a(r.path);
+  const Bytes got = resource_body(r, off, len);
+  if (got.size() != len) {
+    return ::testing::AssertionFailure()
+           << r.path << " @" << off << "+" << len << ": " << got.size()
+           << " octets";
+  }
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t at = off + i;
+    const auto want = static_cast<std::uint8_t>((h >> (at % 8)) + at * 131);
+    if (got[i] != want) {
+      return ::testing::AssertionFailure()
+             << r.path << " octet " << at << ": " << int(got[i]) << " != "
+             << int(want);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Resource big(std::string path) {
+  return {.path = std::move(path), .size = 1 << 20, .content_type = ""};
+}
+
+TEST(ResourceBody, IsTheFormulaAtEveryOffset) {
+  const Resource r = big("/object/3");
+  EXPECT_EQ(server::body_seed(r), fnv1a(r.path));
+  // Every start phase, with lengths that stop short of, cross, and run
+  // past the 256-octet period and the 4 KiB copy run.
+  for (std::size_t off = 0; off <= 1024; ++off) {
+    for (std::size_t len : {std::size_t{1}, std::size_t{255}, std::size_t{257},
+                            std::size_t{4095}, std::size_t{4353}}) {
+      ASSERT_TRUE(body_matches_formula(r, off, len));
+    }
+  }
+  ASSERT_TRUE(body_matches_formula(r, 0, 16384));
+  ASSERT_TRUE(body_matches_formula(r, 123'457, 16384 + 9));
+}
+
+// More paths than cache slots, read interleaved so every slot is evicted
+// and refilled, including two paths that share a slot.
+void check_interleaved_paths() {
+  std::vector<Resource> rs;
+  for (std::size_t i = 0; i < 2 * server::kBodyTileSlots + 3; ++i) {
+    rs.push_back(big("/p/" + std::to_string(i)));
+  }
+  std::size_t partner = 1;
+  while (server::body_tile_slot(server::body_seed(rs[partner])) !=
+         server::body_tile_slot(server::body_seed(rs[0]))) {
+    ++partner;
+  }
+  ASSERT_NE(server::body_seed(rs[partner]), server::body_seed(rs[0]));
+  for (std::size_t round = 0; round < 6; ++round) {
+    const std::size_t off = round * 5'003;
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      ASSERT_TRUE(body_matches_formula(rs[i], off + i, 700 + 97 * i));
+      // Ping-pong between the two paths of one slot.
+      ASSERT_TRUE(body_matches_formula(rs[0], off, 300));
+      ASSERT_TRUE(body_matches_formula(rs[partner], off + 1, 5000));
+    }
+  }
+}
+
+TEST(ResourceBody, IsTheFormulaAcrossMorePathsThanCacheSlots) {
+  check_interleaved_paths();
+}
+
+TEST(ResourceBody, IsTheFormulaOnTwoThreadsAtOnce) {
+  std::thread other(check_interleaved_paths);
+  check_interleaved_paths();
+  other.join();
 }
 
 TEST(HuffmanTable, IsAPrefixFreeCanonicalCode) {

@@ -92,6 +92,32 @@ TEST(ByteReaderTest, SkipAndPeek) {
   EXPECT_FALSE(r.skip(1).ok());
 }
 
+TEST(BufferPoolTest, FullPoolKeepsTheSmallerBuffer) {
+  BufferPool pool(2);
+  const auto sized = [](std::size_t n) {
+    Bytes b;
+    b.reserve(n);
+    return b;
+  };
+  pool.release(sized(64 * 1024));
+  pool.release(sized(32 * 1024));
+  // Full: a 1 KiB buffer displaces the 64 KiB spare...
+  pool.release(sized(1024));
+  // ...and a bigger one than every spare is dropped.
+  pool.release(sized(128 * 1024));
+  EXPECT_EQ(pool.acquire(1024).capacity(), 1024u);
+  EXPECT_EQ(pool.acquire(32 * 1024).capacity(), 32u * 1024u);
+  EXPECT_EQ(pool.acquire().capacity(), 0u);  // nothing else was kept
+}
+
+TEST(BufferPoolTest, PoolWithNoSparesKeepsNothing) {
+  BufferPool pool(0);
+  Bytes b;
+  b.reserve(16);
+  pool.release(std::move(b));
+  EXPECT_EQ(pool.acquire().capacity(), 0u);
+}
+
 TEST(HexTest, RoundTrip) {
   const Bytes data = {0x00, 0xFF, 0x5A};
   EXPECT_EQ(to_hex(data), "00ff5a");

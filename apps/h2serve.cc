@@ -14,11 +14,12 @@
 // the H2Wiretap trace + metrics snapshot — are flushed in one piece.
 //
 // The wiretap is always on: every connection records onto a bounded binary
-// tape (32 bytes/record, see ServeOptions::tape_capacity) replayed into a
-// process-wide ring on retirement. Without --trace-out that ring keeps only
-// the newest records under a fixed memory budget; with --trace-out it
-// retains everything and exports on exit, either as the legacy JSONL or as
-// the raw "H2WT" binary dump (--trace-format=bin, decode offline with
+// tape (4096 records of 32 bytes, see ServeOptions::recorder) replayed into
+// a process-wide ring on retirement — directly by shard 0, after the join
+// for the other shards. Without --trace-out that ring keeps only the newest
+// records under a fixed memory budget; with --trace-out it retains
+// everything and exports on exit, either as the legacy JSONL or as the raw
+// "H2WT" binary dump (--trace-format=bin, decode offline with
 // h2trace-decode).
 //
 // Flags (strict parsing: trailing garbage rejects the value):

@@ -2,19 +2,17 @@
 //
 // Boots a listener on an ephemeral loopback port, drives it with the
 // in-repo load generator (the same reactor h2load-mini wraps), and reports
-// requests/sec plus the latency distribution. Three single-loop rows run
-// the plain ServeLoop (the committed-baseline path):
+// requests/sec plus the latency distribution. Every row serves through
+// ShardedServe with the load generator threaded to match its shard count.
+// Three rows run one shard:
 //
 //   serve_h2o            the h2o profile, stock budgets
 //   serve_nginx          the nginx profile, stock budgets
 //   serve_h2o_hardened   h2o with MitigationPolicy::hardened() — the cost
-//                        of the PR-6 mitigation ledger on legitimate load
+//                        of the mitigation ledger on legitimate load
 //
-// and a shard sweep runs the nginx profile through ShardedServe with the
-// load generator threaded to match:
+// and a shard sweep continues the nginx row:
 //
-//   serve_nginx_shards1  sharding infrastructure at 1 shard — its overhead
-//                        vs serve_nginx is the cost of the sharded harness
 //   serve_nginx_shards2  SO_REUSEPORT kernel-balanced accepts, 2 shards
 //   serve_nginx_shards4  ... 4 shards (only scales on multi-core hosts;
 //                        _meta.hw_concurrency records what this box had)
@@ -38,7 +36,6 @@
 #define H2R_BENCH_COUNT_ALLOCS 1
 #include "bench/bench_util.h"
 #include "netio/load.h"
-#include "netio/serve.h"
 #include "netio/serve_shard.h"
 
 namespace {
@@ -57,80 +54,15 @@ struct RowSpec {
   std::string name;
   std::string profile_key;
   bool hardened = false;
-  /// 0 = plain ServeLoop (the baseline path); >= 1 = ShardedServe with this
-  /// many shards and a load generator threaded to match.
-  unsigned shards = 0;
+  /// ShardedServe shards, and load-generator threads to match.
+  unsigned shards = 1;
 };
-
-void finish_row(const RowSpec& spec, const h2r::netio::LoadReport& report,
-                const h2r::netio::ServeStats& stats,
-                std::uint64_t heap_allocs, int connections, int requests) {
-  const double completed = static_cast<double>(report.completed);
-  const double allocs_per_op =
-      completed > 0 ? static_cast<double>(heap_allocs) / completed : 0.0;
-  g_results[spec.name] = {
-      report.wall_ms,
-      completed > 0 ? report.wall_ms * 1e6 / completed : 0.0, report.rps,
-      allocs_per_op};
-  std::printf(
-      "%-22s %8.1f ms  %9.0f req/s  %6.1f allocs/op  "
-      "p50=%.3f p99=%.3f p999=%.3f ms\n",
-      spec.name.c_str(), report.wall_ms, report.rps, allocs_per_op,
-      report.latency_ms.quantile(0.50), report.latency_ms.quantile(0.99),
-      report.latency_ms.quantile(0.999));
-
-  if (report.completed != static_cast<std::uint64_t>(requests) ||
-      report.total_errors() != 0 || report.failed != 0) {
-    std::fprintf(stderr, "!! %s: lossy run — %s\n", spec.name.c_str(),
-                 report.json().c_str());
-    g_failed = true;
-  }
-  if (stats.served_clean != static_cast<std::uint64_t>(connections) ||
-      !stats.errors.empty()) {
-    std::fprintf(stderr, "!! %s: server-side errors — %s\n",
-                 spec.name.c_str(), stats.json().c_str());
-    g_failed = true;
-  }
-}
 
 void run_row(const RowSpec& spec, int connections, int requests,
              int streams) {
   using namespace h2r;
 
-  netio::LoadOptions lopts;
-  lopts.connections = connections;
-  lopts.requests = requests;
-  lopts.streams = streams;
-
   const std::uint64_t allocs0 = bench::heap_allocations();
-
-  if (spec.shards == 0) {
-    netio::ServeOptions sopts;
-    sopts.profile_key = spec.profile_key;
-    sopts.hardened = spec.hardened;
-    sopts.max_connections = connections + 8;
-    auto serve = netio::ServeLoop::create(sopts);
-    if (!serve.ok()) {
-      std::fprintf(stderr, "!! %s: %s\n", spec.name.c_str(),
-                   serve.status().message().c_str());
-      g_failed = true;
-      return;
-    }
-    std::thread server_thread([&] {
-      const Status s = serve.value()->run();
-      if (!s.ok()) {
-        std::fprintf(stderr, "!! %s: serve loop: %s\n", spec.name.c_str(),
-                     s.message().c_str());
-      }
-    });
-    lopts.port = serve.value()->port();
-    const netio::LoadReport report = netio::run_load(lopts);
-    serve.value()->request_shutdown();
-    server_thread.join();
-    finish_row(spec, report, serve.value()->stats(),
-               bench::heap_allocations() - allocs0, connections, requests);
-    return;
-  }
 
   netio::ShardedServeOptions shopts;
   shopts.base.profile_key = spec.profile_key;
@@ -151,13 +83,46 @@ void run_row(const RowSpec& spec, int connections, int requests,
                    s.message().c_str());
     }
   });
+  netio::LoadOptions lopts;
   lopts.port = serve.value()->port();
+  lopts.connections = connections;
+  lopts.requests = requests;
+  lopts.streams = streams;
   lopts.threads = static_cast<int>(spec.shards);
   const netio::LoadReport report = netio::run_load(lopts);
   serve.value()->request_shutdown();
   server_thread.join();
-  finish_row(spec, report, serve.value()->stats(),
-             bench::heap_allocations() - allocs0, connections, requests);
+
+  const double completed = static_cast<double>(report.completed);
+  const double allocs_per_op =
+      completed > 0
+          ? static_cast<double>(bench::heap_allocations() - allocs0) /
+                completed
+          : 0.0;
+  g_results[spec.name] = {
+      report.wall_ms,
+      completed > 0 ? report.wall_ms * 1e6 / completed : 0.0, report.rps,
+      allocs_per_op};
+  std::printf(
+      "%-22s %8.1f ms  %9.0f req/s  %6.1f allocs/op  "
+      "p50=%.3f p99=%.3f p999=%.3f ms\n",
+      spec.name.c_str(), report.wall_ms, report.rps, allocs_per_op,
+      report.latency_ms.quantile(0.50), report.latency_ms.quantile(0.99),
+      report.latency_ms.quantile(0.999));
+
+  if (report.completed != static_cast<std::uint64_t>(requests) ||
+      report.total_errors() != 0 || report.failed != 0) {
+    std::fprintf(stderr, "!! %s: lossy run — %s\n", spec.name.c_str(),
+                 report.json().c_str());
+    g_failed = true;
+  }
+  const netio::ServeStats& stats = serve.value()->stats();
+  if (stats.served_clean != static_cast<std::uint64_t>(connections) ||
+      !stats.errors.empty()) {
+    std::fprintf(stderr, "!! %s: server-side errors — %s\n",
+                 spec.name.c_str(), stats.json().c_str());
+    g_failed = true;
+  }
 }
 
 void write_json() {
@@ -202,12 +167,12 @@ int main() {
   std::printf("con=%d streams=%d req=%d cores=%u\n\n", connections, streams,
               requests, std::thread::hardware_concurrency());
 
-  run_row({"serve_h2o", "h2o", false, 0}, connections, requests, streams);
-  run_row({"serve_nginx", "nginx", false, 0}, connections, requests,
+  run_row({"serve_h2o", "h2o", false, 1}, connections, requests, streams);
+  run_row({"serve_nginx", "nginx", false, 1}, connections, requests,
           streams);
-  run_row({"serve_h2o_hardened", "h2o", true, 0}, connections, requests,
+  run_row({"serve_h2o_hardened", "h2o", true, 1}, connections, requests,
           streams);
-  for (const unsigned shards : {1u, 2u, 4u}) {
+  for (const unsigned shards : {2u, 4u}) {
     run_row({"serve_nginx_shards" + std::to_string(shards), "nginx", false,
              shards},
             connections, requests, streams);

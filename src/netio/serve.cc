@@ -26,6 +26,9 @@ namespace {
 // far above any plausible number of wakes per connection.
 constexpr net::ExchangeLimits kServeLimits{.max_rounds = 1 << 30,
                                            .max_bytes = 0};
+/// Per-connection trace tape bound, in 32-byte binary records.
+constexpr std::size_t kConnTapeRecords = 4096;
+constexpr int kListenBacklog = 128;
 }  // namespace
 
 void ServeStats::merge(const ServeStats& other) {
@@ -79,7 +82,7 @@ std::string ServeStats::json() const {
 struct ServeLoop::Conn final : IoHandler {
   Conn(ServeLoop& serve, Fd fd)
       : serve(serve),
-        tape(serve.opts_.tape_capacity),
+        tape(kConnTapeRecords),
         transport(std::move(fd),
                   serve.opts_.recorder != nullptr ? &tape : nullptr) {}
 
@@ -142,7 +145,8 @@ Result<std::unique_ptr<ServeLoop>> ServeLoop::create(
   try {
     profile = server::profile_by_key(opts.profile_key);
   } catch (const std::out_of_range&) {
-    return InternalError("unknown profile key \"" + opts.profile_key + "\"");
+    return InvalidArgumentError("unknown profile key \"" + opts.profile_key +
+                                "\"");
   }
   if (opts.hardened) {
     profile.mitigation = server::MitigationPolicy::hardened();
@@ -156,7 +160,8 @@ Result<std::unique_ptr<ServeLoop>> ServeLoop::create(
   serve->site_ = std::make_shared<const server::Site>(
       server::Site::standard_testbed_site());
 
-  auto listener = listen_loopback(opts.port, opts.backlog, opts.reuse_port);
+  auto listener =
+      listen_loopback(opts.port, kListenBacklog, /*reuse_port=*/true);
   if (!listener.ok()) return listener.status();
   serve->listener_ = std::move(listener).value();
   auto port = local_port(serve->listener_.get());

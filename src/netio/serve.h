@@ -1,14 +1,16 @@
-// The h2c listener: profile-driven Http2Server engines behind real sockets.
+// One serve shard: profile-driven Http2Server engines behind real sockets.
 //
-// ServeLoop binds a loopback TCP listener, accepts connections onto the
-// epoll reactor, and runs one SocketTransport + ExchangeDriver + Http2Server
-// triple per connection — the deviation engine the corpus scan probes,
-// now answerable by curl. First bytes on every accepted socket are sniffed
-// against the h2 client preface to pick the engine's start mode: a full
-// preface match is a prior-knowledge client (StartMode::kTls — the TLS/ALPN
-// step happened "outside" or is assumed), anything else is HTTP/1.1 text
-// headed for the §3.2 Upgrade: h2c handshake (StartMode::kH2c). The sniffed
-// octets re-enter the stream through the transport so the engine sees them
+// A ServeLoop is one ShardedServe shard, and ShardedServe is the only way
+// to build one. The loop binds its own SO_REUSEPORT listener on the shared
+// loopback port, accepts connections onto its epoll reactor, and runs one
+// SocketTransport + ExchangeDriver + Http2Server triple per connection —
+// the deviation engine the corpus scan probes, now answerable by curl.
+// First bytes on every accepted socket are sniffed against the h2 client
+// preface to pick the engine's start mode: a full preface match is a
+// prior-knowledge client (StartMode::kTls — the TLS/ALPN step happened
+// "outside" or is assumed), anything else is HTTP/1.1 text headed for the
+// §3.2 Upgrade: h2c handshake (StartMode::kH2c). The sniffed octets
+// re-enter the stream through the transport so the engine sees them
 // unbroken.
 //
 // Every engine on one loop shares the loop's server::SharedBlockCache of
@@ -43,7 +45,6 @@ struct ServeOptions {
   std::string profile_key = "h2o";
   /// TCP port on 127.0.0.1; 0 = kernel-assigned (read back via port()).
   std::uint16_t port = 0;
-  int backlog = 128;
   /// Opt the profile into MitigationPolicy::hardened().
   bool hardened = false;
   /// Graceful-shutdown drain budget: connections still open this many ms
@@ -53,19 +54,14 @@ struct ServeOptions {
   /// immediately and counted as overload in the error taxonomy).
   std::size_t max_connections = 1024;
   /// Optional wiretap sink. Null = off. Each connection records onto a
-  /// private bounded ring tape (engine c2s+s2c frames, transport rounds)
-  /// that is replayed into this sink whole when the connection retires, so
-  /// the exported trace stays contiguous per connection segment however
-  /// many sockets interleave on the reactor.
+  /// private ring tape of 4096 records (engine c2s+s2c frames, transport
+  /// rounds) that is replayed into this sink whole when the connection
+  /// retires, so the exported trace stays contiguous per connection
+  /// segment however many sockets interleave on the reactor. A connection
+  /// that records more keeps only its newest records, and the evictions
+  /// count in ServeStats::trace_drops, so always-on tracing stays O(1) per
+  /// connection no matter how long one lives.
   trace::Recorder* recorder = nullptr;
-  /// Per-connection tape bound, in 32-byte binary records. A connection
-  /// that records more than this keeps only the newest records; evictions
-  /// are counted in ServeStats::trace_drops. Keeps always-on tracing O(1)
-  /// per connection no matter how long one lives.
-  std::size_t tape_capacity = 4096;
-  /// Sets SO_REUSEPORT on the listener so sibling shards can bind the same
-  /// port. A lone ServeLoop leaves it off and owns its port exclusively.
-  bool reuse_port = false;
 };
 
 /// What the listener did, exportable as JSON after run() returns.
@@ -91,7 +87,7 @@ struct ServeStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   /// Trace records evicted from per-connection ring tapes before flush
-  /// (oldest-first; see ServeOptions::tape_capacity).
+  /// (oldest-first; see ServeOptions::recorder).
   std::uint64_t trace_drops = 0;
   /// Shard header-block cache (server::SharedBlockCache) tallies: one hit
   /// or one miss per cacheable response. Taken when the shard's run()
@@ -110,11 +106,9 @@ struct ServeStats {
   [[nodiscard]] std::string json() const;
 };
 
+/// One serve shard; ShardedServe builds and runs every one.
 class ServeLoop {
  public:
-  /// Binds and registers the listener. Fails on bad profile key, bind
-  /// errors, or reactor construction failure.
-  static Result<std::unique_ptr<ServeLoop>> create(const ServeOptions& opts);
   ~ServeLoop();
 
   /// The port actually bound (resolves opts.port == 0).
@@ -129,13 +123,16 @@ class ServeLoop {
   void request_shutdown() noexcept { loop_.request_shutdown(); }
 
   [[nodiscard]] const ServeStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] std::size_t open_connections() const noexcept {
-    return conns_.size();
-  }
 
  private:
+  friend class ShardedServe;
   struct Conn;
   class AcceptHandler;
+
+  /// Binds and registers the shard's SO_REUSEPORT listener. Fails with
+  /// InvalidArgument on an unknown profile key, or with the bind or
+  /// reactor construction error.
+  static Result<std::unique_ptr<ServeLoop>> create(const ServeOptions& opts);
 
   explicit ServeLoop(const ServeOptions& opts);
 

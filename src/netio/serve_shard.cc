@@ -5,7 +5,7 @@
 
 namespace h2r::netio {
 
-std::size_t shard_tape_capacity(const trace::Recorder* sink) {
+std::size_t shard_tape_bound(const trace::Recorder* sink) {
   const auto* ring = dynamic_cast<const trace::RingRecorder*>(sink);
   return ring != nullptr ? ring->capacity() : 0;
 }
@@ -28,7 +28,7 @@ ShardedServe::~ShardedServe() = default;
 Result<std::unique_ptr<ShardedServe>> ShardedServe::create(
     const ShardedServeOptions& opts) {
   if (opts.shards == 0 || opts.shards > 64) {
-    return InternalError("shards must be in 1..64");
+    return InvalidArgumentError("shards must be in 1..64");
   }
   // make_unique can't reach the private ctor.
   std::unique_ptr<ShardedServe> sharded(new ShardedServe());
@@ -40,13 +40,13 @@ Result<std::unique_ptr<ShardedServe>> ShardedServe::create(
   for (unsigned i = 0; i < opts.shards; ++i) {
     ServeOptions shard_opts = opts.base;
     shard_opts.port = port;
-    shard_opts.reuse_port = true;
-    if (opts.base.recorder != nullptr) {
-      // Per-connection rings already bound memory; this tape accumulates
-      // their flushed segments until the post-join merge, and keeps no
-      // more than the final sink can.
+    if (i > 0 && opts.base.recorder != nullptr) {
+      // Shard 0 shares the caller's thread, so it records straight into
+      // the sink. A sibling's tape accumulates its flushed connection
+      // segments until the post-join merge, and keeps no more than the
+      // sink can.
       sharded->shard_tapes_.push_back(std::make_unique<trace::RingRecorder>(
-          shard_tape_capacity(opts.base.recorder)));
+          shard_tape_bound(opts.base.recorder)));
       shard_opts.recorder = sharded->shard_tapes_.back().get();
     }
     auto shard = ServeLoop::create(shard_opts);
@@ -74,7 +74,8 @@ Status ShardedServe::run() {
   for (auto& t : threads) t.join();
 
   // Merge after every thread has quiesced, so nothing tears: stats are
-  // pure sums, trace tapes replay whole in shard order.
+  // pure sums, and the siblings' tapes follow shard 0's records whole, in
+  // shard order.
   merged_ = ServeStats{};
   for (const auto& shard : shards_) merged_.merge(shard->stats());
   if (opts_.base.recorder != nullptr) {

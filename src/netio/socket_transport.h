@@ -55,7 +55,7 @@ class SocketTransport final : public net::Transport {
     return out_.size() - out_off_;
   }
   /// Octets the outbound backlog holds allocated, sent prefix included.
-  [[nodiscard]] std::size_t backlog_capacity() const noexcept {
+  [[nodiscard]] std::size_t outbound_capacity() const noexcept {
     return out_.capacity();
   }
   /// The peer half-closed its write side (read returned 0).

@@ -19,7 +19,7 @@
 #include "net/readiness.h"
 #include "net/transport.h"
 #include "netio/load.h"
-#include "netio/serve.h"
+#include "netio/serve_shard.h"
 #include "netio/socket.h"
 #include "netio/socket_transport.h"
 #include "server/engine.h"
@@ -255,7 +255,7 @@ TEST(SocketBacklog, SlowReaderBacklogHoldsOnlyUnsentOctets) {
     }
     ASSERT_NE(driver.pump(), net::ExchangeDriver::State::kDone);
     peak_unsent = std::max(peak_unsent, transport.unsent_bytes());
-    peak_capacity = std::max(peak_capacity, transport.backlog_capacity());
+    peak_capacity = std::max(peak_capacity, transport.outbound_capacity());
 
     // The slow read: at most 2 KiB per turn.
     std::uint8_t chunk[2048];
@@ -323,9 +323,9 @@ std::string lockstep_fingerprint(const std::string& profile_key) {
 
 /// The same GET through a real listener on an ephemeral loopback port.
 std::string socket_fingerprint(const std::string& profile_key) {
-  netio::ServeOptions opts;
-  opts.profile_key = profile_key;
-  auto serve = netio::ServeLoop::create(opts);
+  netio::ShardedServeOptions opts;
+  opts.base.profile_key = profile_key;
+  auto serve = netio::ShardedServe::create(opts);
   EXPECT_TRUE(serve.ok()) << serve.status().message();
   std::thread server_thread([&] { EXPECT_TRUE(serve.value()->run().ok()); });
 

@@ -1,7 +1,7 @@
-// End-to-end tests for the real-socket serving mode: the listener + load
-// generator pair on loopback, graceful shutdown semantics, and the socket
-// error taxonomy (refused connects, abrupt resets, non-h2 clients, the
-// max_connections slot gate).
+// End-to-end tests for the real-socket serving mode: a one-shard
+// ShardedServe + load generator pair on loopback, graceful shutdown
+// semantics, and the socket error taxonomy (refused connects, abrupt
+// resets, non-h2 clients, the max_connections slot gate).
 #include <gtest/gtest.h>
 
 #include <cerrno>
@@ -19,7 +19,7 @@
 #include "core/client.h"
 #include "h2/constants.h"
 #include "netio/load.h"
-#include "netio/serve.h"
+#include "netio/serve_shard.h"
 #include "netio/socket.h"
 #include "trace/annotate.h"
 #include "trace/event.h"
@@ -28,9 +28,11 @@
 namespace h2r {
 namespace {
 
+/// One shard serving on a background thread: shard 0 runs on that thread
+/// and records straight into the caller's sink.
 struct RunningServer {
-  explicit RunningServer(netio::ServeOptions opts) {
-    auto created = netio::ServeLoop::create(opts);
+  explicit RunningServer(const netio::ServeOptions& opts) {
+    auto created = netio::ShardedServe::create({.base = opts, .shards = 1});
     EXPECT_TRUE(created.ok()) << created.status().message();
     serve = std::move(created).value();
     thread = std::thread([this] {
@@ -49,7 +51,7 @@ struct RunningServer {
     thread.join();
   }
 
-  std::unique_ptr<netio::ServeLoop> serve;
+  std::unique_ptr<netio::ShardedServe> serve;
   std::thread thread;
 };
 

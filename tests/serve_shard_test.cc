@@ -2,8 +2,9 @@
 // merged-stats = per-shard sums, GOAWAY on every shard at drain (with an
 // untorn merged trace), a fingerprint-identity check that sharding never
 // alters wire behaviour, bounded shard tapes that merge exactly like
-// unbounded ones, one cache booking per served response, and the shard
-// header-block cache's byte-identity guarantees.
+// unbounded ones, out-of-contract options rejected as InvalidArgument, one
+// cache booking per served response, and the shard header-block cache's
+// byte-identity guarantees.
 //
 // Every shard owns an SO_REUSEPORT listener and the kernel picks the shard
 // for each connection by hashing its 4-tuple, so no test can steer a
@@ -14,6 +15,7 @@
 // 5e-10 for 2 shards and 3 * (2/3)^48 < 1.1e-8 for 3, both below 1e-6.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -298,7 +300,7 @@ TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
   constexpr std::size_t kRing = 16;
   trace::RingRecorder reference(kRing);
   trace::RingRecorder merged(kRing);
-  ASSERT_EQ(netio::shard_tape_capacity(&merged), kRing);
+  ASSERT_EQ(netio::shard_tape_bound(&merged), kRing);
   for (auto* sink : {&reference, &merged}) {
     for (int i = 0; i < 5; ++i) sink->begin_connection("before-merge");
   }
@@ -308,7 +310,7 @@ TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
   for (const int records : {40, 5, 16, 23, 3}) {
     unbounded.push_back(std::make_unique<trace::RingRecorder>(0));
     bounded.push_back(std::make_unique<trace::RingRecorder>(
-        netio::shard_tape_capacity(&merged)));
+        netio::shard_tape_bound(&merged)));
     const std::string shard = std::to_string(unbounded.size());
     for (int i = 0; i < records; ++i) {
       const std::string label = "conn-" + shard + "-" + std::to_string(i);
@@ -351,44 +353,85 @@ TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
 TEST(ShardTapes, UnboundedSinksKeepUnboundedTapes) {
   trace::RingRecorder tape(0);
   trace::VectorRecorder vector;
-  EXPECT_EQ(netio::shard_tape_capacity(&tape), 0u);
-  EXPECT_EQ(netio::shard_tape_capacity(&vector), 0u);
-  EXPECT_EQ(netio::shard_tape_capacity(nullptr), 0u);
+  EXPECT_EQ(netio::shard_tape_bound(&tape), 0u);
+  EXPECT_EQ(netio::shard_tape_bound(&vector), 0u);
+  EXPECT_EQ(netio::shard_tape_bound(nullptr), 0u);
 }
 
 TEST(ShardedServe, SmallRingSinkHoldsTheNewestRecords) {
-  // Live: two shards under load into a 64-record ring. The merge carries
-  // the shard tapes' evictions, so numbering stays gapless: every record
-  // the shards ever saw is either retained or counted as dropped.
-  trace::RingRecorder sink(64);
-  netio::ShardedServeOptions opts;
-  opts.base.profile_key = "nginx";
-  opts.base.recorder = &sink;
-  opts.shards = 2;
-  ShardedRunner runner(opts);
-  ASSERT_TRUE(runner.serve);
-  netio::LoadOptions load;
-  load.port = runner.serve->port();
-  load.connections = kConnsPerShard * static_cast<int>(opts.shards);
-  load.requests = 10 * load.connections;
-  load.streams = 2;
-  EXPECT_EQ(netio::run_load(load).total_errors(), 0u);
-  runner.stop();
-  expect_every_shard_accepted(*runner.serve);
+  // Live, under load into a 64-record ring: at one shard, shard 0 records
+  // straight into the ring; at two, shard 1's tape is merged after it. The
+  // merge carries the tape's evictions, so numbering stays gapless either
+  // way: every record the shards ever saw is either retained or counted as
+  // dropped.
+  for (const unsigned shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    trace::RingRecorder sink(64);
+    netio::ShardedServeOptions opts;
+    opts.base.profile_key = "nginx";
+    opts.base.recorder = &sink;
+    opts.shards = shards;
+    ShardedRunner runner(opts);
+    ASSERT_TRUE(runner.serve);
+    netio::LoadOptions load;
+    load.port = runner.serve->port();
+    load.connections = kConnsPerShard * static_cast<int>(opts.shards);
+    load.requests = 10 * load.connections;
+    load.streams = 2;
+    EXPECT_EQ(netio::run_load(load).total_errors(), 0u);
+    runner.stop();
+    expect_every_shard_accepted(*runner.serve);
 
-  EXPECT_EQ(sink.size(), 64u);
-  EXPECT_GT(sink.drops(), 0u);
-  EXPECT_EQ(sink.first_seq(), sink.drops());
-  EXPECT_EQ(sink.events_recorded(), sink.drops() + sink.size());
-  const auto events = sink.decode();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, sink.first_seq() + i);
+    EXPECT_EQ(sink.size(), 64u);
+    EXPECT_GT(sink.drops(), 0u);
+    EXPECT_EQ(sink.first_seq(), sink.drops());
+    EXPECT_EQ(sink.events_recorded(), sink.drops() + sink.size());
+    const auto events = sink.decode();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].seq, sink.first_seq() + i);
+    }
+  }
+}
+
+// ------------------------------------------------------- caller errors
+
+/// Entries in a /proc/self directory: open fds or live threads.
+std::size_t proc_self_entries(const char* dir) {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string("/proc/self/") + dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ShardedServe, OutOfContractOptionsAreInvalidArguments) {
+  netio::ShardedServeOptions zero;
+  zero.shards = 0;
+  netio::ShardedServeOptions too_many;
+  too_many.shards = 65;
+  netio::ShardedServeOptions unknown_profile;
+  unknown_profile.base.profile_key = "nope";
+  unknown_profile.shards = 2;
+  for (const auto* opts : {&zero, &too_many, &unknown_profile}) {
+    SCOPED_TRACE(opts->base.profile_key + " x" + std::to_string(opts->shards));
+    const std::size_t fds = proc_self_entries("fd");
+    const std::size_t threads = proc_self_entries("task");
+    const auto created = netio::ShardedServe::create(*opts);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << created.status().message();
+    // Nothing the failed call opened survives it: no listener, no reactor
+    // fd, no thread.
+    EXPECT_EQ(proc_self_entries("fd"), fds);
+    EXPECT_EQ(proc_self_entries("task"), threads);
   }
 }
 
 // --------------------------------------------------- wire-behaviour parity
 
-/// The single-ServeLoop-equivalent reference: one GET served in-process.
+/// The unsharded reference: one GET served in-process.
 std::string lockstep_reference(const std::string& profile_key) {
   server::Http2Server server(server::profile_by_key(profile_key),
                              server::Site::standard_testbed_site());

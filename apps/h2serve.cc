@@ -17,10 +17,13 @@
 // tape (4096 records of 32 bytes, see ServeOptions::recorder) replayed into
 // a process-wide ring on retirement — directly by shard 0, after the join
 // for the other shards. Without --trace-out that ring keeps only the newest
-// records under a fixed memory budget; with --trace-out it retains
-// everything and exports on exit, either as the legacy JSONL or as the raw
-// "H2WT" binary dump (--trace-format=bin, decode offline with
-// h2trace-decode).
+// records under a fixed memory budget; with --trace-out the ring retains
+// every record it is handed and exports on exit, either as the legacy JSONL
+// or as the raw "H2WT" binary dump (--trace-format=bin, decode offline with
+// h2trace-decode). The per-connection tape stays bounded either way, so
+// one peer cannot grow the server's memory: a connection that records more
+// than 4096 events exports only its newest 4096, and the evicted count is
+// the stats' trace_drops (also in the exported metrics snapshot).
 //
 // Flags (strict parsing: trailing garbage rejects the value):
 //   --port N        listen port, 0 = ephemeral  [env H2R_LISTEN_PORT; 3000]
@@ -162,9 +165,9 @@ int main(int argc, char** argv) {
   opts.port = static_cast<std::uint16_t>(port);
 
   // Always-on wiretap: the sink is a binary ring in both modes. Exporting
-  // runs it unbounded so the dump is whole; otherwise it is a fixed-budget
-  // ring — recording costs the same either way (the bench's traced rows),
-  // only retention differs.
+  // runs it unbounded so it keeps every connection tape it is handed;
+  // otherwise it is a fixed-budget ring — recording costs the same either
+  // way (the bench's traced rows), only retention differs.
   trace::RingRecorder recorder(trace_out.empty() ? kIdleTapeRecords : 0);
   opts.recorder = &recorder;
 

@@ -1,7 +1,6 @@
 #include "core/client.h"
 
 #include <algorithm>
-#include <initializer_list>
 #include <string_view>
 
 namespace h2r::core {
@@ -34,22 +33,6 @@ const V* lookup(const std::vector<std::pair<std::uint32_t, V>>& sorted,
       sorted.begin(), sorted.end(), id,
       [](const auto& entry, std::uint32_t key) { return entry.first < key; });
   return at != sorted.end() && at->first == id ? &at->second : nullptr;
-}
-
-/// Overwrites @p list with @p fields, assigning into the existing entries'
-/// strings so a reused list allocates nothing once warm.
-void assign_fields(
-    hpack::HeaderList& list,
-    std::initializer_list<std::pair<std::string_view, std::string_view>>
-        fields) {
-  list.resize(fields.size());
-  auto it = list.begin();
-  for (const auto& [name, value] : fields) {
-    it->name.assign(name);
-    it->value.assign(value);
-    it->never_indexed = false;
-    ++it;
-  }
 }
 
 }  // namespace
@@ -115,9 +98,17 @@ void ClientConnection::reset() {
   sent_any_request_ = false;
   response_seen_ = false;
   preemptive_window_bonus_ = 0;
-  events_.clear();
+  // The next connection's events rewrite this one's, first to last, so
+  // each keeps the storage its slot had.
+  while (!events_.empty()) {
+    spare_events_.push_back(std::move(events_.back()));
+    events_.pop_back();
+  }
   records_.clear();
   rst_.clear();
+  for (auto& [id, request] : pushed_) {
+    spare_lists_.push_back(std::move(request));
+  }
   pushed_.clear();
   last_promised_id_ = 0;
   goaway_.reset();
@@ -213,10 +204,10 @@ std::uint32_t ClientConnection::send_request(
   const std::uint32_t id = next_stream_id_;
   next_stream_id_ += 2;
   sent_any_request_ = true;
-  assign_fields(request_headers_, {{":method", "GET"},
-                                   {":scheme", "https"},
-                                   {":authority", options_.authority},
-                                   {":path", path}});
+  hpack::assign_fields(request_headers_, {{":method", "GET"},
+                                          {":scheme", "https"},
+                                          {":authority", options_.authority},
+                                          {":path", path}});
   send_request_headers(id, end_stream, priority);
   return id;
 }
@@ -226,13 +217,13 @@ std::uint32_t ClientConnection::send_request_with_body(
   const std::uint32_t id = next_stream_id_;
   next_stream_id_ += 2;
   sent_any_request_ = true;
-  assign_fields(request_headers_,
-                {{":method", "POST"},
-                 {":scheme", "https"},
-                 {":authority", options_.authority},
-                 {":path", path},
-                 {"content-type", content_type},
-                 {"content-length", std::to_string(body.size())}});
+  hpack::assign_fields(request_headers_,
+                       {{":method", "POST"},
+                        {":scheme", "https"},
+                        {":authority", options_.authority},
+                        {":path", path},
+                        {"content-type", content_type},
+                        {"content-length", std::to_string(body.size())}});
   send_request_headers(id, /*end_stream=*/false, std::nullopt);
   Upload upload{.body = std::move(body), .offset = 0,
                 .window = h2::FlowWindow(upload_initial_window_)};
@@ -361,26 +352,35 @@ void ClientConnection::on_frame(const h2::FrameView& view) {
     apply_frame(view, nullptr);
     return;
   }
-  ReceivedFrame ev;
-  ev.sequence = events_.size();
+  // Each event rewrites a slot an earlier connection left behind: its
+  // decoded list and payload octets go to the spare lists the rewrite
+  // draws from.
+  ReceivedFrame& ev = events_.emplace_back();
+  if (!spare_events_.empty()) {
+    ev = std::move(spare_events_.back());
+    spare_events_.pop_back();
+  }
+  if (ev.headers) {
+    spare_lists_.push_back(std::move(*ev.headers));
+    ev.headers.reset();
+  }
+  ev.sequence = events_.size() - 1;
   // Payload octets for the frame kinds whose sizes probes reason about.
+  ev.header_block_size = 0;
   if (view.type() == FrameType::kData || view.type() == FrameType::kHeaders ||
       view.type() == FrameType::kPushPromise) {
     ev.header_block_size = view.body.size();
   }
   apply_frame(view, &ev);
-  events_.push_back(std::move(ev));
   if (view.type() == FrameType::kData && options_.keep == Keep::kFrameSizes) {
     // Size-only observation: the event keeps the frame's identity (type,
     // flags, stream) and header_block_size; the body octets stay behind in
     // the parser buffer.
-    Frame stripped;
-    stripped.flags = view.flags;
-    stripped.stream_id = view.stream_id;
-    stripped.payload = h2::DataPayload{};
-    events_.back().frame = std::move(stripped);
+    h2::FrameView stripped = view;
+    stripped.body = {};
+    h2::materialize_into(stripped, ev.frame, spare_octets_);
   } else {
-    events_.back().frame = h2::materialize(view);
+    h2::materialize_into(view, ev.frame, spare_octets_);
   }
 }
 
@@ -388,8 +388,16 @@ bool ClientConnection::decode_block(std::span<const std::uint8_t> block,
                                     const h2::FrameView& view,
                                     ReceivedFrame* ev) {
   if (ev != nullptr) {
-    auto decoded = decoder_.decode(block);
-    if (decoded.ok()) ev->headers = std::move(decoded).value();
+    hpack::HeaderList list;
+    if (!spare_lists_.empty()) {
+      list = std::move(spare_lists_.back());
+      spare_lists_.pop_back();
+    }
+    if (decoder_.decode_into(block, list).ok()) {
+      ev->headers = std::move(list);
+    } else {
+      spare_lists_.push_back(std::move(list));
+    }
     return true;
   }
   Status status = decoder_.decode_into(block, decoded_headers_);
@@ -454,7 +462,14 @@ void ClientConnection::apply_frame(const h2::FrameView& view,
       if (!decode_block(view.body, view, ev)) return;
       if (ev != nullptr && !ev->headers) break;  // undecodable: not a push
       last_promised_id_ = std::max(last_promised_id_, view.promised_stream_id);
-      if (ev != nullptr) upsert(pushed_, view.promised_stream_id) = *ev->headers;
+      if (ev != nullptr) {
+        hpack::HeaderList& request = upsert(pushed_, view.promised_stream_id);
+        if (request.empty() && !spare_lists_.empty()) {
+          request = std::move(spare_lists_.back());
+          spare_lists_.pop_back();
+        }
+        request = *ev->headers;
+      }
       break;
     }
     case FrameType::kSettings: {
@@ -566,17 +581,17 @@ bool ClientConnection::stream_complete(std::uint32_t stream_id) const {
   return r != nullptr && r->complete;
 }
 
-std::optional<hpack::HeaderList> ClientConnection::response_headers(
+const hpack::HeaderList* ClientConnection::response_headers(
     std::uint32_t stream_id) const {
   for (const auto& ev : events_) {
     const auto type = ev.frame.type();
     if ((type == h2::FrameType::kHeaders ||
          type == h2::FrameType::kContinuation) &&
         ev.frame.stream_id == stream_id && ev.headers) {
-      return ev.headers;
+      return &*ev.headers;
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 }  // namespace h2r::core

@@ -236,8 +236,10 @@ class ClientConnection {
   [[nodiscard]] std::size_t data_received(std::uint32_t stream_id) const;
   /// True once END_STREAM was seen on @p stream_id.
   [[nodiscard]] bool stream_complete(std::uint32_t stream_id) const;
-  /// Decoded response headers for @p stream_id (first HEADERS), if seen.
-  [[nodiscard]] std::optional<hpack::HeaderList> response_headers(
+  /// Decoded response headers for @p stream_id (first HEADERS); null when
+  /// none were seen. Valid until the connection's next receive() or
+  /// reset().
+  [[nodiscard]] const hpack::HeaderList* response_headers(
       std::uint32_t stream_id) const;
   /// Streams promised to us via PUSH_PROMISE, with their request headers,
   /// in ascending promised-stream order.
@@ -314,6 +316,13 @@ class ClientConnection {
   // the vectors keep their storage across reset(). RSTs get their own
   // vector, which is usually empty, so rst_on() usually costs nothing.
   std::vector<ReceivedFrame> events_;
+  // What reset() keeps of the events: the next connection's events rewrite
+  // these slots (kept in reverse, so slot i is rewritten by event i), and
+  // rewritten slots hand their decoded lists and payload octets to the
+  // spare lists, which new events and pushes draw from.
+  std::vector<ReceivedFrame> spare_events_;
+  std::vector<hpack::HeaderList> spare_lists_;
+  std::vector<Bytes> spare_octets_;
   std::vector<std::pair<std::uint32_t, StreamRecord>> records_;
   std::vector<std::pair<std::uint32_t, h2::ErrorCode>> rst_;
   PushList pushed_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <stdexcept>
 
 #include "net/upgrade.h"
 
@@ -73,12 +73,15 @@ EndpointLease::~EndpointLease() {
   // idling in the slot until the next lease.
   slot_->client_->release_buffers();
   slot_->server_->release_buffers();
+  slot_->transport_->release_buffers();
   slot_->leased_ = false;
 }
 
 ClientConnection& EndpointLease::client() const { return *slot_->client_; }
 
 server::Http2Server& EndpointLease::server() const { return *slot_->server_; }
+
+net::Transport& EndpointLease::transport() const { return *slot_->transport_; }
 
 EndpointLease EndpointSlot::lease(const Target& target, ClientOptions opts) {
   assert(!leased_ && "EndpointSlot leased twice");
@@ -94,6 +97,22 @@ EndpointLease EndpointSlot::lease(const Target& target, ClientOptions opts) {
     target.reset_server(*server_);
   } else {
     server_.emplace(target.make_server());
+  }
+  if (!target.faults.enabled) {
+    if (lockstep_) {
+      lockstep_->reset(target.recorder, target.ledger);
+    } else {
+      lockstep_.emplace(target.recorder, target.ledger);
+    }
+    transport_ = &*lockstep_;
+  } else {
+    const net::FaultPlan plan = target.next_fault_plan();
+    if (faulty_) {
+      faulty_->reset(plan, target.recorder, target.ledger);
+    } else {
+      faulty_.emplace(plan, target.recorder, target.ledger);
+    }
+    transport_ = &*faulty_;
   }
   return EndpointLease(this);
 }
@@ -159,16 +178,19 @@ Target Target::testbed(server::ServerProfile profile) {
   return t;
 }
 
+net::FaultPlan Target::next_fault_plan() const {
+  // Each connection gets its own plan: same target state + same faults.seed
+  // => the same sequence of plans, independent of which worker runs it.
+  std::uint64_t sm = faults.seed + 0x9E3779B97F4A7C15ull * ++transport_seq_;
+  return net::FaultPlan::generate(splitmix64(sm), faults.probability);
+}
+
 std::unique_ptr<net::Transport> Target::make_transport() const {
   if (!faults.enabled) {
     return std::make_unique<net::LockstepTransport>(recorder, ledger);
   }
-  // Each connection gets its own plan: same target state + same faults.seed
-  // => the same sequence of plans, independent of which worker runs it.
-  std::uint64_t sm = faults.seed + 0x9E3779B97F4A7C15ull * ++transport_seq_;
-  return std::make_unique<net::FaultyTransport>(
-      net::FaultPlan::generate(splitmix64(sm), faults.probability), recorder,
-      ledger);
+  return std::make_unique<net::FaultyTransport>(next_fault_plan(), recorder,
+                                                ledger);
 }
 
 // ------------------------------------------------------------- negotiation
@@ -202,9 +224,9 @@ SettingsProbeResult probe_settings(const Target& target) {
   const EndpointLease lease = target.lease_endpoints();
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   const std::uint32_t sid = client.send_request("/");
-  transport->run(client, server, target.limits);
+  transport.run(client, server, target.limits);
 
   out.settings_entry_count = client.server_settings_entry_count();
   const auto& s = client.server_settings();
@@ -214,7 +236,7 @@ SettingsProbeResult probe_settings(const Target& target) {
   out.max_frame_size = s.raw(SettingId::kMaxFrameSize);
   out.max_header_list_size = s.raw(SettingId::kMaxHeaderListSize);
   out.preemptive_window_bonus = client.preemptive_window_bonus();
-  if (auto headers = client.response_headers(sid)) {
+  if (const auto* headers = client.response_headers(sid)) {
     out.headers_received = true;
     out.server_header = std::string(hpack::find_header(*headers, "server"));
   }
@@ -230,13 +252,13 @@ MultiplexingProbeResult probe_multiplexing(const Target& target,
       target.lease_endpoints(with_initial_window(kHugeWindow));
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   std::vector<std::uint32_t> streams;
   streams.reserve(static_cast<std::size_t>(num_streams));
   for (int i = 0; i < num_streams; ++i) {
     streams.push_back(client.send_request("/large/" + std::to_string(i)));
   }
-  transport->run(client, server, target.limits);
+  transport.run(client, server, target.limits);
 
   std::uint32_t prev = 0;
   for (const auto& ev : client.events()) {
@@ -262,9 +284,9 @@ ConcurrencyLimitProbeResult probe_concurrency_limit(const Target& target) {
     const EndpointLease lease = capped.lease_endpoints();
     ClientConnection& client = lease.client();
     server::Http2Server& server = lease.server();
-    auto transport = capped.make_transport();
+    net::Transport& transport = lease.transport();
     const std::uint32_t sid = client.send_request("/small");
-    transport->run(client, server, capped.limits);
+    transport.run(client, server, capped.limits);
     out.refused_when_zero =
         client.rst_on(sid) == std::optional<ErrorCode>(ErrorCode::kRefusedStream);
   }
@@ -274,12 +296,12 @@ ConcurrencyLimitProbeResult probe_concurrency_limit(const Target& target) {
     const EndpointLease lease = capped.lease_endpoints();
     ClientConnection& client = lease.client();
     server::Http2Server& server = lease.server();
-    auto transport = capped.make_transport();
+    net::Transport& transport = lease.transport();
     // Two requests for objects large enough that the first is still active
     // when the second arrives.
     const std::uint32_t first = client.send_request("/large/0");
     const std::uint32_t second = client.send_request("/large/1");
-    transport->run(client, server, capped.limits);
+    transport.run(client, server, capped.limits);
     out.refused_second_when_one =
         !client.rst_on(first).has_value() &&
         client.rst_on(second) ==
@@ -297,11 +319,11 @@ DataFrameControlResult probe_data_frame_control(const Target& target,
       target.lease_endpoints(with_initial_window(sframe));
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   const std::uint32_t sid = client.send_request("/small");
-  transport->run(client, server, target.limits);
+  transport.run(client, server, target.limits);
 
-  out.headers_received = client.response_headers(sid).has_value();
+  out.headers_received = client.response_headers(sid) != nullptr;
   const ReceivedFrame* data = client.first_frame_of(FrameType::kData, sid);
   if (data == nullptr) {
     out.outcome = SmallWindowOutcome::kNoResponse;
@@ -323,10 +345,10 @@ ZeroWindowHeadersResult probe_zero_window_headers(const Target& target) {
   const EndpointLease lease = target.lease_endpoints(with_initial_window(0));
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   const std::uint32_t sid = client.send_request("/small");
-  transport->run(client, server, target.limits);
-  out.headers_received = client.response_headers(sid).has_value();
+  transport.run(client, server, target.limits);
+  out.headers_received = client.response_headers(sid) != nullptr;
   for (const ReceivedFrame& ev : client.events()) {
     if (ev.frame.type() == FrameType::kData && ev.frame.stream_id == sid &&
         ev.header_block_size != 0) {
@@ -345,20 +367,20 @@ WindowUpdateProbeResult probe_window_update_reactions(const Target& target) {
     const EndpointLease lease = target.lease_endpoints(opts);
     ClientConnection& client = lease.client();
     server::Http2Server& server = lease.server();
-    auto transport = target.make_transport();
+    net::Transport& transport = lease.transport();
     const std::uint32_t sid = client.send_request("/large/0");
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
     client.send_window_update(sid, 0);
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
     out.zero_on_stream = classify_update_reaction(client, sid, &out.zero_debug_data);
   }
   {  // zero increment, connection scope
     const EndpointLease lease = target.lease_endpoints();
     ClientConnection& client = lease.client();
     server::Http2Server& server = lease.server();
-    auto transport = target.make_transport();
+    net::Transport& transport = lease.transport();
     client.send_window_update(0, 0);
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
     out.zero_on_connection = classify_update_reaction(client, std::nullopt);
   }
   {  // overflowing increments, stream scope (two halves summing past 2^31-1)
@@ -367,24 +389,24 @@ WindowUpdateProbeResult probe_window_update_reactions(const Target& target) {
     const EndpointLease lease = target.lease_endpoints(opts);
     ClientConnection& client = lease.client();
     server::Http2Server& server = lease.server();
-    auto transport = target.make_transport();
+    net::Transport& transport = lease.transport();
     const std::uint32_t sid = client.send_request("/large/0");
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
     client.send_window_update(sid, kHalfWindow);
     client.send_window_update(sid, kHalfWindow);
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
     out.large_on_stream = classify_update_reaction(client, sid);
   }
   {  // overflowing increments, connection scope
     const EndpointLease lease = target.lease_endpoints();
     ClientConnection& client = lease.client();
     server::Http2Server& server = lease.server();
-    auto transport = target.make_transport();
+    net::Transport& transport = lease.transport();
     const std::uint32_t sid = client.send_request("/large/0");
     (void)sid;
     client.send_window_update(0, kHalfWindow);
     client.send_window_update(0, kHalfWindow);
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
     out.large_on_connection = classify_update_reaction(client, std::nullopt);
   }
   return out;
@@ -401,8 +423,8 @@ PriorityProbeResult probe_priority_mechanism(const Target& target) {
   const EndpointLease lease = target.lease_endpoints(opts);
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();  // one connection, six exchanges
-  return run_priority_rounds(client, server, *transport, target.limits);
+  net::Transport& transport = lease.transport();  // six exchanges
+  return run_priority_rounds(client, server, transport, target.limits);
 }
 
 PriorityProbeResult run_priority_rounds(ClientConnection& client,
@@ -432,8 +454,7 @@ PriorityProbeResult run_priority_rounds(ClientConnection& client,
   const std::uint32_t e = client.send_request("/object/5", prio(b));
   const std::uint32_t f = client.send_request("/object/6", prio(d));
   transport.run(client, server, limits);
-  out.headers_during_zero_window =
-      client.response_headers(a).has_value();
+  out.headers_during_zero_window = client.response_headers(a) != nullptr;
 
   // ...then PRIORITY frames reshaping it to  D -> A -> {B, C, F}, E under C
   // (the §5.3.3-style reprioritization the paper describes in §V-E1).
@@ -446,27 +467,41 @@ PriorityProbeResult run_priority_rounds(ClientConnection& client,
   client.send_window_update(0, 0x7FFF'0000u);
   transport.run(client, server, limits);
 
-  const std::vector<std::uint32_t> all = {a, b, c, d, e, f};
-  std::map<std::uint32_t, std::size_t> first, last;
+  // First and last DATA arrival per stream, indexed like `all`.
+  const std::array<std::uint32_t, 6> all = {a, b, c, d, e, f};
+  constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
+  std::array<std::size_t, 6> first, last;
+  first.fill(kUnseen);
+  last.fill(kUnseen);
   for (const auto& ev : client.events()) {
     if (ev.frame.type() != FrameType::kData) continue;
-    const std::uint32_t sid = ev.frame.stream_id;
-    if (std::find(all.begin(), all.end(), sid) == all.end()) continue;
-    if (!first.count(sid)) first[sid] = ev.sequence;
-    last[sid] = ev.sequence;
+    const auto at = std::find(all.begin(), all.end(), ev.frame.stream_id);
+    if (at == all.end()) continue;
+    const auto i = static_cast<std::size_t>(at - all.begin());
+    if (first[i] == kUnseen) first[i] = ev.sequence;
+    last[i] = ev.sequence;
   }
   for (std::uint32_t sid : all) {
     if (!client.stream_complete(sid)) return out;  // ran stays false
   }
   out.ran = true;
 
-  auto check = [&](const std::map<std::uint32_t, std::size_t>& seq) {
+  auto check = [](const std::array<std::size_t, 6>& seq) {
+    // A stream that completed without DATA has no arrival; reading it
+    // throws, as the lookup of a missing key would.
+    const auto at = [&seq](std::size_t i) {
+      if (seq[i] == kUnseen) {
+        throw std::out_of_range("run_priority_rounds: stream without DATA");
+      }
+      return seq[i];
+    };
     // D before everything; A before everything except D; C before E.
-    for (std::uint32_t sid : all) {
-      if (sid != d && seq.at(d) >= seq.at(sid)) return false;
-      if (sid != d && sid != a && seq.at(a) >= seq.at(sid)) return false;
+    constexpr std::size_t ia = 0, ic = 2, id = 3, ie = 4;
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      if (i != id && at(id) >= at(i)) return false;
+      if (i != id && i != ia && at(ia) >= at(i)) return false;
     }
-    return seq.at(c) < seq.at(e);
+    return at(ic) < at(ie);
   };
   out.pass_by_first_data = check(first);
   out.pass_by_last_data = check(last);
@@ -481,10 +516,10 @@ SelfDependencyProbeResult probe_self_dependency(const Target& target) {
   const EndpointLease lease = target.lease_endpoints(opts);
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   const std::uint32_t sid = client.send_request("/large/0");
   client.send_priority(sid, {.dependency = sid, .weight_field = 0});
-  transport->run(client, server, target.limits);
+  transport.run(client, server, target.limits);
   out.reaction = classify_update_reaction(client, sid);
   return out;
 }
@@ -499,9 +534,9 @@ PushProbeResult probe_server_push(const Target& target,
   const EndpointLease lease = target.lease_endpoints(opts);
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   client.send_request(page);
-  transport->run(client, server, target.limits);
+  transport.run(client, server, target.limits);
   for (const auto& [promised_id, request] : client.pushes()) {
     out.pushed_paths.emplace_back(hpack::find_header(request, ":path"));
     out.pushed_bytes += client.data_received(promised_id);
@@ -518,14 +553,14 @@ HpackProbeResult probe_hpack_ratio(const Target& target, int h,
   const EndpointLease lease = target.lease_endpoints();
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   std::vector<std::uint32_t> streams;
   streams.reserve(static_cast<std::size_t>(std::max(h, 0)));
   for (int i = 0; i < h; ++i) {
     // Sequential requests so each response block sees the dynamic table
     // state left by the previous one (§III-E).
     streams.push_back(client.send_request(path));
-    transport->run(client, server, target.limits);
+    transport.run(client, server, target.limits);
   }
   out.header_sizes.reserve(streams.size());
   for (std::uint32_t sid : streams) {
@@ -549,11 +584,11 @@ PingProbeResult probe_ping(const Target& target, int samples, Rng& rng) {
   const EndpointLease lease = target.lease_endpoints();
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
-  auto transport = target.make_transport();
+  net::Transport& transport = lease.transport();
   const std::array<std::uint8_t, 8> opaque = {0x13, 0x37, 0xC0, 0xDE,
                                               0x00, 0x01, 0x02, 0x03};
   client.send_ping(opaque);
-  transport->run(client, server, target.limits);
+  transport.run(client, server, target.limits);
   for (const auto* ev : client.frames_of(FrameType::kPing)) {
     if (ev->frame.has_flag(h2::flags::kAck) &&
         ev->frame.as<h2::PingPayload>().opaque == opaque) {

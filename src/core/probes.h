@@ -73,6 +73,9 @@ class EndpointLease {
 
   [[nodiscard]] ClientConnection& client() const;
   [[nodiscard]] server::Http2Server& server() const;
+  /// The connection's transport: lockstep, or faulty with the plan of the
+  /// target's next connection ordinal (see Target::make_transport).
+  [[nodiscard]] net::Transport& transport() const;
 
  private:
   friend class EndpointSlot;
@@ -81,15 +84,17 @@ class EndpointLease {
   EndpointSlot* slot_;
 };
 
-/// One reusable client/engine pair. Every probe connection leases it
-/// instead of constructing endpoints: lease() rewinds the pair for the
-/// target (ClientConnection::reset, then Target::reset_server — client
-/// first, so the wiretap's connection marker precedes the server preface),
-/// building it only on first use. A rewound pair is indistinguishable from
-/// a newly built one — same wire bytes, same wiretap records — while its
-/// HPACK tables and per-stream containers stay warm; when a lease ends, its
-/// transport buffers go back to the thread's BufferPool. One lease at a
-/// time: leasing a slot that is still leased is a bug (assert).
+/// One reusable client/engine pair and the transports between them. Every
+/// probe connection leases it instead of constructing endpoints: lease()
+/// rewinds the pair for the target (ClientConnection::reset, then
+/// Target::reset_server — client first, so the wiretap's connection marker
+/// precedes the server preface) and the transport the target's fault
+/// settings call for, building each only on first use. A rewound pair is
+/// indistinguishable from a newly built one — same wire bytes, same
+/// wiretap records — while its HPACK tables, event log and per-stream
+/// containers stay warm; when a lease ends, its transport buffers go back
+/// to the thread's BufferPool. One lease at a time: leasing a slot that is
+/// still leased is a bug (assert).
 class EndpointSlot {
  public:
   EndpointSlot() = default;
@@ -112,6 +117,9 @@ class EndpointSlot {
 
   std::optional<ClientConnection> client_;
   std::optional<server::Http2Server> server_;
+  std::optional<net::LockstepTransport> lockstep_;
+  std::optional<net::FaultyTransport> faulty_;
+  net::Transport* transport_ = nullptr;  ///< the leased one of the two
   bool leased_ = false;
 };
 
@@ -162,9 +170,26 @@ struct Target {
 
   /// Rewinds @p server into a fresh first connection against this target —
   /// how an EndpointSlot serves site after site without reconstructing.
+  /// The engine borrows `profile` and `site` without owning them: it must
+  /// not be used past this Target's lifetime or the next field rewrite.
+  /// The slot keeps that promise, since it reads its engine only while
+  /// leased and re-points it at every lease.
   void reset_server(server::Http2Server& server) const {
-    server.reset(shared_profile(), shared_site(),
+    server.reset(std::shared_ptr<const server::ServerProfile>(
+                     std::shared_ptr<void>(), &profile),
+                 std::shared_ptr<const server::Site>(std::shared_ptr<void>(),
+                                                     &site),
                  server::Http2Server::StartMode::kTls, recorder);
+  }
+
+  /// Back to connection ordinal 0, with no cached shared copies: what a
+  /// Target newly built with the current fields would be. For a Target
+  /// whose fields were rewritten for another host
+  /// (corpus::SiteSpec::fill_target).
+  void restart() {
+    transport_seq_ = 0;
+    cached_profile_.reset();
+    cached_site_.reset();
   }
 
   /// ClientOptions pre-wired to this target's recorder. Probes reason about
@@ -175,22 +200,28 @@ struct Target {
     return opts;
   }
 
-  /// A fresh client/engine pair for the next connection against this
-  /// target, leased from `endpoints` (or the target's own slot). Hold the
-  /// lease for the connection's lifetime; the transport comes separately
-  /// from make_transport().
+  /// A fresh client/engine pair and transport for the next connection
+  /// against this target, leased from `endpoints` (or the target's own
+  /// slot). Hold the lease for the connection's lifetime.
   [[nodiscard]] EndpointLease lease_endpoints(ClientOptions opts = {}) const;
 
-  /// The transport for the next connection against this target: lockstep
-  /// when faults are off, otherwise a FaultyTransport whose plan is derived
-  /// from (faults.seed, connection ordinal). One transport models one
-  /// connection — probes that reuse a connection reuse its transport.
+  /// A newly built transport for the next connection against this target:
+  /// lockstep when faults are off, otherwise a FaultyTransport whose plan
+  /// is derived from (faults.seed, connection ordinal). One transport
+  /// models one connection — probes that reuse a connection reuse its
+  /// transport. Probes take theirs from the lease instead, which rewinds
+  /// the slot's transport to the same state.
   [[nodiscard]] std::unique_ptr<net::Transport> make_transport() const;
 
   /// A target wired to the paper's testbed content for @p profile.
   static Target testbed(server::ServerProfile profile);
 
  private:
+  friend class EndpointSlot;
+
+  /// The fault plan of the next connection (advances the ordinal).
+  [[nodiscard]] net::FaultPlan next_fault_plan() const;
+
   [[nodiscard]] const std::shared_ptr<const server::ServerProfile>&
   shared_profile() const;
   [[nodiscard]] const std::shared_ptr<const server::Site>& shared_site() const;

@@ -34,7 +34,7 @@ void ProbeSession::ensure_baseline() {
   baseline_done_ = true;
 
   lease_.emplace(slot_->lease(target_));
-  transport_ = target_.make_transport();
+  transport_ = &lease_->transport();
 
   // The baseline conversation is the byte-identical prefix of the fresh
   // settings probe (request 1), the fresh push probe (request 1's
@@ -68,7 +68,8 @@ SettingsProbeResult ProbeSession::settings() {
   out.max_frame_size = s.raw(SettingId::kMaxFrameSize);
   out.max_header_list_size = s.raw(SettingId::kMaxHeaderListSize);
   out.preemptive_window_bonus = client.preemptive_window_bonus();
-  if (auto headers = client.response_headers(baseline_streams_.front())) {
+  if (const auto* headers =
+          client.response_headers(baseline_streams_.front())) {
     out.headers_received = true;
     out.server_header = std::string(hpack::find_header(*headers, "server"));
   }
@@ -171,9 +172,10 @@ HpackProbeResult ProbeSession::hpack_ratio() {
   HpackProbeResult out;
   const ClientConnection& client = lease_->client();
   for (std::uint32_t sid : baseline_streams_) {
-    const auto headers = client.frames_of(FrameType::kHeaders, sid);
-    if (headers.empty()) return out;  // ran stays false
-    out.header_sizes.push_back(headers.front()->header_block_size);
+    const ReceivedFrame* headers =
+        client.first_frame_of(FrameType::kHeaders, sid);
+    if (headers == nullptr) return out;  // ran stays false
+    out.header_sizes.push_back(headers->header_block_size);
   }
   const double s1 = static_cast<double>(out.header_sizes.front());
   double sum = 0;

@@ -108,7 +108,7 @@ class ProbeSession {
   EndpointSlot own_;     // leased when no slot was passed
   EndpointSlot* slot_;   // where client/server actually live
   std::optional<EndpointLease> lease_;  // held from the baseline on
-  std::unique_ptr<net::Transport> transport_;
+  net::Transport* transport_ = nullptr;  // the lease's, from the baseline on
   std::vector<std::uint32_t> baseline_streams_;
   bool baseline_done_ = false;
   /// The baseline ran to quiescence with the connection healthy; the

@@ -1,6 +1,7 @@
 #include "corpus/population.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -91,113 +92,156 @@ std::vector<T> reaction_column(std::size_t n,
 }
 
 /// The content every corpus site serves: enough objects for every scan
-/// probe, sized for scan throughput rather than testbed fidelity.
-server::Site corpus_site(const SiteSpec& spec) {
-  server::Site site(spec.host);
-  site.add_resource({.path = "/", .size = 2'048, .content_type = "text/html"});
-  site.add_resource({.path = "/small", .size = 48, .content_type = "text/plain"});
-  // One object larger than the 65,535-octet connection window for the
-  // window-update and self-dependency probes.
-  site.add_resource({.path = "/large/0",
-                     .size = 128 * 1024,
-                     .content_type = "application/octet-stream"});
-  site.add_resource({.path = "/large/1",
-                     .size = 128 * 1024,
-                     .content_type = "application/octet-stream"});
-  // Seven equal objects for Algorithm 1 (one drain + six prioritized).
-  for (int i = 0; i < 7; ++i) {
-    site.add_resource({.path = "/object/" + std::to_string(i),
-                       .size = 64 * 1024,
+/// probe, sized for scan throughput rather than testbed fidelity. One
+/// shape with push resources and one without, built once.
+const server::Site& corpus_content(bool push) {
+  const auto build = [](bool with_push) {
+    server::Site site;
+    site.add_resource(
+        {.path = "/", .size = 2'048, .content_type = "text/html"});
+    site.add_resource(
+        {.path = "/small", .size = 48, .content_type = "text/plain"});
+    // One object larger than the 65,535-octet connection window for the
+    // window-update and self-dependency probes.
+    site.add_resource({.path = "/large/0",
+                       .size = 128 * 1024,
                        .content_type = "application/octet-stream"});
-  }
-  if (spec.supports_push) {
-    site.add_resource(
-        {.path = "/style.css", .size = 4'096, .content_type = "text/css"});
-    site.add_resource({.path = "/app.js",
-                       .size = 8'192,
-                       .content_type = "application/javascript"});
-    site.add_resource(
-        {.path = "/logo.png", .size = 16'384, .content_type = "image/png"});
-    site.set_push_list("/", {"/style.css", "/app.js", "/logo.png"});
-  }
-  // Site-specific response headers give the HPACK probe per-site variety.
+    site.add_resource({.path = "/large/1",
+                       .size = 128 * 1024,
+                       .content_type = "application/octet-stream"});
+    // Seven equal objects for Algorithm 1 (one drain + six prioritized).
+    for (int i = 0; i < 7; ++i) {
+      site.add_resource({.path = "/object/" + std::to_string(i),
+                         .size = 64 * 1024,
+                         .content_type = "application/octet-stream"});
+    }
+    if (with_push) {
+      site.add_resource(
+          {.path = "/style.css", .size = 4'096, .content_type = "text/css"});
+      site.add_resource({.path = "/app.js",
+                         .size = 8'192,
+                         .content_type = "application/javascript"});
+      site.add_resource(
+          {.path = "/logo.png", .size = 16'384, .content_type = "image/png"});
+      site.set_push_list("/", {"/style.css", "/app.js", "/logo.png"});
+    }
+    return site;
+  };
+  static const server::Site with_push = build(true);
+  static const server::Site without_push = build(false);
+  return push ? with_push : without_push;
+}
+
+/// Rewrites @p site as the corpus site of @p spec: the content shape, the
+/// host, and site-specific response headers that give the HPACK probe
+/// per-site variety.
+void corpus_site_into(const SiteSpec& spec, server::Site& site) {
+  site.assign_content(corpus_content(spec.supports_push));
+  site.set_host(spec.host);
+  site.clear_response_headers();
   std::uint64_t h = 0x9E3779B97F4A7C15ull;
   for (char c : spec.host) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ull;
   static const char* kNames[] = {"x-cache",       "via",         "etag",
                                  "cache-control", "x-request-id", "vary",
                                  "x-frame-options"};
   for (int i = 0; i < spec.extra_header_count; ++i) {
-    site.add_response_header(kNames[i % 7],
-                             "v" + std::to_string((h >> (i * 8)) & 0xFFFF));
+    char value[8];  // "v" and at most five digits
+    std::snprintf(value, sizeof value, "v%u",
+                  static_cast<unsigned>((h >> (i * 8)) & 0xFFFF));
+    site.add_response_header(kNames[i % 7], value);
   }
   site.set_cookie_churn(spec.cookie_churn);
-  return site;
 }
 
-}  // namespace
-
-ServerProfile SiteSpec::to_profile() const {
-  ServerProfile p;
-  const bool known = family.rfind("other-", 0) != 0;
+/// to_profile() into @p p, keeping its strings' storage.
+void fill_profile(const SiteSpec& spec, ServerProfile& p) {
+  const bool known = spec.family.rfind("other-", 0) != 0;
   if (known) {
-    p = server::profile_by_key(family);
+    const ServerProfile* base = server::find_profile(spec.family);
+    if (base == nullptr) {
+      throw std::out_of_range("unknown server profile: " + spec.family);
+    }
+    p = *base;
   } else {
-    p.key = family;
-    p.server_header = family + "/1.0";
+    static const ServerProfile kDefault;
+    p = kDefault;
+    p.key = spec.family;
+    p.server_header.assign(spec.family).append("/1.0");
   }
-  p.tls.supports_alpn = alpn_h2;
-  p.tls.supports_npn = npn_h2;
-  if (!responds) {
+  p.tls.supports_alpn = spec.alpn_h2;
+  p.tls.supports_npn = spec.npn_h2;
+  if (!spec.responds) {
     // Site negotiates h2 but never answers requests: it refuses every
     // stream, so the scanner sees no HEADERS and records it as
     // non-responding (the gap between §V-B's NPN/ALPN counts and the
     // HEADERS counts).
     p.max_concurrent_streams = 0;
-    return p;
+    return;
   }
 
-  if (null_settings) {
+  if (spec.null_settings) {
     p.max_concurrent_streams = std::nullopt;
     p.initial_window_size = std::nullopt;
     p.max_frame_size = std::nullopt;
     p.max_header_list_size = std::nullopt;
     p.window_update_after_settings = false;
   } else {
-    p.max_concurrent_streams = max_concurrent_streams;
-    p.initial_window_size = initial_window_size;
-    p.max_frame_size = max_frame_size;
-    p.max_header_list_size = max_header_list_size;
+    p.max_concurrent_streams = spec.max_concurrent_streams;
+    p.initial_window_size = spec.initial_window_size;
+    p.max_frame_size = spec.max_frame_size;
+    p.max_header_list_size = spec.max_header_list_size;
     // The Nginx idiom (§V-C): sites announcing window 0 immediately re-open
     // the connection window.
     p.window_update_after_settings =
-        initial_window_size.has_value() && *initial_window_size == 0;
+        spec.initial_window_size.has_value() && *spec.initial_window_size == 0;
     p.connection_window_bonus =
         p.window_update_after_settings ? 0x7FFF0000u - 65'535 : 0;
   }
 
-  p.small_window_behavior = small_window;
-  p.flow_control_on_headers = flow_control_on_headers;
-  p.zero_window_update_stream = zero_wu_stream;
-  p.zero_window_update_connection = zero_wu_conn;
-  p.large_window_update_stream = large_wu_stream;
-  p.large_window_update_connection = large_wu_conn;
-  p.scheduler = scheduler;
-  p.self_dependency = self_dependency;
-  p.supports_push = supports_push;
-  p.response_indexing = hpack_aggressive ? hpack::IndexingPolicy::kAggressive
-                                         : hpack::IndexingPolicy::kStaticOnly;
+  p.small_window_behavior = spec.small_window;
+  p.flow_control_on_headers = spec.flow_control_on_headers;
+  p.zero_window_update_stream = spec.zero_wu_stream;
+  p.zero_window_update_connection = spec.zero_wu_conn;
+  p.large_window_update_stream = spec.large_wu_stream;
+  p.large_window_update_connection = spec.large_wu_conn;
+  p.scheduler = spec.scheduler;
+  p.self_dependency = spec.self_dependency;
+  p.supports_push = spec.supports_push;
+  p.response_indexing = spec.hpack_aggressive
+                            ? hpack::IndexingPolicy::kAggressive
+                            : hpack::IndexingPolicy::kStaticOnly;
+}
+
+}  // namespace
+
+ServerProfile SiteSpec::to_profile() const {
+  ServerProfile p;
+  fill_profile(*this, p);
   return p;
 }
 
-core::Target SiteSpec::to_target() const {
-  core::Target t;
+void SiteSpec::fill_target(core::Target& t) const {
   t.host = host;
-  t.profile = to_profile();
-  t.site = corpus_site(*this);
+  fill_profile(*this, t.profile);
+  corpus_site_into(*this, t.site);
+  // The path and every probe-wiring field start from Target's defaults.
+  static const core::Target kDefault;
+  t.path = kDefault.path;
   t.path.label = host;
   t.path.base_rtt_ms = base_rtt_ms;
   t.path.loss_rate = loss_rate;
   t.offers_h2 = npn_h2 || alpn_h2;
+  t.recorder = kDefault.recorder;
+  t.limits = kDefault.limits;
+  t.faults = kDefault.faults;
+  t.ledger = kDefault.ledger;
+  t.endpoints = kDefault.endpoints;
+  t.restart();
+}
+
+core::Target SiteSpec::to_target() const {
+  core::Target t;
+  fill_target(t);
   return t;
 }
 

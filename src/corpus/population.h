@@ -59,6 +59,12 @@ struct SiteSpec {
   [[nodiscard]] server::ServerProfile to_profile() const;
   /// Materializes a full probe target (profile + content + path).
   [[nodiscard]] core::Target to_target() const;
+
+  /// to_target() into an existing target: @p out ends up equal to what it
+  /// returns, and a string, list or map that already holds the right shape
+  /// keeps its storage. The scan rewrites one Target per worker this way
+  /// instead of building one per site.
+  void fill_target(core::Target& out) const;
 };
 
 struct Population {

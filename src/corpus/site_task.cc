@@ -225,7 +225,11 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
       if (hpack.ratio > 1.0) {
         ++r.hpack_filtered_out;  // the paper drops r > 1 (§V-G)
       } else {
-        r.hpack_ratio_by_family[spec.family].push_back(hpack.ratio);
+        // Room for a worker's first samples in one allocation: a small
+        // scan's family lists stop there.
+        std::vector<double>& ratios = r.hpack_ratio_by_family[spec.family];
+        if (ratios.capacity() == 0) ratios.reserve(16);
+        ratios.push_back(hpack.ratio);
       }
     }
   }
@@ -319,7 +323,8 @@ void fold_site(const SiteSpec& spec, const ScanOptions& opts,
 void scan_site(const SiteSpec& spec, const ScanOptions& opts,
                ScanReport& report, SiteScratch& scratch) {
   scratch.reset();
-  Target target = spec.to_target();
+  Target& target = scratch.target;
+  spec.fill_target(target);
   target.endpoints = &scratch.endpoints;
 
   // One ledger per site: every connection any probe opens against this

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 
 namespace h2r::h2 {
 namespace {
@@ -443,69 +445,124 @@ Result<FrameView> FrameParser::parse_view(std::uint8_t type,
   return v;
 }
 
+namespace {
+
+/// The octet buffer @p payload owns, moved out (empty for fixed-size
+/// payloads).
+Bytes take_octets(FramePayload& payload) {
+  return std::visit(
+      [](auto& p) -> Bytes {
+        using P = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<P, DataPayload> ||
+                      std::is_same_v<P, UnknownPayload>) {
+          return std::move(p.data);
+        } else if constexpr (std::is_same_v<P, HeadersPayload> ||
+                             std::is_same_v<P, PushPromisePayload> ||
+                             std::is_same_v<P, ContinuationPayload>) {
+          return std::move(p.fragment);
+        } else if constexpr (std::is_same_v<P, GoawayPayload>) {
+          return std::move(p.debug_data);
+        } else {
+          return Bytes{};
+        }
+      },
+      payload);
+}
+
+}  // namespace
+
 Frame materialize(const FrameView& view) {
   Frame f;
-  f.flags = view.flags;
-  f.stream_id = view.stream_id;
+  std::vector<Bytes> none;
+  materialize_into(view, f, none);
+  return f;
+}
+
+void materialize_into(const FrameView& view, Frame& out,
+                      std::vector<Bytes>& spare) {
+  out.flags = view.flags;
+  out.stream_id = view.stream_id;
   const auto& body = view.body;
+
+  if (view.type() == FrameType::kSettings) {
+    // Entries, not octets: keep the old entry list when there is one.
+    std::vector<std::pair<std::uint16_t, std::uint32_t>> entries;
+    if (auto* old = std::get_if<SettingsPayload>(&out.payload)) {
+      entries = std::move(old->entries);
+    } else if (Bytes old_octets = take_octets(out.payload);
+               old_octets.capacity() != 0) {
+      spare.push_back(std::move(old_octets));
+    }
+    entries.clear();
+    entries.reserve(view.settings_entry_count());
+    for (std::size_t i = 0; i < view.settings_entry_count(); ++i) {
+      entries.push_back(view.setting_at(i));
+    }
+    out.payload.emplace<SettingsPayload>().entries = std::move(entries);
+    return;
+  }
+
+  if (Bytes old = take_octets(out.payload); old.capacity() != 0) {
+    spare.push_back(std::move(old));
+  }
+  // The payload's octet copy, in a spare buffer when one is left.
+  const auto octets = [&] {
+    Bytes b;
+    if (!body.empty() && !spare.empty()) {
+      b = std::move(spare.back());
+      spare.pop_back();
+    }
+    b.assign(body.begin(), body.end());
+    return b;
+  };
 
   switch (view.type()) {
     case FrameType::kData:
-      f.payload = DataPayload{.data = Bytes(body.begin(), body.end())};
-      return f;
+      out.payload.emplace<DataPayload>().data = octets();
+      return;
     case FrameType::kHeaders: {
-      HeadersPayload hp;
+      auto& hp = out.payload.emplace<HeadersPayload>();
       hp.priority = view.priority;
-      hp.fragment.assign(body.begin(), body.end());
-      f.payload = std::move(hp);
-      return f;
+      hp.fragment = octets();
+      return;
     }
     case FrameType::kPriority:
-      f.payload = PriorityPayload{.info = view.priority.value_or(PriorityInfo{})};
-      return f;
+      out.payload.emplace<PriorityPayload>().info =
+          view.priority.value_or(PriorityInfo{});
+      return;
     case FrameType::kRstStream:
-      f.payload = RstStreamPayload{.error = view.error};
-      return f;
-    case FrameType::kSettings: {
-      SettingsPayload sp;
-      sp.entries.reserve(view.settings_entry_count());
-      for (std::size_t i = 0; i < view.settings_entry_count(); ++i) {
-        sp.entries.push_back(view.setting_at(i));
-      }
-      f.payload = std::move(sp);
-      return f;
-    }
+      out.payload.emplace<RstStreamPayload>().error = view.error;
+      return;
+    case FrameType::kSettings:
+      return;  // handled above
     case FrameType::kPushPromise: {
-      PushPromisePayload pp;
+      auto& pp = out.payload.emplace<PushPromisePayload>();
       pp.promised_stream_id = view.promised_stream_id;
-      pp.fragment.assign(body.begin(), body.end());
-      f.payload = std::move(pp);
-      return f;
+      pp.fragment = octets();
+      return;
     }
     case FrameType::kPing: {
-      PingPayload pp;
+      auto& pp = out.payload.emplace<PingPayload>();
       std::copy(body.begin(), body.end(), pp.opaque.begin());
-      f.payload = pp;
-      return f;
+      return;
     }
     case FrameType::kGoaway: {
-      GoawayPayload gp;
+      auto& gp = out.payload.emplace<GoawayPayload>();
       gp.last_stream_id = view.last_stream_id;
       gp.error = view.error;
-      gp.debug_data.assign(body.begin(), body.end());
-      f.payload = std::move(gp);
-      return f;
+      gp.debug_data = octets();
+      return;
     }
     case FrameType::kWindowUpdate:
-      f.payload = WindowUpdatePayload{.increment = view.increment};
-      return f;
+      out.payload.emplace<WindowUpdatePayload>().increment = view.increment;
+      return;
     case FrameType::kContinuation:
-      f.payload = ContinuationPayload{.fragment = Bytes(body.begin(), body.end())};
-      return f;
+      out.payload.emplace<ContinuationPayload>().fragment = octets();
+      return;
   }
-  f.payload =
-      UnknownPayload{.type = view.raw_type, .data = Bytes(body.begin(), body.end())};
-  return f;
+  auto& up = out.payload.emplace<UnknownPayload>();
+  up.type = view.raw_type;
+  up.data = octets();
 }
 
 }  // namespace h2r::h2

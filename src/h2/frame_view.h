@@ -22,6 +22,7 @@
 
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "h2/frame.h"
 
@@ -77,5 +78,15 @@ struct FrameView {
 /// Owning Frame built from a view — the copies happen here, and only for
 /// callers that ask.
 [[nodiscard]] Frame materialize(const FrameView& view);
+
+/// Rewrites @p out as materialize(@p view) would build it, reusing storage
+/// instead of allocating: the octet buffer of @p out's old payload (DATA
+/// bytes, a header-block fragment, GOAWAY debug data) goes onto @p spare,
+/// the new payload's octets are copied into a buffer taken from it, and a
+/// SETTINGS frame rewritten as SETTINGS keeps its entry list. An event log
+/// that rewrites its slots through one spare list stops allocating once
+/// every buffer has grown to its largest payload.
+void materialize_into(const FrameView& view, Frame& out,
+                      std::vector<Bytes>& spare);
 
 }  // namespace h2r::h2

@@ -10,13 +10,32 @@ namespace h2r::h2 {
 PriorityTree::PriorityTree() { nodes_[kConnectionStreamId] = Node{}; }
 
 void PriorityTree::clear() {
-  nodes_.erase(std::next(nodes_.begin()), nodes_.end());
+  while (nodes_.size() > 1) keep_spare(nodes_.extract(std::prev(nodes_.end())));
   Node& root = nodes_.begin()->second;
   root.children.clear();
   root.weight = kDefaultWeight;
   root.parent = 0;
   root.vtime = 0;
   root.self_vtime = 0;
+}
+
+PriorityTree::Node& PriorityTree::add_node(std::uint32_t id) {
+  if (spare_.empty()) return nodes_.try_emplace(id).first->second;
+  NodeTable::node_type handle = std::move(spare_.back());
+  spare_.pop_back();
+  handle.key() = id;
+  Node& n = handle.mapped();
+  std::vector<std::uint32_t> children = std::move(n.children);
+  children.clear();
+  n = Node{};
+  n.children = std::move(children);
+  return nodes_.insert(std::move(handle)).position->second;
+}
+
+void PriorityTree::keep_spare(NodeTable::node_type handle) {
+  if (spare_.size() >= kSpareNodes) return;
+  if (spare_.capacity() == 0) spare_.reserve(kSpareNodes);
+  spare_.push_back(std::move(handle));
 }
 
 PriorityTree::Node& PriorityTree::node(std::uint32_t id) {
@@ -34,7 +53,7 @@ const PriorityTree::Node& PriorityTree::node(std::uint32_t id) const {
 void PriorityTree::ensure_exists(std::uint32_t id) {
   if (nodes_.count(id)) return;
   // Phantom node: referenced before being declared. Default priority.
-  nodes_[id] = Node{};
+  add_node(id);
   nodes_[kConnectionStreamId].children.push_back(id);
 }
 
@@ -93,16 +112,14 @@ Status PriorityTree::declare(std::uint32_t stream_id, const PriorityInfo& info) 
   }
   if (contains(stream_id)) return reprioritize(stream_id, info);
   ensure_exists(info.dependency);
-  Node node;
-  node.weight = info.weight();
-  nodes_[stream_id] = node;
+  add_node(stream_id).weight = info.weight();
   attach(stream_id, info.dependency, info.exclusive);
   return OkStatus();
 }
 
 Status PriorityTree::declare_default(std::uint32_t stream_id) {
   if (contains(stream_id)) return OkStatus();  // phantom already made
-  nodes_[stream_id] = Node{};
+  add_node(stream_id);
   nodes_[kConnectionStreamId].children.push_back(stream_id);
   return OkStatus();
 }
@@ -135,8 +152,9 @@ Status PriorityTree::reprioritize(std::uint32_t stream_id,
 
 void PriorityTree::remove(std::uint32_t stream_id) {
   if (stream_id == kConnectionStreamId || !contains(stream_id)) return;
-  Node removed = node(stream_id);
   detach(stream_id);
+  NodeTable::node_type handle = nodes_.extract(stream_id);
+  const Node& removed = handle.mapped();
 
   // §5.3.4: children become dependents of our parent; their weights are
   // scaled in proportion to ours.
@@ -153,7 +171,7 @@ void PriorityTree::remove(std::uint32_t stream_id) {
     }
     parent.children.push_back(child);
   }
-  nodes_.erase(stream_id);
+  keep_spare(std::move(handle));
 }
 
 bool PriorityTree::subtree_wants(
@@ -197,40 +215,45 @@ std::uint32_t PriorityTree::next_stream_fair(
   // the stream with the smallest served/share quotient goes next, ties to
   // the earliest stream id. First-byte order therefore follows *arrival*,
   // while completion order follows the dependency tree.
-  std::map<std::uint32_t, double> share;
-  const std::function<void(std::uint32_t, double)> assign =
-      [&](std::uint32_t id, double s) {
-        const Node& n = node(id);
-        const bool self_eager = id != kConnectionStreamId && wants_data(id);
-        double total = self_eager ? static_cast<double>(n.weight) : 0.0;
-        std::vector<std::uint32_t> eager;
-        for (std::uint32_t child : n.children) {
-          if (!subtree_wants(child, wants_data)) continue;
-          eager.push_back(child);
-          total += static_cast<double>(node(child).weight);
-        }
-        if (total <= 0) return;
-        if (self_eager) {
-          share[id] = s * static_cast<double>(n.weight) / total;
-        }
-        for (std::uint32_t child : eager) {
-          assign(child, s * static_cast<double>(node(child).weight) / total);
-        }
-      };
-  assign(kConnectionStreamId, 1.0);
+  FairPick pick{.best = 0,
+                .best_key = std::numeric_limits<double>::infinity()};
+  fair_visit(kConnectionStreamId, 1.0, wants_data, pick);
+  return pick.best;
+}
 
-  std::uint32_t best = 0;
-  double best_key = std::numeric_limits<double>::infinity();
-  for (const auto& [id, s] : share) {  // ascending id => arrival tie-break
-    const Node& n = node(id);
-    const double served = n.self_vtime * static_cast<double>(n.weight);
-    const double key = served / s;
-    if (key < best_key) {
-      best_key = key;
-      best = id;
+void PriorityTree::fair_visit(
+    std::uint32_t id, double share,
+    const std::function<bool(std::uint32_t)>& wants_data,
+    FairPick& pick) const {
+  const Node& n = node(id);
+  const bool self_eager = id != kConnectionStreamId && wants_data(id);
+  double total = self_eager ? static_cast<double>(n.weight) : 0.0;
+  // This level's eager children sit at eager_[level, end); deeper levels
+  // push above them and pop back before the loop below reads on.
+  const std::size_t level = eager_.size();
+  for (std::uint32_t child : n.children) {
+    if (!subtree_wants(child, wants_data)) continue;
+    eager_.push_back(child);
+    total += static_cast<double>(node(child).weight);
+  }
+  const std::size_t end = eager_.size();
+  if (total > 0) {
+    if (self_eager) {
+      const double s = share * static_cast<double>(n.weight) / total;
+      const double key = n.self_vtime * static_cast<double>(n.weight) / s;
+      if (key < pick.best_key ||
+          (key == pick.best_key && pick.best != 0 && id < pick.best)) {
+        pick.best = id;
+        pick.best_key = key;
+      }
+    }
+    for (std::size_t i = level; i < end; ++i) {
+      const std::uint32_t child = eager_[i];
+      fair_visit(child, share * static_cast<double>(node(child).weight) / total,
+                 wants_data, pick);
     }
   }
-  return best;
+  eager_.resize(level);
 }
 
 void PriorityTree::account(std::uint32_t stream_id, std::size_t octets) {

@@ -29,7 +29,7 @@ class PriorityTree {
   PriorityTree();
 
   /// Back to just the root (what the constructor builds), keeping the
-  /// root's child storage.
+  /// nodes' storage for the streams declared next.
   void clear();
 
   /// Inserts (or re-declares) @p stream_id with the given priority triple.
@@ -88,6 +88,25 @@ class PriorityTree {
     double vtime = 0;       // weighted service of the whole subtree
     double self_vtime = 0;  // weighted service of this node's own stream
   };
+  using NodeTable = std::map<std::uint32_t, Node>;
+  /// Removed nodes kept for reuse, children storage and all.
+  static constexpr std::size_t kSpareNodes = 32;
+
+  /// The best stream of a fair pick so far.
+  struct FairPick {
+    std::uint32_t best = 0;
+    double best_key = 0;
+  };
+
+  /// Adds an absent @p id as a default Node, reusing a spare map node.
+  Node& add_node(std::uint32_t id);
+  /// Keeps @p handle's node for add_node, while there is room.
+  void keep_spare(NodeTable::node_type handle);
+  /// next_stream_fair's walk: offers every eager stream under @p id, whose
+  /// subtree owns bandwidth share @p share, to @p pick.
+  void fair_visit(std::uint32_t id, double share,
+                  const std::function<bool(std::uint32_t)>& wants_data,
+                  FairPick& pick) const;
 
   Node& node(std::uint32_t id);
   [[nodiscard]] const Node& node(std::uint32_t id) const;
@@ -98,7 +117,10 @@ class PriorityTree {
       std::uint32_t id,
       const std::function<bool(std::uint32_t)>& wants_data) const;
 
-  std::map<std::uint32_t, Node> nodes_;  // includes the root, id 0
+  NodeTable nodes_;  // includes the root, id 0
+  std::vector<NodeTable::node_type> spare_;
+  /// fair_visit's stack of eager children, one run per tree level.
+  mutable std::vector<std::uint32_t> eager_;
 };
 
 }  // namespace h2r::h2

@@ -20,7 +20,6 @@ void Decoder::set_max_table_capacity(std::uint32_t capacity) {
 
 Result<HeaderList> Decoder::decode(std::span<const std::uint8_t> block) {
   HeaderList out;
-  out.reserve(8);  // typical request/response blocks; avoids growth churn
   H2R_RETURN_IF_ERROR(decode_into(block, out));
   return out;
 }
@@ -28,6 +27,8 @@ Result<HeaderList> Decoder::decode(std::span<const std::uint8_t> block) {
 Status Decoder::decode_into(std::span<const std::uint8_t> block,
                             HeaderList& out) {
   ByteReader in(block);
+  // Typical request/response blocks fit: a new list skips growth churn.
+  if (out.capacity() == 0) out.reserve(8);
   std::size_t count = 0;  // fields decoded; out[count..] is spare storage
   std::size_t list_size = 0;
 

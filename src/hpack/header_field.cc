@@ -15,4 +15,18 @@ std::string_view find_header(const HeaderList& headers, std::string_view name) {
   return {};
 }
 
+void assign_fields(
+    HeaderList& list,
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        fields) {
+  list.resize(fields.size());
+  auto it = list.begin();
+  for (const auto& [name, value] : fields) {
+    it->name.assign(name);
+    it->value.assign(value);
+    it->never_indexed = false;
+    ++it;
+  }
+}
+
 }  // namespace h2r::hpack

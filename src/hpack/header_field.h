@@ -3,8 +3,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace h2r::hpack {
@@ -35,5 +37,12 @@ std::size_t header_list_size(const HeaderList& headers) noexcept;
 
 /// Looks up the first field with @p name; empty view when absent.
 std::string_view find_header(const HeaderList& headers, std::string_view name);
+
+/// Overwrites @p list with @p fields (never_indexed off), assigning into the
+/// existing entries' strings so a reused list allocates nothing once warm.
+void assign_fields(
+    HeaderList& list,
+    std::initializer_list<std::pair<std::string_view, std::string_view>>
+        fields);
 
 }  // namespace h2r::hpack

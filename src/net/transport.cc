@@ -358,9 +358,28 @@ FaultyTransport::FaultyTransport(FaultPlan plan, trace::Recorder* recorder,
       chunk_rng_(plan.seed ^ 0x9E3779B97F4A7C15ull),
       fault_armed_(plan.kind != FaultKind::kNone) {}
 
-FaultyTransport::~FaultyTransport() {
+FaultyTransport::~FaultyTransport() { release_buffers(); }
+
+void FaultyTransport::reset(FaultPlan plan, trace::Recorder* recorder,
+                            ExchangeLedger* ledger) {
+  recorder_ = recorder;
+  ledger_ = ledger;
+  plan_ = plan;
+  chunk_rng_ = Rng(plan.seed ^ 0x9E3779B97F4A7C15ull);
+  c2s_.rewind(true);
+  s2c_.rewind(false);
+  fault_armed_ = plan.kind != FaultKind::kNone;
+  fault_fired_ = false;
+  disconnected_ = false;
+}
+
+void FaultyTransport::release_buffers() {
   BufferPool::local().release(std::move(c2s_.pending));
   BufferPool::local().release(std::move(s2c_.pending));
+  c2s_.pending.clear();
+  s2c_.pending.clear();
+  c2s_.pos = 0;
+  s2c_.pos = 0;
 }
 
 void FaultyTransport::hold(DirState& d, Bytes& fresh) {

@@ -268,6 +268,11 @@ class Transport {
   [[nodiscard]] trace::Recorder* recorder() const noexcept { return recorder_; }
   [[nodiscard]] ExchangeLedger* ledger() const noexcept { return ledger_; }
 
+  /// Hands the delivery buffers the transport holds back to the thread's
+  /// BufferPool; the connection is over (core::EndpointLease calls this
+  /// when it ends, as destruction would).
+  virtual void release_buffers() {}
+
  protected:
   friend class ExchangeDriver;
 
@@ -365,6 +370,12 @@ class LockstepTransport final : public Transport {
  public:
   using Transport::Transport;
 
+  /// Rewinds to the state of LockstepTransport(@p recorder, @p ledger).
+  void reset(trace::Recorder* recorder, ExchangeLedger* ledger) {
+    recorder_ = recorder;
+    ledger_ = ledger;
+  }
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "lockstep";
   }
@@ -426,6 +437,13 @@ class FaultyTransport final : public Transport {
   /// Hands the per-direction hold buffers to the thread's BufferPool.
   ~FaultyTransport() override;
 
+  /// Rewinds to the state of FaultyTransport(@p plan, @p recorder,
+  /// @p ledger), keeping the hold buffers' storage: one transport serves
+  /// connection after connection of a core::EndpointSlot.
+  void reset(FaultPlan plan, trace::Recorder* recorder,
+             ExchangeLedger* ledger);
+  void release_buffers() override;
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "faulty";
   }
@@ -444,6 +462,15 @@ class FaultyTransport final : public Transport {
   /// One direction's delivery state, persistent across run() calls.
   struct DirState {
     explicit DirState(bool client_to_server) : cursor(client_to_server) {}
+    /// Back to DirState(@p client_to_server), keeping `pending`'s storage.
+    void rewind(bool client_to_server) {
+      pending.clear();
+      pos = 0;
+      offset = 0;
+      stall_left = 0;
+      cut = false;
+      cursor = WireCursor(client_to_server);
+    }
     Bytes pending;          ///< taken from the source, not yet delivered
     std::size_t pos = 0;    ///< consumed prefix of `pending`
     std::uint64_t offset = 0;  ///< cumulative octets delivered in this dir

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 
 namespace h2r::server {
 namespace {
@@ -227,14 +228,14 @@ void Http2Server::receive(std::span<const std::uint8_t> bytes) {
 
     // §3.2: the upgraded request becomes stream 1, half-closed (remote).
     last_client_stream_id_ = 1;
-    Stream stream(1, peer_settings_.initial_window_size(),
-                  our_settings_.initial_window_size());
-    (void)stream.sm.on_recv_headers(/*end_stream=*/true);
-    stream.request_headers = {{":method", "GET"},
-                              {":scheme", "http"},
-                              {":authority", site_->host()},
-                              {":path", "/"}};
-    Stream& upgraded = insert_stream(std::move(stream));
+    Stream& upgraded = open_stream(1, peer_settings_.initial_window_size(),
+                                   our_settings_.initial_window_size());
+    (void)upgraded.sm.on_recv_headers(/*end_stream=*/true);
+    hpack::assign_fields(upgraded.request_headers,
+                         {{":method", "GET"},
+                          {":scheme", "http"},
+                          {":authority", site_->host()},
+                          {":path", "/"}});
     if (scheduler_uses_tree(profile_->scheduler)) {
       (void)tree_.declare_default(1);
     }
@@ -394,14 +395,14 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
                                    std::span<const std::uint8_t> fragment,
                                    bool end_stream,
                                    std::optional<h2::PriorityInfo> priority) {
-  auto decoded = decoder_.decode(fragment);  // churn traced on client's encoder
-  if (!decoded.ok()) {
-    if (decoded.status().code() == StatusCode::kRefused) {
+  // Decoded into the reused scratch list (churn traced on client's encoder).
+  if (Status status = decoder_.decode_into(fragment, request_scratch_);
+      !status.ok()) {
+    if (status.code() == StatusCode::kRefused) {
       // Header list larger than we accept: stream-scoped refusal.
       return stream_error(stream_id, ErrorCode::kRefusedStream);
     }
-    return connection_error(ErrorCode::kCompressionError,
-                            decoded.status().message());
+    return connection_error(ErrorCode::kCompressionError, status.message());
   }
 
   auto it = streams_.find(stream_id);
@@ -418,7 +419,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
     }
     return;
   }
-  if (find_swept(stream_id) != nullptr) {
+  if (find_swept(stream_id) != swept_.end()) {
     // Swept means closed: the trailers check above would have failed too.
     return connection_error(ErrorCode::kProtocolError,
                             "HEADERS in invalid stream state");
@@ -432,9 +433,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
 
   if (draining_) {
     // §6.8: streams above the GOAWAY watermark are refused, retryable.
-    Stream refused(stream_id, 0, 0);
-    (void)refused.sm.on_recv_headers(end_stream);
-    insert_stream(std::move(refused));
+    open_refused(stream_id, end_stream);
     return stream_error(stream_id, ErrorCode::kRefusedStream);
   }
 
@@ -443,9 +442,7 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
     // ENHANCE_YOUR_CALM so clients (and the trace annotator) can tell
     // mitigation from protocol errors. Amplification stops — one cheap RST
     // per attacker HEADERS, no stream state, no response pinned.
-    Stream refused(stream_id, 0, 0);
-    (void)refused.sm.on_recv_headers(end_stream);
-    insert_stream(std::move(refused));
+    open_refused(stream_id, end_stream);
     return stream_error(stream_id, ErrorCode::kEnhanceYourCalm);
   }
 
@@ -453,20 +450,21 @@ void Http2Server::complete_headers(std::uint32_t stream_id,
   // sets it to 0 or 1 and expects RST_STREAM(REFUSED_STREAM) on overflow.
   if (profile_->max_concurrent_streams &&
       active_stream_count() >= *profile_->max_concurrent_streams) {
-    Stream rejected(stream_id, 0, 0);
-    (void)rejected.sm.on_recv_headers(end_stream);
-    insert_stream(std::move(rejected));
+    open_refused(stream_id, end_stream);
     return stream_error(stream_id, ErrorCode::kRefusedStream);
   }
 
-  Stream stream(stream_id, peer_settings_.initial_window_size(),
-                our_settings_.initial_window_size());
-  if (!stream.sm.on_recv_headers(end_stream).ok()) {
+  h2::StreamStateMachine sm(stream_id);
+  if (!sm.on_recv_headers(end_stream).ok()) {
     return connection_error(ErrorCode::kProtocolError, "bad HEADERS state");
   }
-  stream.request_headers = std::move(decoded).value();
-  stream.opened_at_frame = frames_received_;
-  Stream& opened = insert_stream(std::move(stream));
+  Stream& opened = open_stream(stream_id, peer_settings_.initial_window_size(),
+                               our_settings_.initial_window_size());
+  opened.sm = sm;
+  // The decoded list moves in; the node's old list, storage and all, is
+  // the next decode's scratch.
+  std::swap(opened.request_headers, request_scratch_);
+  opened.opened_at_frame = frames_received_;
 
   // Request body still to come: make sure the client can actually send it.
   // Servers announcing window 0 (the Nginx idiom) re-open per-stream
@@ -525,15 +523,18 @@ void Http2Server::handle_data(const h2::FrameView& frame) {
   }
   auto it = streams_.find(frame.stream_id);
   if (it == streams_.end()) {
-    SweptStream* swept = find_swept(frame.stream_id);
-    if (swept == nullptr) {
+    auto swept = find_swept(frame.stream_id);
+    if (swept == swept_.end()) {
       return connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
     }
     // As while tracked: charged against the stream window, then refused.
     if (n > swept->recv_window) {
       return stream_error(frame.stream_id, ErrorCode::kFlowControlError);
     }
-    swept->recv_window -= static_cast<std::uint32_t>(n);
+    if (n > 0) {
+      isolate_swept(swept, frame.stream_id)->recv_window -=
+          static_cast<std::uint32_t>(n);
+    }
     return stream_error(frame.stream_id, ErrorCode::kStreamClosed);
   }
   Stream& stream = it->second;
@@ -579,7 +580,7 @@ void Http2Server::handle_rst_stream(const h2::FrameView& frame) {
   auto it = streams_.find(frame.stream_id);
   if (it != streams_.end()) {
     (void)it->second.sm.on_recv_rst();
-  } else if (find_swept(frame.stream_id) == nullptr) {
+  } else if (find_swept(frame.stream_id) == swept_.end()) {
     return connection_error(ErrorCode::kProtocolError,
                             "RST_STREAM on idle stream");
   }
@@ -729,19 +730,24 @@ void Http2Server::start_response(Stream& stream) {
     headers.emplace_back("content-length", std::to_string(stream.body_size));
     stream.resource = nullptr;
     stream.response_headers = std::move(headers);
+    stream.upload_response = true;
     stream.response_ready = true;
     pin_octets(stream.body_size);
     return;
   }
   stream.body_size =
       stream.resource != nullptr ? stream.resource->size : std::size_t{180};
+  // The header list is a pure function of (profile, site, resource) and the
+  // stream's cookie serial; building it is deferred to first encode, where
+  // the shard's block cache usually supplies a prebuilt byte block instead.
   if (!site_->cookie_churn()) {
-    // The header list is a pure function of (profile, site, resource); defer
-    // building it to first encode, where the shard's block cache usually
-    // supplies a prebuilt byte block instead.
     stream.cacheable_response = true;
-  } else {
-    build_response_headers(stream, stream.response_headers);
+  } else if (cookie_counter_++ > 0) {
+    // Cookie churn (§V-G): *later* responses grow a set-cookie header the
+    // first response lacked, making S1 < Si and pushing the measured
+    // compression ratio above 1 (the sites the paper filters out of Figs
+    // 4/5). Serials follow request order, whenever the block is encoded.
+    stream.cookie_serial = cookie_counter_;
   }
   stream.response_ready = true;
   pin_octets(stream.body_size);
@@ -770,27 +776,28 @@ void Http2Server::build_response_headers(const Stream& stream,
     put(extra.name, extra.value);
     headers[n - 1].never_indexed = extra.never_indexed;
   }
-  // Cookie churn (§V-G): *later* responses grow extra set-cookie headers
-  // the first response lacked, making S1 < Si and pushing the measured
-  // compression ratio above 1 (the sites the paper filters out of Figs 4/5).
-  // Churned responses are never cache-deferred (see start_response), so the
-  // counter advances exactly as it would without the cache.
-  if (site_->cookie_churn() && cookie_counter_++ > 0) {
+  if (stream.cookie_serial != 0) {
+    char cookie[48];
+    const int len = std::snprintf(
+        cookie, sizeof cookie, "session=%llu; Path=/; HttpOnly",
+        static_cast<unsigned long long>(stream.cookie_serial));
     put("set-cookie",
-        "session=" + std::to_string(cookie_counter_) + "; Path=/; HttpOnly");
+        std::string_view(cookie, static_cast<std::size_t>(len)));
   }
   headers.resize(n);
 }
 
 Bytes Http2Server::response_block(Stream& stream) {
-  if (!stream.cacheable_response) {
+  if (stream.upload_response) {
     return encode_block(stream.response_headers);
   }
   // While this engine's encoder is pristine it emits exactly the bytes any
   // sibling pristine engine emitted, so even the first response of a fresh
   // connection can reuse a block another connection on this shard built.
   const bool pristine = encoder_.pristine();
-  if (shared_block_cache_ != nullptr) {
+  const bool cached =
+      stream.cacheable_response && shared_block_cache_ != nullptr;
+  if (cached) {
     if (pristine) {
       for (const auto& entry : shared_block_cache_->entries) {
         if (entry.resource == stream.resource) {
@@ -808,7 +815,7 @@ Bytes Http2Server::response_block(Stream& stream) {
   // Store only encodes that left the encoder pristine: no table inserts or
   // evictions (the first encode under an aggressive indexing policy
   // inserts, and its encoder never matches again).
-  if (shared_block_cache_ != nullptr && pristine && encoder_.pristine()) {
+  if (cached && pristine && encoder_.pristine()) {
     shared_block_cache_->entries.push_back({stream.resource, block});
   }
   return block;
@@ -837,28 +844,28 @@ void Http2Server::maybe_push(Stream& parent) {
     const std::uint32_t promised = next_push_stream_id_;
     next_push_stream_id_ += 2;
 
-    hpack::HeaderList request = {{":method", "GET"},
-                                 {":scheme", "https"},
-                                 {":authority", site_->host()},
-                                 {":path", push_path}};
-    h2::Frame promise = h2::make_push_promise(parent.sm.id(), promised,
-                                              encode_block(request));
+    Stream& pushed =
+        open_stream(promised, peer_settings_.initial_window_size(),
+                    our_settings_.initial_window_size());
+    hpack::assign_fields(pushed.request_headers,
+                         {{":method", "GET"},
+                          {":scheme", "https"},
+                          {":authority", site_->host()},
+                          {":path", push_path}});
+    h2::Frame promise = h2::make_push_promise(
+        parent.sm.id(), promised, encode_block(pushed.request_headers));
     send_frame(promise);
     BufferPool::local().release(
         std::move(promise.as<h2::PushPromisePayload>().fragment));
 
-    Stream pushed(promised, peer_settings_.initial_window_size(),
-                  our_settings_.initial_window_size());
     (void)pushed.sm.on_send_push_promise();
     pushed.is_push = true;
-    pushed.request_headers = std::move(request);
-    Stream& inserted = insert_stream(std::move(pushed));
     if (scheduler_uses_tree(profile_->scheduler)) {
       // Pushed responses default to dependents of their parent (§5.3.5).
       (void)tree_.declare(promised, {.dependency = parent.sm.id(),
                                      .weight_field = h2::kDefaultWeight - 1});
     }
-    start_response(inserted);
+    start_response(pushed);
   }
 }
 
@@ -1193,28 +1200,102 @@ void Http2Server::close_stream(std::uint32_t stream_id) {
 
 // ------------------------------------------------------------ stream table
 
-Http2Server::Stream& Http2Server::insert_stream(Stream stream) {
-  const std::uint32_t id = stream.sm.id();
+void Http2Server::open_refused(std::uint32_t id, bool end_stream) {
+  Stream& refused = open_stream(id, 0, 0);
+  refused.request_headers.clear();
+  (void)refused.sm.on_recv_headers(end_stream);
+}
+
+Http2Server::Stream& Http2Server::open_stream(std::uint32_t id,
+                                              std::int64_t send_window,
+                                              std::int64_t recv_window) {
   if (spare_nodes_.empty()) {
-    return streams_.emplace(id, std::move(stream)).first->second;
+    return streams_.try_emplace(id, id, send_window, recv_window)
+        .first->second;
   }
   StreamTable::node_type node = std::move(spare_nodes_.back());
   spare_nodes_.pop_back();
   node.key() = id;
-  node.mapped() = std::move(stream);
+  node.mapped().rewind(id, send_window, recv_window);
   return streams_.insert(std::move(node)).position->second;
 }
 
-Http2Server::SweptStream* Http2Server::find_swept(std::uint32_t stream_id) {
-  auto it = std::lower_bound(
-      swept_.begin(), swept_.end(), stream_id,
-      [](const SweptStream& s, std::uint32_t id) { return s.id < id; });
-  return it != swept_.end() && it->id == stream_id ? &*it : nullptr;
+namespace {
+
+/// Sort key of swept runs: parity first, so each parity's runs are one
+/// id-sorted stretch.
+std::uint64_t swept_key(std::uint32_t id) {
+  return (static_cast<std::uint64_t>(id & 1u) << 32) | id;
+}
+
+}  // namespace
+
+Http2Server::SweptRuns::iterator Http2Server::find_swept(
+    std::uint32_t stream_id) {
+  // The last run of this parity that starts at or before stream_id.
+  auto it = std::upper_bound(
+      swept_.begin(), swept_.end(), swept_key(stream_id),
+      [](std::uint64_t key, const SweptRun& r) {
+        return key < swept_key(r.first);
+      });
+  if (it == swept_.begin()) return swept_.end();
+  --it;
+  const bool holds = ((it->first ^ stream_id) & 1u) == 0 &&
+                     stream_id <= it->last();
+  return holds ? it : swept_.end();
+}
+
+void Http2Server::add_swept(std::uint32_t id, std::uint32_t recv_window) {
+  const auto joins = [&](const SweptRun& r) {
+    return ((r.first ^ id) & 1u) == 0 && r.recv_window == recv_window;
+  };
+  auto next = std::upper_bound(
+      swept_.begin(), swept_.end(), swept_key(id),
+      [](std::uint64_t key, const SweptRun& r) {
+        return key < swept_key(r.first);
+      });
+  const bool joins_next =
+      next != swept_.end() && joins(*next) && next->first == id + 2;
+  if (next != swept_.begin()) {
+    const auto prev = std::prev(next);
+    if (joins(*prev) && prev->last() + 2 == id) {
+      ++prev->count;
+      if (joins_next) {
+        prev->count += next->count;
+        swept_.erase(next);
+      }
+      return;
+    }
+  }
+  if (joins_next) {
+    next->first = id;
+    ++next->count;
+    return;
+  }
+  swept_.insert(next, {id, 1, recv_window});
+}
+
+Http2Server::SweptRuns::iterator Http2Server::isolate_swept(
+    SweptRuns::iterator run, std::uint32_t id) {
+  const SweptRun whole = *run;
+  const std::uint32_t before = (id - whole.first) / 2;
+  const std::uint32_t after = whole.count - before - 1;
+  auto index = run - swept_.begin();
+  *run = {id, 1, whole.recv_window};
+  if (after > 0) {
+    swept_.insert(swept_.begin() + index + 1,
+                  {id + 2, after, whole.recv_window});
+  }
+  if (before > 0) {
+    swept_.insert(swept_.begin() + index, {whole.first, before,
+                                           whole.recv_window});
+    ++index;
+  }
+  return swept_.begin() + index;
 }
 
 void Http2Server::sweep_closed_streams() {
   closed_since_sweep_ = 0;
-  const std::size_t old_size = swept_.size();
   if (spare_nodes_.capacity() == 0) spare_nodes_.reserve(kSpareStreamNodes);
   for (auto it = streams_.begin(); it != streams_.end();) {
     const Stream& s = it->second;
@@ -1229,22 +1310,11 @@ void Http2Server::sweep_closed_streams() {
     const std::int64_t send = s.send_window.available();
     swept_send_peak_.reset_to(
         swept_.empty() ? send : std::max(swept_send_peak_.available(), send));
-    swept_.push_back(
-        {it->first, static_cast<std::uint32_t>(s.recv_window.available())});
+    add_swept(it->first, static_cast<std::uint32_t>(s.recv_window.available()));
     auto node = streams_.extract(it++);
     if (spare_nodes_.size() < kSpareStreamNodes) {
       spare_nodes_.push_back(std::move(node));
     }
-  }
-  // The batch is id-sorted; a long-lived stream closing late sorts before
-  // records swept earlier, so rotate each new record into place.
-  const auto by_id = [](std::uint32_t id, const SweptStream& s) {
-    return id < s.id;
-  };
-  for (auto it = swept_.begin() + static_cast<std::ptrdiff_t>(old_size);
-       it != swept_.end(); ++it) {
-    std::rotate(std::upper_bound(swept_.begin(), it, it->id, by_id), it,
-                it + 1);
   }
 }
 

@@ -226,7 +226,7 @@ class Http2Server {
     h2::FlowWindow recv_window;  ///< client->server DATA budget (uploads)
     std::size_t uploaded_bytes = 0;
     hpack::HeaderList request_headers;
-    hpack::HeaderList response_headers;
+    hpack::HeaderList response_headers;  ///< an upload's acknowledgement
     bool response_ready = false;
     bool headers_sent = false;
     std::size_t body_size = 0;
@@ -237,22 +237,46 @@ class Http2Server {
     bool stalled = false;  ///< SmallWindowBehavior::kStall engaged
     bool stall_traced = false;  ///< open kWindowStall event for this stream
     /// Response headers are a pure function of (profile, site, resource):
-    /// the header list build is deferred to first encode and the encoded
-    /// block may come from the shard's SharedBlockCache. Never set for POST
-    /// (upload-dependent headers) or cookie-churn sites.
+    /// the encoded block may come from the shard's SharedBlockCache. Never
+    /// set for POST (upload-dependent headers) or cookie-churn sites.
     bool cacheable_response = false;
+    /// The POST acknowledgement was built into response_headers; every
+    /// other response is built at first encode.
+    bool upload_response = false;
+    /// Cookie-churn serial of this response's set-cookie header; 0 = none.
+    std::uint64_t cookie_serial = 0;
     std::size_t opened_at_frame = 0;  ///< frames_received_ at creation
+
+    /// Back to Stream(@p id, @p send, @p recv), except that both header
+    /// lists keep their storage and stale contents: every path that opens
+    /// a stream rewrites request_headers, and response_headers is read only
+    /// after an upload wrote it.
+    void rewind(std::uint32_t id, std::int64_t send, std::int64_t recv) {
+      hpack::HeaderList request = std::move(request_headers);
+      hpack::HeaderList response = std::move(response_headers);
+      *this = Stream(id, send, recv);
+      request_headers = std::move(request);
+      response_headers = std::move(response);
+    }
   };
   using StreamTable = std::map<std::uint32_t, Stream>;
 
-  /// What a swept (closed, forgotten) stream still owes later frames
-  /// (RFC 7540 §5.1): DATA on it is charged against its receive window
-  /// before the STREAM_CLOSED reset. Receive windows never leave
-  /// [0, 2^31-1], so 32 bits hold them.
-  struct SweptStream {
-    std::uint32_t id;
+  /// What swept (closed, forgotten) streams still owe later frames
+  /// (RFC 7540 §5.1): DATA on one is charged against its receive window
+  /// before the STREAM_CLOSED reset. A run covers `count` stream ids of one
+  /// parity — first, first + 2, ... — that share a receive window, so the
+  /// thousands of requests a keep-alive connection has swept take one
+  /// record. Receive windows never leave [0, 2^31-1], so 32 bits hold them.
+  struct SweptRun {
+    std::uint32_t first;
+    std::uint32_t count;
     std::uint32_t recv_window;
+
+    [[nodiscard]] std::uint32_t last() const noexcept {
+      return first + 2 * (count - 1);
+    }
   };
+  using SweptRuns = std::vector<SweptRun>;
 
   // -- frame dispatch (zero-copy: views alias the parser buffer) ----------
   void on_frame(const h2::FrameView& frame);
@@ -305,10 +329,21 @@ class Http2Server {
   [[nodiscard]] bool tiny_window_mode() const;
 
   // -- stream table -------------------------------------------------------
-  /// Adds @p stream to the table, reusing a swept stream's map node when
-  /// one is spare.
-  Stream& insert_stream(Stream stream);
-  [[nodiscard]] SweptStream* find_swept(std::uint32_t stream_id);
+  /// Adds Stream(@p id, @p send_window, @p recv_window) to the table,
+  /// rewinding a swept stream's map node when one is spare (see
+  /// Stream::rewind: the caller rewrites request_headers).
+  Stream& open_stream(std::uint32_t id, std::int64_t send_window,
+                      std::int64_t recv_window);
+  /// Books @p id as a stream refused on arrival: no windows, no request.
+  void open_refused(std::uint32_t id, bool end_stream);
+  /// The run holding swept stream @p stream_id, or swept_.end().
+  [[nodiscard]] SweptRuns::iterator find_swept(std::uint32_t stream_id);
+  /// Adds swept stream @p id to the runs, extending a neighbour when the
+  /// windows match.
+  void add_swept(std::uint32_t id, std::uint32_t recv_window);
+  /// Splits @p run so that @p id has a run of its own; returns that run.
+  SweptRuns::iterator isolate_swept(SweptRuns::iterator run,
+                                    std::uint32_t id);
   /// Moves every closed stream that pins nothing out of streams_ into
   /// swept_. Only called between frames, when no Stream& is held.
   void sweep_closed_streams();
@@ -363,13 +398,14 @@ class Http2Server {
 
   // The stream table. streams_ holds live streams, plus closed ones until
   // kClosedStreamSweepBatch of them have built up; the sweep then keeps
-  // only their id and receive window (swept_, sorted by id), so every walk
+  // only their ids and receive windows (swept_, runs sorted by parity,
+  // then first id), so every walk
   // over streams_ costs O(live) however old the connection is. Swept
   // streams' send windows matter only to a SETTINGS_INITIAL_WINDOW_SIZE
   // raise, which shifts them all by the same delta, so their maximum
   // stands in for them all. The freed map nodes are reused for new streams.
   StreamTable streams_;
-  std::vector<SweptStream> swept_;
+  SweptRuns swept_;
   h2::FlowWindow swept_send_peak_{0};  ///< max swept send window, if any
   std::vector<StreamTable::node_type> spare_nodes_;
   std::size_t closed_since_sweep_ = 0;
@@ -399,6 +435,9 @@ class Http2Server {
   bool slow_post_suspect_ = false;  ///< amortized O(streams) scan result
 
   hpack::HeaderList response_scratch_;  ///< deferred header list, reused
+  /// Decode target for request header blocks; swapped into the stream it
+  /// opens, so it always holds some earlier stream's list storage.
+  hpack::HeaderList request_scratch_;
   SharedBlockCache* shared_block_cache_ = nullptr;
 
   // CONTINUATION reassembly state.

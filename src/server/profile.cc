@@ -1,5 +1,6 @@
 #include "server/profile.h"
 
+#include <array>
 #include <stdexcept>
 
 namespace h2r::server {
@@ -192,14 +193,21 @@ std::vector<ServerProfile> testbed_profiles() {
           nghttpd_profile(), tengine_profile(),   apache_profile()};
 }
 
-ServerProfile profile_by_key(const std::string& key) {
-  for (auto& p : testbed_profiles()) {
-    if (p.key == key) return p;
+const ServerProfile* find_profile(std::string_view key) {
+  // Built once: a lookup copies one profile instead of building all ten.
+  static const std::array<ServerProfile, 10> kProfiles = {
+      nginx_profile(),   litespeed_profile(),       h2o_profile(),
+      nghttpd_profile(), tengine_profile(),         apache_profile(),
+      gse_profile(),     cloudflare_nginx_profile(), ideawebserver_profile(),
+      tengine_aserver_profile()};
+  for (const ServerProfile& p : kProfiles) {
+    if (p.key == key) return &p;
   }
-  if (key == "gse") return gse_profile();
-  if (key == "cloudflare-nginx") return cloudflare_nginx_profile();
-  if (key == "ideawebserver") return ideawebserver_profile();
-  if (key == "tengine-aserver") return tengine_aserver_profile();
+  return nullptr;
+}
+
+ServerProfile profile_by_key(const std::string& key) {
+  if (const ServerProfile* p = find_profile(key)) return *p;
   throw std::out_of_range("unknown server profile: " + key);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hpack/encoder.h"
@@ -126,5 +127,9 @@ std::vector<ServerProfile> testbed_profiles();
 /// Lookup by key ("nginx", "litespeed", ...). Throws std::out_of_range for
 /// unknown keys.
 ServerProfile profile_by_key(const std::string& key);
+
+/// The same lookup without the copy: the process-wide profile for @p key,
+/// or null for unknown keys.
+[[nodiscard]] const ServerProfile* find_profile(std::string_view key);
 
 }  // namespace h2r::server

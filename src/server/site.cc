@@ -19,6 +19,34 @@ Site& Site::set_push_list(std::string trigger_path,
   return *this;
 }
 
+namespace {
+
+/// Makes @p dst equal to @p src touching only what differs: extra keys
+/// are erased, missing ones inserted, and equal entries keep their node
+/// and storage.
+template <typename Map>
+void assign_keeping(Map& dst, const Map& src) {
+  auto d = dst.begin();
+  for (const auto& [key, value] : src) {
+    while (d != dst.end() && d->first < key) d = dst.erase(d);
+    if (d != dst.end() && d->first == key) {
+      if (!(d->second == value)) d->second = value;
+      ++d;
+    } else {
+      dst.emplace_hint(d, key, value);
+    }
+  }
+  dst.erase(d, dst.end());
+}
+
+}  // namespace
+
+Site& Site::assign_content(const Site& shape) {
+  assign_keeping(resources_, shape.resources_);
+  assign_keeping(push_lists_, shape.push_lists_);
+  return *this;
+}
+
 Site& Site::add_response_header(std::string name, std::string value) {
   extra_headers_.emplace_back(std::move(name), std::move(value));
   return *this;

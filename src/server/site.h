@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hpack/header_field.h"
@@ -20,6 +21,8 @@ struct Resource {
   std::string path;
   std::size_t size = 0;
   std::string content_type = "text/html";
+
+  friend bool operator==(const Resource&, const Resource&) = default;
 };
 
 class Site {
@@ -28,6 +31,15 @@ class Site {
   explicit Site(std::string host) : host_(std::move(host)) {}
 
   [[nodiscard]] const std::string& host() const noexcept { return host_; }
+  Site& set_host(std::string_view host) {
+    host_.assign(host);
+    return *this;
+  }
+
+  /// Takes @p shape's resources and push lists, keeping this site's own
+  /// (storage and all) when they are already equal — how one Site object
+  /// is rewritten for host after host serving the same content.
+  Site& assign_content(const Site& shape);
 
   Site& add_resource(Resource r);
 
@@ -36,6 +48,11 @@ class Site {
 
   /// Extra headers attached to every response (e.g. a stable cookie).
   Site& add_response_header(std::string name, std::string value);
+  /// Drops every extra header (the list keeps its storage).
+  Site& clear_response_headers() {
+    extra_headers_.clear();
+    return *this;
+  }
 
   /// When set, every response carries a *fresh* set-cookie value — the
   /// behaviour that makes the paper drop sites with compression ratio > 1

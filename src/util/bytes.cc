@@ -17,11 +17,17 @@ void ByteWriter::write_u24(std::uint32_t v) {
 }
 
 BufferPool& BufferPool::local() {
-  thread_local BufferPool pool(kLocalSpare, kLocalCapacity);
+  thread_local BufferPool pool(kLocalSpare, kLocalCapacity, kLocalBurst);
   return pool;
 }
 
 Bytes BufferPool::acquire(std::size_t n) {
+  if (n > max_capacity_ && burst_.capacity() >= n) {
+    Bytes b = std::move(burst_);
+    burst_ = Bytes();
+    b.clear();
+    return b;
+  }
   const std::size_t most = std::max(8 * n, std::size_t{8 * 1024});
   const auto fits = [&](const Bytes& b) {
     return b.capacity() >= n && b.capacity() <= most;

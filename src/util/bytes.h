@@ -102,12 +102,18 @@ class ByteWriter {
 ///
 /// A pool keeps at most max_spare buffers, and none whose capacity exceeds
 /// max_capacity, so the memory it pins stays bounded however many
-/// endpoints feed it.
+/// endpoints feed it. Beside them it keeps one burst buffer: the largest
+/// released buffer above max_capacity and at most max_burst octets, handed
+/// out only for asks above max_capacity (an engine presizing its output
+/// for a flow-control or priority burst).
 class BufferPool {
  public:
   explicit BufferPool(std::size_t max_spare = 4,
-                      std::size_t max_capacity = SIZE_MAX) noexcept
-      : max_spare_(max_spare), max_capacity_(max_capacity) {}
+                      std::size_t max_capacity = SIZE_MAX,
+                      std::size_t max_burst = 0) noexcept
+      : max_spare_(max_spare),
+        max_capacity_(max_capacity),
+        max_burst_(max_burst) {}
 
   /// The calling thread's pool, shared by every ClientConnection and
   /// Http2Server on it: a connection that ends leaves its buffers warm for
@@ -116,6 +122,9 @@ class BufferPool {
   static BufferPool& local();
   static constexpr std::size_t kLocalSpare = 16;
   static constexpr std::size_t kLocalCapacity = 256 * 1024;
+  /// The local pool's burst buffer cap: a scan's priority probe opens the
+  /// connection window on 384 KiB of pinned responses.
+  static constexpr std::size_t kLocalBurst = 1024 * 1024;
   /// What an endpoint asks for when it re-arms its output writer: room for
   /// a round of control frames and requests without regrowing.
   static constexpr std::size_t kOutputFloor = 1024;
@@ -129,9 +138,10 @@ class BufferPool {
     return b;
   }
 
-  /// A cleared buffer sized for @p n octets: a spare holding between n and
-  /// max(8n, 8 KiB) octets (the most recent if it fits, else the smallest),
-  /// else a new one reserved to n.
+  /// A cleared buffer sized for @p n octets: for an ask above max_capacity
+  /// the burst buffer if it is big enough, otherwise a spare holding
+  /// between n and max(8n, 8 KiB) octets (the most recent if it fits, else
+  /// the smallest), else a new one reserved to n.
   /// Asking by size keeps big buffers with the endpoints that emit DATA
   /// bursts instead of parking them in idle endpoints' writers.
   [[nodiscard]] Bytes acquire(std::size_t n);
@@ -142,7 +152,13 @@ class BufferPool {
   /// asks (kOutputFloor) far more often than they grow big ones, so a
   /// pool silted up with big buffers would miss on every re-arm.
   void release(Bytes b) {
-    if (b.capacity() == 0 || b.capacity() > max_capacity_) return;
+    if (b.capacity() == 0) return;
+    if (b.capacity() > max_capacity_) {
+      if (b.capacity() <= max_burst_ && b.capacity() > burst_.capacity()) {
+        burst_ = std::move(b);
+      }
+      return;
+    }
     if (spare_.size() < max_spare_) {
       if (spare_.capacity() == 0) spare_.reserve(max_spare_);
       spare_.push_back(std::move(b));
@@ -160,7 +176,9 @@ class BufferPool {
  private:
   std::size_t max_spare_;
   std::size_t max_capacity_;
+  std::size_t max_burst_;
   std::vector<Bytes> spare_;
+  Bytes burst_;
 };
 
 /// Reads big-endian integers and octet runs from a non-owning view.

@@ -214,7 +214,7 @@ TEST(Client, UndecodableBlockIsEvidenceInProbeModes) {
     EXPECT_TRUE(client.stream_complete(1));
     ASSERT_EQ(client.events().size(), 1u);
     EXPECT_FALSE(client.events()[0].headers.has_value());
-    EXPECT_EQ(client.response_headers(1), std::nullopt);
+    EXPECT_EQ(client.response_headers(1), nullptr);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "corpus/marginals.h"
 #include "corpus/population.h"
 #include "corpus/scan.h"
+#include "corpus/site_task.h"
 #include "scan_fingerprint.h"
 
 namespace h2r::corpus {
@@ -282,6 +283,87 @@ TEST(PopulationExp2, FifteenPushSites) {
   std::size_t push = 0;
   for (const auto& s : pop.sites) push += s.supports_push;
   EXPECT_EQ(push, 15u);
+}
+
+/// A 1/400 epoch-2 sample with push switched on at every fifth site (a
+/// sample this small holds no push site of its own), so consecutive sites
+/// change content shape both ways.
+std::vector<SiteSpec> varied_sites() {
+  std::vector<SiteSpec> sites = generate_population(Epoch::kExp2, 7, 400).sites;
+  for (std::size_t i = 0; i < sites.size(); i += 5) sites[i].supports_push = true;
+  return sites;
+}
+
+// The scan rewrites one worker scratch for site after site — its target
+// (SiteSpec::fill_target), endpoint slot, transports, event log and wiretap
+// ring. Scanning every site with a scratch of its own must report the same,
+// wire metrics included, with faults and the wiretap on.
+TEST(Scan, ReusedScratchMatchesFreshScratch) {
+  Population pop;
+  pop.sites = varied_sites();
+  ScanOptions opts;
+  opts.fault_injection = true;
+  opts.wiretap_metrics = true;
+  ScanReport reused;
+  ScanReport fresh;
+  SiteScratch scratch;
+  for (const SiteSpec& spec : pop.sites) {
+    scan_site(spec, opts, reused, scratch);
+    SiteScratch own;
+    scan_site(spec, opts, fresh, own);
+  }
+  EXPECT_EQ(fingerprint(reused), fingerprint(fresh));
+  ASSERT_EQ(reused.wire_metrics_by_family.size(),
+            fresh.wire_metrics_by_family.size());
+  for (const auto& [family, metrics] : fresh.wire_metrics_by_family) {
+    EXPECT_EQ(reused.wire_metrics_by_family.at(family).to_json(),
+              metrics.to_json())
+        << family;
+  }
+  EXPECT_EQ(reused.wire_metrics.to_json(), fresh.wire_metrics.to_json());
+}
+
+// fill_target() rewrites a Target that served another site into the one
+// to_target() builds: host, profile, content and path.
+TEST(Population, FilledTargetMatchesBuiltTarget) {
+  core::Target target;
+  for (const SiteSpec& spec : varied_sites()) {
+    spec.fill_target(target);
+    const core::Target built = spec.to_target();
+    ASSERT_EQ(target.host, built.host);
+    EXPECT_EQ(target.profile.key, built.profile.key);
+    EXPECT_EQ(target.profile.server_header, built.profile.server_header);
+    EXPECT_EQ(target.profile.max_concurrent_streams,
+              built.profile.max_concurrent_streams);
+    EXPECT_EQ(target.profile.initial_window_size,
+              built.profile.initial_window_size);
+    EXPECT_EQ(target.profile.scheduler, built.profile.scheduler);
+    EXPECT_EQ(target.profile.supports_push, built.profile.supports_push);
+    EXPECT_EQ(target.profile.response_indexing,
+              built.profile.response_indexing);
+    EXPECT_EQ(target.site.host(), built.site.host());
+    EXPECT_EQ(target.site.resource_count(), built.site.resource_count());
+    EXPECT_EQ(target.site.extra_headers(), built.site.extra_headers());
+    EXPECT_EQ(target.site.cookie_churn(), built.site.cookie_churn());
+    EXPECT_EQ(target.site.push_list("/") != nullptr,
+              built.site.push_list("/") != nullptr);
+    for (const char* path : {"/", "/small", "/large/1", "/object/6",
+                             "/logo.png"}) {
+      const server::Resource* a = target.site.find(path);
+      const server::Resource* b = built.site.find(path);
+      ASSERT_EQ(a != nullptr, b != nullptr) << path;
+      if (a != nullptr) {
+        EXPECT_EQ(*a, *b) << path;
+      }
+    }
+    EXPECT_EQ(target.path.label, built.path.label);
+    EXPECT_EQ(target.path.base_rtt_ms, built.path.base_rtt_ms);
+    EXPECT_EQ(target.path.loss_rate, built.path.loss_rate);
+    EXPECT_EQ(target.offers_h2, built.offers_h2);
+    EXPECT_EQ(target.recorder, nullptr);
+    EXPECT_EQ(target.ledger, nullptr);
+    EXPECT_FALSE(target.faults.enabled);
+  }
 }
 
 TEST(Scan, DeterministicAcrossRuns) {

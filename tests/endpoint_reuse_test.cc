@@ -1,10 +1,11 @@
 // Leased endpoints are fresh endpoints. Every fresh-connection probe leases
-// its client and engine from an EndpointSlot, which rewinds the pair instead
-// of rebuilding it. Each probe here runs twice against every testbed
-// profile, with faults off and on and the wiretap recording: once on a slot
-// that already served another profile's site and then lost a connection to
-// a disconnect, once on a slot built for the occasion. Results, the client's
-// event log and the wiretap records must be identical.
+// its client, engine and transport from an EndpointSlot, which rewinds them
+// instead of rebuilding them. Each probe here runs twice against every
+// testbed profile, with faults off and on and the wiretap recording: once
+// on a slot that already served another profile's site over both kinds of
+// transport and then lost a connection to a disconnect, once on a slot
+// built for the occasion. Results, the client's event log (decoded header
+// lists included) and the wiretap records must be identical.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -184,14 +185,22 @@ Observed observe(const server::ServerProfile& profile, bool faults,
   return out;
 }
 
-/// Leaves @p slot as a scan would after another site: a full probe against
-/// a different profile, then a connection the transport disconnected
-/// mid-exchange.
+/// Leaves @p slot as a scan would after another site, every piece of its
+/// reused storage dirty: the whole probe battery against a different
+/// profile (fair-share scheduled, so the priority tree's pick scratch is
+/// used too) over faulty transports fills the event log, the decoded
+/// header lists and payload octets and builds the slot's faulty transport;
+/// a clean push and HPACK probe rewinds its lockstep transport; a last
+/// connection loses its transport to a disconnect mid-exchange.
 void dirty(EndpointSlot& slot, const server::ServerProfile& profile) {
   const std::string other_key = profile.key == "gse" ? "nginx" : "gse";
+  server::ServerProfile other_profile = server::profile_by_key(other_key);
+  other_profile.scheduler = server::SchedulerKind::kFairShare;
   trace::RingRecorder ring;
-  Target other = make_target(server::profile_by_key(other_key),
-                             /*faults=*/false, ring, slot);
+  const Target faulted =
+      make_target(other_profile, /*faults=*/true, ring, slot);
+  for (const auto& [name, probe] : probes()) (void)probe(faulted);
+  Target other = make_target(other_profile, /*faults=*/false, ring, slot);
   (void)probe_server_push(other);
   (void)probe_hpack_ratio(other);
   const EndpointLease lease = other.lease_endpoints();

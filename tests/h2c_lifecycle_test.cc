@@ -56,7 +56,7 @@ TEST(H2cLifecycle, UpgradeServesTheOriginalRequestOnStream1) {
   EXPECT_TRUE(client.stream_complete(1));
   EXPECT_EQ(client.data_received(1), 2048u);  // the site's front page
   auto headers = client.response_headers(1);
-  ASSERT_TRUE(headers.has_value());
+  ASSERT_NE(headers, nullptr);
   EXPECT_EQ(hpack::find_header(*headers, ":status"), "200");
 }
 

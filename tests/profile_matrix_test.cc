@@ -37,7 +37,7 @@ TEST_P(ProfileMatrix, ServesBasicGet) {
   ASSERT_TRUE(client.stream_complete(sid)) << GetParam();
   EXPECT_EQ(client.data_received(sid), 256u);
   auto headers = client.response_headers(sid);
-  ASSERT_TRUE(headers.has_value());
+  ASSERT_NE(headers, nullptr);
   EXPECT_EQ(hpack::find_header(*headers, "server"),
             t.profile.server_header);
 }

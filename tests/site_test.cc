@@ -34,6 +34,28 @@ TEST(Site, PushListOnlyForConfiguredTrigger) {
   EXPECT_EQ(site.push_list("/other"), nullptr);
 }
 
+TEST(Site, AssignContentTakesTheShapesResourcesAndPushLists) {
+  Site site("a.example");
+  site.add_resource({.path = "/", .size = 10, .content_type = "text/html"});
+  site.add_resource({.path = "/old", .size = 1});
+  site.set_push_list("/", {"/old"});
+  site.add_response_header("x-kept", "1");
+  Site shape;
+  shape.add_resource({.path = "/", .size = 20, .content_type = "text/plain"});
+  shape.add_resource({.path = "/new", .size = 2});
+  site.assign_content(shape);
+  ASSERT_NE(site.find("/"), nullptr);
+  EXPECT_EQ(*site.find("/"), *shape.find("/"));
+  EXPECT_EQ(site.find("/old"), nullptr);
+  ASSERT_NE(site.find("/new"), nullptr);
+  EXPECT_EQ(site.find("/new")->size, 2u);
+  EXPECT_EQ(site.resource_count(), 2u);
+  EXPECT_EQ(site.push_list("/"), nullptr);
+  // Host and extra headers are not content.
+  EXPECT_EQ(site.host(), "a.example");
+  EXPECT_EQ(site.extra_headers().size(), 1u);
+}
+
 TEST(Site, StandardTestbedHasProbeEssentials) {
   const Site site = Site::standard_testbed_site();
   ASSERT_NE(site.find("/"), nullptr);

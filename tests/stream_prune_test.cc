@@ -1,6 +1,6 @@
 // The engine forgets closed streams: once kClosedStreamSweepBatch of them
 // have built up, each is swept out of the stream table into a compact
-// record. RFC 7540 §5.1 still owes frames on a closed id the closed-state
+// record (a run of neighbouring ids that share a receive window). RFC 7540 §5.1 still owes frames on a closed id the closed-state
 // reaction, so every test here runs twice — once while the target stream is
 // still tracked, once after it was swept — and asserts the server's output
 // bytes, which must not tell the two apart.
@@ -234,6 +234,33 @@ TEST_P(ClosedRequest, DataOnRefusedStreamOverrunsItsZeroWindow) {
   EXPECT_EQ(c.exchange(h2::make_data(refused, {}, true)),
             wire(h2::make_rst_stream(refused, ErrorCode::kStreamClosed)));
   EXPECT_EQ(c.server().active_stream_count(), 1u);
+  EXPECT_TRUE(c.server().alive());
+}
+
+TEST_P(ClosedRequest, DataChargesOnlyItsOwnStreamsWindow) {
+  // Neighbouring requests close with equal receive windows (once swept,
+  // one run of records); DATA charged to the middle one leaves the other
+  // two with their whole window.
+  ServerProfile profile = server::h2o_profile();
+  profile.initial_window_size = 100;
+  Conn c(profile);
+  const std::uint32_t first = c.open_and_close(Kind::kClient);
+  const std::uint32_t middle = c.open_and_close(Kind::kClient);
+  const std::uint32_t last = c.open_and_close(Kind::kClient);
+  c.settle(GetParam(), 3);
+  const auto data = [&](std::uint32_t id, std::size_t n) {
+    return c.exchange(h2::make_data(id, Bytes(n, 1), false));
+  };
+  const auto reset = [](std::uint32_t id, ErrorCode code) {
+    return wire(h2::make_rst_stream(id, code));
+  };
+  EXPECT_EQ(data(middle, 90), reset(middle, ErrorCode::kStreamClosed));
+  EXPECT_EQ(data(middle, 20), reset(middle, ErrorCode::kFlowControlError));
+  for (const std::uint32_t id : {first, last}) {
+    EXPECT_EQ(data(id, 90), reset(id, ErrorCode::kStreamClosed));
+    EXPECT_EQ(data(id, 10), reset(id, ErrorCode::kStreamClosed));
+    EXPECT_EQ(data(id, 1), reset(id, ErrorCode::kFlowControlError));
+  }
   EXPECT_TRUE(c.server().alive());
 }
 

@@ -61,7 +61,9 @@ TEST(FaultyTransport, DribbleDeliveryIsProtocolInvisible) {
   EXPECT_EQ(result.outcome, net::ExchangeOutcome::kQuiescent);
   EXPECT_EQ(result.fault, net::FaultKind::kNone);
   EXPECT_EQ(c1.data_received(sid1), c2.data_received(sid2));
-  EXPECT_EQ(c1.response_headers(sid1), c2.response_headers(sid2));
+  ASSERT_NE(c1.response_headers(sid1), nullptr);
+  ASSERT_NE(c2.response_headers(sid2), nullptr);
+  EXPECT_EQ(*c1.response_headers(sid1), *c2.response_headers(sid2));
   EXPECT_EQ(c2.terminal().state, ClientTerminal::kQuiescent);
 }
 

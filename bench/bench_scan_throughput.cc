@@ -7,14 +7,16 @@
 //
 // JSON schema: { "<op>": {"wall_ms": w, "per_op_ns": n, "throughput": t} }
 // where throughput is MB/sec for byte-oriented ops, ops/sec for lookups and
-// sites/sec for the end-to-end scan; the exchange_* rows additionally carry
-// "allocs_per_op" (heap allocations per conversation, via the operator-new
-// hook in bench_util.h). Output path defaults to
+// sites/sec for the end-to-end scan; the exchange_* and scan rows
+// additionally carry "allocs_per_op" (heap allocations per conversation or
+// site, via the operator-new hook in bench_util.h). Output path defaults to
 // BENCH_scan_throughput.json in the working directory; override with
 // H2R_BENCH_JSON. H2R_SCALE / H2R_SEED / H2R_THREADS apply as in every
-// other bench; H2R_COALESCE=0 pins the scan_epoch2_coalesced row (and any
-// other coalesce-capable scan) sequential (the other scan rows are pinned
-// sequential in code so their trajectories keep measuring the same work).
+// other bench, except that scan_epoch2_faulted_1k always scans the 1/1000
+// subsample on one worker; H2R_COALESCE=0 pins the scan_epoch2_coalesced
+// row (and any other coalesce-capable scan) sequential (the other scan rows
+// are pinned sequential in code so their trajectories keep measuring the
+// same work).
 // H2R_TRACE_OUT=<path>
 // additionally dumps the traced scan's H2Wiretap JSONL to <path> and its
 // metrics snapshot to <path>.metrics.json. H2R_FAULT_SEED reseeds the
@@ -437,6 +439,25 @@ void bench_scan(std::uint64_t seed) {
     std::fprintf(stderr, "!! faulted scan hit an exchange deadline — the "
                          "chaos loop is supposed to make that impossible\n");
   }
+
+  // The allocation guard's row: the chaos scan of the 1/1000 subsample on
+  // one worker whatever H2R_SCALE and H2R_THREADS say, so a smoke run and
+  // the committed full-scale run count the same work. Allocations per site
+  // are a property of the code, but a scan warms each worker's scratch
+  // afresh, and a small scan spreads that over few sites.
+  const auto small = corpus::generate_population(corpus::Epoch::kExp2,
+                                                 bench::seed_from_env(), 1000);
+  const double small_sites = static_cast<double>(small.sites.size());
+  corpus::ScanOptions sopts = fopts;
+  sopts.threads = 1;
+  allocs0 = bench::heap_allocations();
+  const auto sstart = Clock::now();
+  (void)corpus::scan_population(small, sopts);
+  const double swall = ms_since(sstart);
+  record("scan_epoch2_faulted_1k", swall, small_sites,
+         small_sites / (swall / 1000.0),
+         static_cast<double>(bench::heap_allocations() - allocs0) /
+             small_sites);
 }
 
 void write_json() {

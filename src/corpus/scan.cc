@@ -1,57 +1,12 @@
 #include "corpus/scan.h"
 
 #include <algorithm>
-#include <array>
-#include <iterator>
-#include <memory>
-#include <mutex>
+#include <atomic>
 #include <thread>
 
 #include "corpus/site_task.h"
 
 namespace h2r::corpus {
-namespace {
-
-/// Worker scratch outlives the scan that grew it: worker t of every scan
-/// takes back slot t, storage and pooled buffers alike, together with the
-/// same share of the sites (see scan_population). So a scan of a
-/// population the process scanned before finds every scratch already warm
-/// for the sites it gets, rare shapes included, and a small scan does not
-/// spend most of its allocations growing fresh scratch site by site. Every
-/// scratch is rewound per site, so a scan cannot tell a stashed one from a
-/// new one. Workers beyond kSlots, and a second scan running at the same
-/// time, use scratch of their own. The bound caps what stays resident
-/// between scans: a scratch holds its worker's buffer pool (at most 16
-/// buffers of 256 KiB and one of 1 MiB) beside its endpoints.
-class ScratchStash {
- public:
-  static constexpr std::size_t kSlots = 16;
-
-  std::unique_ptr<SiteScratch> take(std::size_t worker) {
-    if (worker < kSlots) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (slots_[worker]) return std::move(slots_[worker]);
-    }
-    return std::make_unique<SiteScratch>();
-  }
-
-  void give(std::size_t worker, std::unique_ptr<SiteScratch> s) {
-    if (worker >= kSlots) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (!slots_[worker]) slots_[worker] = std::move(s);
-  }
-
- private:
-  std::mutex mu_;
-  std::array<std::unique_ptr<SiteScratch>, kSlots> slots_;
-};
-
-ScratchStash& stash() {
-  static ScratchStash s;
-  return s;
-}
-
-}  // namespace
 
 std::size_t ScanReport::hpack_sample_size() const {
   std::size_t n = 0;
@@ -127,25 +82,6 @@ void ScanReport::merge(const ScanReport& other) {
   }
 }
 
-void ScanReport::merge(ScanReport&& other) {
-  // Keys this report lacks move over, node and all (a moved registry or
-  // sample list equals its fold into an empty one); what stays behind in
-  // other is keys both hold, which the copying fold adds up.
-  server_counts.merge(other.server_counts);
-  initial_window_size.merge(std::move(other.initial_window_size));
-  max_frame_size.merge(std::move(other.max_frame_size));
-  max_header_list_size.merge(std::move(other.max_header_list_size));
-  max_concurrent_streams.merge(std::move(other.max_concurrent_streams));
-  push_hosts.insert(push_hosts.end(),
-                    std::make_move_iterator(other.push_hosts.begin()),
-                    std::make_move_iterator(other.push_hosts.end()));
-  other.push_hosts.clear();
-  hpack_ratio_by_family.merge(other.hpack_ratio_by_family);
-  wire_metrics_by_family.merge(other.wire_metrics_by_family);
-  site_traces.merge(other.site_traces);
-  merge(static_cast<const ScanReport&>(other));
-}
-
 ScanReport scan_population(const Population& population,
                            const ScanOptions& options) {
   int threads = options.threads > 0
@@ -161,24 +97,21 @@ ScanReport scan_population(const Population& population,
   std::vector<ScanReport> partials(static_cast<std::size_t>(threads));
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
+  std::atomic<std::size_t> cursor{0};
 
-  // Worker t scans sites t, t + threads, t + 2 * threads, ...: the same
-  // share every time the population is scanned with this thread count, so
-  // its stashed scratch comes back warm for exactly those sites. Its
-  // partial report is the only state it writes, so the merge below is the
-  // only join point.
-  const auto stride = static_cast<std::size_t>(threads);
-  for (std::size_t t = 0; t < stride; ++t) {
+  // Each worker pulls the next unscanned site and runs it to completion;
+  // its partial report is the only state it writes, so the merge below is
+  // the only join point.
+  for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      std::unique_ptr<SiteScratch> scratch = stash().take(t);
-      std::swap(BufferPool::local(), scratch->buffers);
-      ScanReport& r = partials[t];
-      for (std::size_t i = t; i < n; i += stride) {
-        scan_site(population.sites[i], options, r, *scratch);
+      SiteScratch scratch;
+      ScanReport& r = partials[static_cast<std::size_t>(t)];
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1);
+        if (i >= n) break;
+        scan_site(population.sites[i], options, r, scratch);
         r.wire_metrics.reactor_peak_in_flight = 1;  // one site at a time
       }
-      std::swap(BufferPool::local(), scratch->buffers);
-      stash().give(t, std::move(scratch));
     });
   }
   for (auto& th : pool) th.join();
@@ -186,7 +119,7 @@ ScanReport scan_population(const Population& population,
   ScanReport total;
   total.epoch = population.epoch;
   total.total_scanned = population.total_scanned;
-  for (auto& p : partials) total.merge(std::move(p));
+  for (const auto& p : partials) total.merge(p);
   // Sites fold wiretap metrics into their family registry only; the global
   // snapshot is assembled here with one merge per family instead of two
   // registry merges per site. Field-wise sums make the result identical.

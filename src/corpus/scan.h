@@ -1,10 +1,9 @@
 // Large-scale scan driver: runs the Section III probe suite over a whole
 // synthetic population (the paper's H2Scope uses a thread pool the same
 // way, Section IV-B) and aggregates the observations into exactly the
-// quantities the paper's tables and figures report. Worker t of T runs
-// sites t, t + T, ... to completion, one after another
-// (corpus/site_task.h); the report is bitwise identical for any thread
-// count.
+// quantities the paper's tables and figures report. Each worker pulls the
+// next unscanned site and runs it to completion (corpus/site_task.h); the
+// report is bitwise identical for any thread count.
 #pragma once
 
 #include <cstdint>
@@ -160,10 +159,6 @@ struct ScanReport {
   /// merged. Each worker's partial report covers a disjoint site subset,
   /// so merging in any grouping yields the same totals.
   void merge(const ScanReport& other);
-  /// The same fold, moving @p other's map nodes and strings over where
-  /// this report lacks the key instead of copying them; @p other is left
-  /// valid but unspecified. Equal to merge(other), bit for bit.
-  void merge(ScanReport&& other);
 };
 
 /// Scans @p population with the probes selected in @p options.

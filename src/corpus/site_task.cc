@@ -225,11 +225,7 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
       if (hpack.ratio > 1.0) {
         ++r.hpack_filtered_out;  // the paper drops r > 1 (§V-G)
       } else {
-        // Room for a worker's first samples in one allocation: a small
-        // scan's family lists stop there.
-        std::vector<double>& ratios = r.hpack_ratio_by_family[spec.family];
-        if (ratios.capacity() == 0) ratios.reserve(16);
-        ratios.push_back(hpack.ratio);
+        r.hpack_ratio_by_family[spec.family].push_back(hpack.ratio);
       }
     }
   }

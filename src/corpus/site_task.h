@@ -3,7 +3,7 @@
 // wiretap buffer, and sequence detector — and the fold of what it observed
 // into the worker's ScanReport.
 //
-// Each scan worker calls scan_site() once per site of its share. Every probe is
+// Each scan worker calls scan_site() once per site it pulls. Every probe is
 // a plain blocking function; a faulted transport's stalls are skipped
 // inline by Transport::run and booked, like retry backoffs, on the site's
 // net::ExchangeLedger, so the park metrics are per-site facts independent
@@ -29,12 +29,12 @@ namespace h2r::corpus {
 /// storage. `endpoints` backs every fresh-connection probe (each lease
 /// rewinds it and its transport for the next connection); `session` backs
 /// the coalesced ProbeSession, whose shared connection stays leased while
-/// fresh probes run beside it. The recorder is an unbounded binary ring (32 bytes per
-/// event, no per-event heap traffic). The default metrics fold runs
-/// straight off the raw records (annotate_ring with a MetricsRecorder tee),
-/// so `decoded` — the offline-expansion scratch — is only touched when the
-/// site's TraceEvents are actually needed (JSONL export, sequence
-/// detector).
+/// fresh probes run beside it. The recorder is an unbounded binary ring
+/// (32 bytes per event, no per-event heap traffic). The default metrics
+/// fold runs straight off the raw records (annotate_ring with a
+/// MetricsRecorder tee), so `decoded` — the offline-expansion scratch — is
+/// only touched when the site's TraceEvents are actually needed (JSONL
+/// export, sequence detector).
 struct SiteScratch {
   trace::RingRecorder recorder;
   std::vector<trace::TraceEvent> decoded;
@@ -52,10 +52,6 @@ struct SiteScratch {
   core::Target target;
   core::EndpointSlot session;
   core::EndpointSlot endpoints;
-  /// The worker thread's BufferPool between scans: a worker swaps it in
-  /// as its thread's pool when it starts and back out when it ends.
-  BufferPool buffers{BufferPool::kLocalSpare, BufferPool::kLocalCapacity,
-                     BufferPool::kLocalBurst};
 
   void reset() {
     recorder.clear();

@@ -374,12 +374,15 @@ void FaultyTransport::reset(FaultPlan plan, trace::Recorder* recorder,
 }
 
 void FaultyTransport::release_buffers() {
-  BufferPool::local().release(std::move(c2s_.pending));
-  BufferPool::local().release(std::move(s2c_.pending));
-  c2s_.pending.clear();
-  s2c_.pending.clear();
-  c2s_.pos = 0;
-  s2c_.pos = 0;
+  // Only a hold that owns storage touches the pool, so destroying a
+  // transport its lease already emptied is safe even during thread exit.
+  for (DirState* d : {&c2s_, &s2c_}) {
+    if (d->pending.capacity() != 0) {
+      BufferPool::local().release(std::move(d->pending));
+    }
+    d->pending.clear();
+    d->pos = 0;
+  }
 }
 
 void FaultyTransport::hold(DirState& d, Bytes& fresh) {

@@ -17,7 +17,7 @@ void ByteWriter::write_u24(std::uint32_t v) {
 }
 
 BufferPool& BufferPool::local() {
-  thread_local BufferPool pool(kLocalSpare, kLocalCapacity, kLocalBurst);
+  thread_local BufferPool pool(kLocalSpare, kLocalCapacity);
   return pool;
 }
 

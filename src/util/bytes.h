@@ -103,17 +103,14 @@ class ByteWriter {
 /// A pool keeps at most max_spare buffers, and none whose capacity exceeds
 /// max_capacity, so the memory it pins stays bounded however many
 /// endpoints feed it. Beside them it keeps one burst buffer: the largest
-/// released buffer above max_capacity and at most max_burst octets, handed
-/// out only for asks above max_capacity (an engine presizing its output
-/// for a flow-control or priority burst).
+/// released buffer above max_capacity and at most kBurstCapacity octets,
+/// handed out only for asks above max_capacity (an engine presizing its
+/// output for a flow-control or priority burst).
 class BufferPool {
  public:
   explicit BufferPool(std::size_t max_spare = 4,
-                      std::size_t max_capacity = SIZE_MAX,
-                      std::size_t max_burst = 0) noexcept
-      : max_spare_(max_spare),
-        max_capacity_(max_capacity),
-        max_burst_(max_burst) {}
+                      std::size_t max_capacity = SIZE_MAX) noexcept
+      : max_spare_(max_spare), max_capacity_(max_capacity) {}
 
   /// The calling thread's pool, shared by every ClientConnection and
   /// Http2Server on it: a connection that ends leaves its buffers warm for
@@ -122,9 +119,9 @@ class BufferPool {
   static BufferPool& local();
   static constexpr std::size_t kLocalSpare = 16;
   static constexpr std::size_t kLocalCapacity = 256 * 1024;
-  /// The local pool's burst buffer cap: a scan's priority probe opens the
-  /// connection window on 384 KiB of pinned responses.
-  static constexpr std::size_t kLocalBurst = 1024 * 1024;
+  /// The burst buffer's cap: a scan's priority probe opens the connection
+  /// window on 384 KiB of pinned responses.
+  static constexpr std::size_t kBurstCapacity = 1024 * 1024;
   /// What an endpoint asks for when it re-arms its output writer: room for
   /// a round of control frames and requests without regrowing.
   static constexpr std::size_t kOutputFloor = 1024;
@@ -154,7 +151,7 @@ class BufferPool {
   void release(Bytes b) {
     if (b.capacity() == 0) return;
     if (b.capacity() > max_capacity_) {
-      if (b.capacity() <= max_burst_ && b.capacity() > burst_.capacity()) {
+      if (b.capacity() <= kBurstCapacity && b.capacity() > burst_.capacity()) {
         burst_ = std::move(b);
       }
       return;
@@ -176,7 +173,6 @@ class BufferPool {
  private:
   std::size_t max_spare_;
   std::size_t max_capacity_;
-  std::size_t max_burst_;
   std::vector<Bytes> spare_;
   Bytes burst_;
 };

@@ -67,45 +67,6 @@ std::vector<std::pair<double, double>> SampleSet::cdf_points() const {
   return pts;
 }
 
-namespace {
-
-/// The first entry of @p counts whose value is not below @p value.
-template <typename Counts>
-auto value_slot(Counts& counts, std::int64_t value) {
-  return std::lower_bound(
-      counts.begin(), counts.end(), value,
-      [](const auto& entry, std::int64_t v) { return entry.first < v; });
-}
-
-/// Distinct values a new counter makes room for: a SETTINGS parameter
-/// takes a handful, so one allocation usually serves a counter's life.
-constexpr std::size_t kCounterValues = 16;
-
-}  // namespace
-
-void ValueCounter::add(std::int64_t value, std::size_t n) {
-  const auto it = value_slot(counts_, value);
-  if (it != counts_.end() && it->first == value) {
-    it->second += n;
-    return;
-  }
-  if (counts_.capacity() == 0) {
-    counts_.reserve(kCounterValues);
-    counts_.emplace_back(value, n);
-    return;
-  }
-  counts_.emplace(it, value, n);
-}
-
-void ValueCounter::merge(ValueCounter&& other) {
-  if (counts_.empty()) {
-    counts_.swap(other.counts_);
-  } else {
-    for (const auto& [value, n] : other.counts_) add(value, n);
-  }
-  other.counts_.clear();
-}
-
 std::size_t ValueCounter::total() const {
   std::size_t t = 0;
   for (const auto& [_, c] : counts_) t += c;
@@ -113,8 +74,8 @@ std::size_t ValueCounter::total() const {
 }
 
 std::size_t ValueCounter::count_of(std::int64_t value) const {
-  const auto it = value_slot(counts_, value);
-  return it != counts_.end() && it->first == value ? it->second : 0;
+  auto it = counts_.find(value);
+  return it == counts_.end() ? 0 : it->second;
 }
 
 TextTable::TextTable(std::vector<std::string> header)

@@ -4,8 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace h2r {
@@ -54,26 +54,20 @@ class SampleSet {
 };
 
 /// Counts exact values — the shape of the paper's Tables V/VI/VII, which
-/// report how many sites advertised each distinct SETTINGS value. The
-/// counts live in one value-sorted vector: a counter holds a handful of
-/// distinct values, so a new value costs a shift, not a node.
+/// report how many sites advertised each distinct SETTINGS value.
 class ValueCounter {
  public:
-  /// (value, count) pairs in ascending value order.
-  using Counts = std::vector<std::pair<std::int64_t, std::size_t>>;
-
-  void add(std::int64_t value) { add(value, 1); }
-  void add(std::int64_t value, std::size_t n);
-  /// Adds @p other's counts, taking its storage when this counter is
-  /// empty. Leaves @p other empty.
-  void merge(ValueCounter&& other);
+  void add(std::int64_t value) { ++counts_[value]; }
+  void add(std::int64_t value, std::size_t n) { counts_[value] += n; }
 
   [[nodiscard]] std::size_t total() const;
   [[nodiscard]] std::size_t count_of(std::int64_t value) const;
-  [[nodiscard]] const Counts& counts() const noexcept { return counts_; }
+  [[nodiscard]] const std::map<std::int64_t, std::size_t>& counts() const noexcept {
+    return counts_;
+  }
 
  private:
-  Counts counts_;
+  std::map<std::int64_t, std::size_t> counts_;
 };
 
 /// Fixed-width ASCII table builder used by every bench to print rows the way

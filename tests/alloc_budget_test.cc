@@ -39,12 +39,14 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace h2r {
 namespace {
 
-/// Heap allocations per scanned site of a warmed faulted+wiretap scan of
-/// the 1/1000 epoch-2 subsample on one worker. Measured: 19.3 on seed 1
-/// (233.5 per site before the scan rewrote its storage). The margin covers
-/// standard-library differences, not a return of per-site objects: a
-/// Target built per site alone costs about 66.
-constexpr double kScanSiteBudget = 25;
+/// Heap allocations per scanned site of a faulted+wiretap scan of the
+/// 1/1000 epoch-2 subsample (82 sites) on one worker, after a first scan
+/// has filled the process-wide tables. Measured: 27.8 on seed 1, about 11
+/// of it per-scan cost (the worker's fresh scratch growing, its partial
+/// report, the merge); a warm worker's site costs about 16. The margin
+/// covers standard-library differences, not a return of per-site objects:
+/// a Target built per site alone costs about 66.
+constexpr double kScanSiteBudget = 35;
 
 TEST(AllocBudget, WarmFaultedScanStaysUnderItsPerSiteBudget) {
   const corpus::Population pop =
@@ -53,7 +55,7 @@ TEST(AllocBudget, WarmFaultedScanStaysUnderItsPerSiteBudget) {
   opts.threads = 1;
   opts.fault_injection = true;
   opts.wiretap_metrics = true;
-  (void)corpus::scan_population(pop, opts);  // warms the worker's scratch
+  (void)corpus::scan_population(pop, opts);  // fills process-wide tables
   const std::uint64_t before = g_allocs.load();
   const corpus::ScanReport report = corpus::scan_population(pop, opts);
   const double per_site = static_cast<double>(g_allocs.load() - before) /

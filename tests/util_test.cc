@@ -111,21 +111,22 @@ TEST(BufferPoolTest, FullPoolKeepsTheSmallerBuffer) {
 }
 
 TEST(BufferPoolTest, KeepsOneBurstBufferForAsksAboveTheCap) {
-  BufferPool pool(4, /*max_capacity=*/64 * 1024, /*max_burst=*/512 * 1024);
+  constexpr std::size_t kCap = BufferPool::kLocalCapacity;
+  BufferPool pool(4, kCap);
   const auto sized = [](std::size_t n) {
     Bytes b;
     b.reserve(n);
     return b;
   };
-  pool.release(sized(256 * 1024));
-  pool.release(sized(384 * 1024));   // the larger one replaces it
-  pool.release(sized(1024 * 1024));  // above max_burst: dropped
+  pool.release(sized(2 * kCap));
+  pool.release(sized(3 * kCap));  // the larger one replaces it
+  pool.release(sized(BufferPool::kBurstCapacity + 1));  // above: dropped
   // Asks within the cap never take the burst buffer...
   EXPECT_EQ(pool.acquire(4 * 1024).capacity(), 4u * 1024u);
   // ...an ask above it that fits does, once.
-  const Bytes burst = pool.acquire(300 * 1024);
-  EXPECT_EQ(burst.capacity(), 384u * 1024u);
-  EXPECT_EQ(pool.acquire(300 * 1024).capacity(), 300u * 1024u);
+  const Bytes burst = pool.acquire(2 * kCap + 1);
+  EXPECT_EQ(burst.capacity(), 3 * kCap);
+  EXPECT_EQ(pool.acquire(2 * kCap + 1).capacity(), 2 * kCap + 1);
 }
 
 TEST(BufferPoolTest, PoolWithNoSparesKeepsNothing) {

@@ -72,7 +72,7 @@ void run_row(const RowSpec& spec, int connections, int requests,
   auto serve = netio::ShardedServe::create(shopts);
   if (!serve.ok()) {
     std::fprintf(stderr, "!! %s: %s\n", spec.name.c_str(),
-                 serve.status().message().c_str());
+                 std::string(serve.status().message()).c_str());
     g_failed = true;
     return;
   }
@@ -80,7 +80,7 @@ void run_row(const RowSpec& spec, int connections, int requests,
     const Status s = serve.value()->run();
     if (!s.ok()) {
       std::fprintf(stderr, "!! %s: sharded serve: %s\n", spec.name.c_str(),
-                   s.message().c_str());
+                   std::string(s.message()).c_str());
     }
   });
   netio::LoadOptions lopts;

@@ -81,8 +81,8 @@ ClientConnection::ClientConnection(ClientOptions options)
   send_preface();
 }
 
-void ClientConnection::reset(ClientOptions options) {
-  options_ = std::move(options);
+void ClientConnection::reset(const ClientOptions& options) {
+  options_ = options;
   reset();
 }
 

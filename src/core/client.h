@@ -6,9 +6,12 @@
 // in probes.h is built from this vocabulary.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,10 +65,51 @@ struct ReceivedFrame {
   std::optional<hpack::HeaderList> headers;  ///< decoded block, if any
 };
 
+/// The SETTINGS entries a client announces in its connection preface,
+/// held inline: building, copying or rewriting ClientOptions never touches
+/// the heap. Room for kCapacity entries, more than the six parameters RFC
+/// 7540 §6.5.2 defines; adding past that throws std::length_error.
+class PrefaceSettings {
+ public:
+  using value_type = std::pair<h2::SettingId, std::uint32_t>;
+  static constexpr std::size_t kCapacity = 8;
+
+  PrefaceSettings() = default;
+  PrefaceSettings(std::initializer_list<value_type> entries) {
+    for (const value_type& e : entries) emplace_back(e.first, e.second);
+  }
+
+  void emplace_back(h2::SettingId id, std::uint32_t value) {
+    if (size_ == kCapacity) {
+      throw std::length_error("PrefaceSettings: more than kCapacity entries");
+    }
+    entries_[size_++] = {id, value};
+  }
+  void clear() noexcept { size_ = 0; }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] const value_type& operator[](std::size_t i) const {
+    return entries_[i];
+  }
+  [[nodiscard]] value_type* begin() noexcept { return entries_.data(); }
+  [[nodiscard]] value_type* end() noexcept { return entries_.data() + size_; }
+  [[nodiscard]] const value_type* begin() const noexcept {
+    return entries_.data();
+  }
+  [[nodiscard]] const value_type* end() const noexcept {
+    return entries_.data() + size_;
+  }
+
+ private:
+  std::array<value_type, kCapacity> entries_{};
+  std::size_t size_ = 0;
+};
+
 struct ClientOptions {
   /// SETTINGS entries announced in the connection preface. The probes use
   /// this to plant SETTINGS_INITIAL_WINDOW_SIZE = 1 / 0 / 2^31-1 etc.
-  std::vector<std::pair<h2::SettingId, std::uint32_t>> settings;
+  PrefaceSettings settings;
   /// Replenish the connection window as DATA arrives. Algorithm 1 switches
   /// this off to deplete the connection window (§III-C step 1).
   bool auto_connection_window_update = true;
@@ -125,8 +169,9 @@ class ClientConnection {
   void reset();
 
   /// reset() with replacement options — the scan's per-worker scratch
-  /// reuses one client across sites whose recorder wiring differs.
-  void reset(ClientOptions options);
+  /// reuses one client across sites whose recorder wiring differs. The
+  /// options are copied into the ones the connection holds.
+  void reset(const ClientOptions& options);
 
   /// Flip the auto-replenish behaviours mid-connection. The coalesced probe
   /// scheduler reuses one connection across probes that want different

@@ -18,7 +18,7 @@ constexpr std::uint32_t kHalfWindow = 0x4000'0000u;
 
 ClientOptions with_initial_window(std::uint32_t iws) {
   ClientOptions o;
-  o.settings = {{SettingId::kInitialWindowSize, iws}};
+  o.with_initial_window(iws);
   return o;
 }
 
@@ -83,15 +83,16 @@ server::Http2Server& EndpointLease::server() const { return *slot_->server_; }
 
 net::Transport& EndpointLease::transport() const { return *slot_->transport_; }
 
-EndpointLease EndpointSlot::lease(const Target& target, ClientOptions opts) {
+EndpointLease EndpointSlot::lease(const Target& target,
+                                  const ClientOptions& opts) {
   assert(!leased_ && "EndpointSlot leased twice");
   leased_ = true;
   // Client before server, as in a fresh construction: the wiretap's
   // connection-start marker has to precede the server's preface frames.
   if (client_) {
-    client_->reset(target.client_options(std::move(opts)));
+    client_->reset(target.client_options(opts));
   } else {
-    client_.emplace(target.client_options(std::move(opts)));
+    client_.emplace(target.client_options(opts));
   }
   if (server_) {
     target.reset_server(*server_);
@@ -117,10 +118,10 @@ EndpointLease EndpointSlot::lease(const Target& target, ClientOptions opts) {
   return EndpointLease(this);
 }
 
-EndpointLease Target::lease_endpoints(ClientOptions opts) const {
-  if (endpoints != nullptr) return endpoints->lease(*this, std::move(opts));
+EndpointLease Target::lease_endpoints(const ClientOptions& opts) const {
+  if (endpoints != nullptr) return endpoints->lease(*this, opts);
   if (!own_endpoints_) own_endpoints_ = std::make_unique<EndpointSlot>();
-  return own_endpoints_->lease(*this, std::move(opts));
+  return own_endpoints_->lease(*this, opts);
 }
 
 Target::Target(const Target& other)
@@ -197,8 +198,8 @@ std::unique_ptr<net::Transport> Target::make_transport() const {
 
 NegotiationProbeResult probe_negotiation(const Target& target) {
   NegotiationProbeResult out;
-  const std::vector<std::string> client_protocols = {net::kProtoH2,
-                                                     net::kProtoHttp11};
+  static const std::vector<std::string> client_protocols = {
+      net::kProtoH2, net::kProtoHttp11};
   const auto alpn = net::negotiate_alpn(client_protocols, target.profile.tls);
   const auto npn = net::negotiate_npn(client_protocols, target.profile.tls);
   out.alpn_h2 = alpn.selected_h2();
@@ -360,7 +361,13 @@ ZeroWindowHeadersResult probe_zero_window_headers(const Target& target) {
 
 WindowUpdateProbeResult probe_window_update_reactions(const Target& target) {
   WindowUpdateProbeResult out;
+  probe_window_update_reactions(target, out);
+  return out;
+}
 
+void probe_window_update_reactions(const Target& target,
+                                   WindowUpdateProbeResult& out) {
+  out.zero_debug_data.clear();
   {  // zero increment, stream scope — on a stream mid-response
     ClientOptions opts;
     opts.auto_stream_window_update = false;  // keep the stream open/blocked
@@ -409,7 +416,6 @@ WindowUpdateProbeResult probe_window_update_reactions(const Target& target) {
     transport.run(client, server, target.limits);
     out.large_on_connection = classify_update_reaction(client, std::nullopt);
   }
-  return out;
 }
 
 // ----------------------------------------------------------------- priority
@@ -529,6 +535,12 @@ SelfDependencyProbeResult probe_self_dependency(const Target& target) {
 PushProbeResult probe_server_push(const Target& target,
                                   const std::string& page) {
   PushProbeResult out;
+  probe_server_push(target, page, out);
+  return out;
+}
+
+void probe_server_push(const Target& target, const std::string& page,
+                       PushProbeResult& out) {
   ClientOptions opts;
   opts.settings = {{SettingId::kEnablePush, 1}};  // §III-D: opt in explicitly
   const EndpointLease lease = target.lease_endpoints(opts);
@@ -537,12 +549,21 @@ PushProbeResult probe_server_push(const Target& target,
   net::Transport& transport = lease.transport();
   client.send_request(page);
   transport.run(client, server, target.limits);
+  // Each path rewrites a string the result already holds.
+  std::size_t paths = 0;
+  out.pushed_bytes = 0;
   for (const auto& [promised_id, request] : client.pushes()) {
-    out.pushed_paths.emplace_back(hpack::find_header(request, ":path"));
+    const std::string_view path = hpack::find_header(request, ":path");
+    if (paths < out.pushed_paths.size()) {
+      out.pushed_paths[paths].assign(path);
+    } else {
+      out.pushed_paths.emplace_back(path);
+    }
+    ++paths;
     out.pushed_bytes += client.data_received(promised_id);
   }
-  out.push_received = !out.pushed_paths.empty();
-  return out;
+  out.pushed_paths.resize(paths);
+  out.push_received = paths != 0;
 }
 
 // -------------------------------------------------------------------- hpack
@@ -550,23 +571,32 @@ PushProbeResult probe_server_push(const Target& target,
 HpackProbeResult probe_hpack_ratio(const Target& target, int h,
                                    const std::string& path) {
   HpackProbeResult out;
+  probe_hpack_ratio(target, h, path, out);
+  return out;
+}
+
+void probe_hpack_ratio(const Target& target, int h, const std::string& path,
+                       HpackProbeResult& out) {
+  out.ran = false;
+  out.ratio = 1.0;
+  out.header_sizes.clear();
   const EndpointLease lease = target.lease_endpoints();
   ClientConnection& client = lease.client();
   server::Http2Server& server = lease.server();
   net::Transport& transport = lease.transport();
-  std::vector<std::uint32_t> streams;
-  streams.reserve(static_cast<std::size_t>(std::max(h, 0)));
+  // Sequential requests so each response block sees the dynamic table state
+  // left by the previous one (§III-E). A fresh connection numbers them 1,
+  // 3, 5, ...: request i is stream first + 2i.
+  std::uint32_t first = 0;
   for (int i = 0; i < h; ++i) {
-    // Sequential requests so each response block sees the dynamic table
-    // state left by the previous one (§III-E).
-    streams.push_back(client.send_request(path));
+    const std::uint32_t sid = client.send_request(path);
+    if (i == 0) first = sid;
     transport.run(client, server, target.limits);
   }
-  out.header_sizes.reserve(streams.size());
-  for (std::uint32_t sid : streams) {
-    const ReceivedFrame* headers =
-        client.first_frame_of(FrameType::kHeaders, sid);
-    if (headers == nullptr) return out;  // ran stays false
+  for (int i = 0; i < h; ++i) {
+    const ReceivedFrame* headers = client.first_frame_of(
+        FrameType::kHeaders, first + 2 * static_cast<std::uint32_t>(i));
+    if (headers == nullptr) return;  // ran stays false
     out.header_sizes.push_back(headers->header_block_size);
   }
   const double s1 = static_cast<double>(out.header_sizes.front());
@@ -574,7 +604,6 @@ HpackProbeResult probe_hpack_ratio(const Target& target, int h,
   for (std::size_t s : out.header_sizes) sum += static_cast<double>(s);
   out.ratio = sum / (s1 * static_cast<double>(h));
   out.ran = true;
-  return out;
 }
 
 // --------------------------------------------------------------------- ping

@@ -21,6 +21,7 @@
 #include <optional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -102,9 +103,10 @@ class EndpointSlot {
   EndpointSlot& operator=(const EndpointSlot&) = delete;
 
   /// The pair as a fresh first connection against @p target, with client
-  /// options @p opts (wired through Target::client_options).
+  /// options @p opts (wired through Target::client_options), which the
+  /// client copies into the options it holds.
   [[nodiscard]] EndpointLease lease(const Target& target,
-                                    ClientOptions opts = {});
+                                    const ClientOptions& opts = {});
   [[nodiscard]] bool leased() const noexcept { return leased_; }
   /// The client as the last lease left it — what that connection observed
   /// (null before the first lease).
@@ -194,16 +196,19 @@ struct Target {
 
   /// ClientOptions pre-wired to this target's recorder. Probes reason about
   /// DATA frame *sizes* only, so response payload octets are not retained.
-  [[nodiscard]] ClientOptions client_options(ClientOptions opts = {}) const {
-    opts.recorder = recorder;
-    opts.keep = ClientOptions::Keep::kFrameSizes;
-    return opts;
+  [[nodiscard]] ClientOptions client_options(
+      const ClientOptions& opts = {}) const {
+    ClientOptions wired = opts;
+    wired.recorder = recorder;
+    wired.keep = ClientOptions::Keep::kFrameSizes;
+    return wired;
   }
 
   /// A fresh client/engine pair and transport for the next connection
   /// against this target, leased from `endpoints` (or the target's own
   /// slot). Hold the lease for the connection's lifetime.
-  [[nodiscard]] EndpointLease lease_endpoints(ClientOptions opts = {}) const;
+  [[nodiscard]] EndpointLease lease_endpoints(
+      const ClientOptions& opts = {}) const;
 
   /// A newly built transport for the next connection against this target:
   /// lockstep when faults are off, otherwise a FaultyTransport whose plan
@@ -242,22 +247,23 @@ struct Target {
 /// Runs @p fn — a probe body that opens fresh connections against
 /// @p target — up to policy.max_attempts times, retrying (with simulated
 /// backoff booked into the target's ledger) whenever the attempt hit a
-/// transport fault or deadline. Returns the last attempt's result. With no
-/// ledger or no faults this collapses to a single plain call. Backoff is
-/// simulated time, never slept: each one is booked as a park of that many
-/// rounds, beside the exchange parks the transport books.
+/// transport fault or deadline. Returns the last attempt's result; a body
+/// that writes its result into caller storage instead returns nothing, and
+/// each attempt rewrites that storage. With no ledger or no faults this
+/// collapses to a single plain call. Backoff is simulated time, never
+/// slept: each one is booked as a park of that many rounds, beside the
+/// exchange parks the transport books.
 template <typename Fn>
 auto probe_with_retry(const Target& target, const RetryPolicy& policy,
                       Fn&& fn) {
   net::ExchangeLedger* ledger = target.ledger;
   double backoff = policy.backoff_base_ms;
-  for (int attempt = 1;; ++attempt) {
-    if (ledger != nullptr) ledger->begin_attempt();
-    auto result = fn();
+  // True once the attempt just run is the last: it settles the ledger.
+  const auto settled = [&](int attempt) {
     if (ledger == nullptr || !ledger->attempt_faulted() ||
         attempt >= policy.max_attempts) {
       if (ledger != nullptr) ledger->settle_attempt();
-      return result;
+      return true;
     }
     // The attempt was degraded by the transport: book the retry and go
     // again on fresh connections (the failed attempt's flags are dropped —
@@ -267,6 +273,17 @@ auto probe_with_retry(const Target& target, const RetryPolicy& policy,
       ledger->note_park(rounds);
     }
     backoff *= policy.backoff_multiplier;
+    return false;
+  };
+  for (int attempt = 1;; ++attempt) {
+    if (ledger != nullptr) ledger->begin_attempt();
+    if constexpr (std::is_void_v<decltype(fn())>) {
+      fn();
+      if (settled(attempt)) return;
+    } else {
+      auto result = fn();
+      if (settled(attempt)) return result;
+    }
   }
 }
 
@@ -390,6 +407,10 @@ struct WindowUpdateProbeResult {
 };
 
 WindowUpdateProbeResult probe_window_update_reactions(const Target& target);
+/// The same probe, rewriting @p out: a result the caller keeps (the scan's
+/// worker scratch) keeps the storage of its debug text.
+void probe_window_update_reactions(const Target& target,
+                                   WindowUpdateProbeResult& out);
 
 // ---------------------------------------------------------------- priority
 
@@ -440,6 +461,9 @@ struct PushProbeResult {
 
 PushProbeResult probe_server_push(const Target& target,
                                   const std::string& page = "/");
+/// The same probe, rewriting @p out and the path strings it already holds.
+void probe_server_push(const Target& target, const std::string& page,
+                       PushProbeResult& out);
 
 // ------------------------------------------------------------------ hpack
 
@@ -452,6 +476,9 @@ struct HpackProbeResult {
 
 HpackProbeResult probe_hpack_ratio(const Target& target, int h = 8,
                                    const std::string& path = "/");
+/// The same probe, rewriting @p out and the header_sizes storage it holds.
+void probe_hpack_ratio(const Target& target, int h, const std::string& path,
+                       HpackProbeResult& out);
 
 // ------------------------------------------------------------------- ping
 

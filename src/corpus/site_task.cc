@@ -140,8 +140,10 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
     if (zero_window.headers_received) {
       ++r.zero_window_headers_ok;
     }
-    const auto wu = retried(
-        [&] { return core::probe_window_update_reactions(target); });
+    const core::WindowUpdateProbeResult& wu = scratch.window_update;
+    retried([&] {
+      core::probe_window_update_reactions(target, scratch.window_update);
+    });
     switch (wu.zero_on_stream) {
       case UpdateReaction::kRstStream:
         ++r.zero_wu_rst;
@@ -202,11 +204,11 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
   }
 
   if (opts.probe_push) {
-    core::PushProbeResult push;
+    core::PushProbeResult& push = scratch.push;
     if (session) {
       push = session->push();
     } else {
-      push = retried([&] { return core::probe_server_push(target); });
+      retried([&] { core::probe_server_push(target, "/", push); });
     }
     if (push.push_received) {
       r.push_hosts.push_back(spec.host);
@@ -214,12 +216,12 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
   }
 
   if (opts.probe_hpack && hpack_family_of_interest(spec.family)) {
-    core::HpackProbeResult hpack;
+    core::HpackProbeResult& hpack = scratch.hpack;
     if (session) {
       hpack = session->hpack_ratio();
     } else {
-      hpack = retried(
-          [&] { return core::probe_hpack_ratio(target, opts.hpack_h); });
+      retried(
+          [&] { core::probe_hpack_ratio(target, opts.hpack_h, "/", hpack); });
     }
     if (hpack.ran) {
       if (hpack.ratio > 1.0) {

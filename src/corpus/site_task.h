@@ -34,7 +34,9 @@ namespace h2r::corpus {
 /// fold runs straight off the raw records (annotate_ring with a
 /// MetricsRecorder tee), so `decoded` — the offline-expansion scratch — is
 /// only touched when the site's TraceEvents are actually needed (JSONL
-/// export, sequence detector).
+/// export, sequence detector). The results of the probes that carry lists
+/// or text (WINDOW_UPDATE reactions, push, HPACK ratio) are rewritten in
+/// place, site after site, so their storage stays warm too.
 struct SiteScratch {
   trace::RingRecorder recorder;
   std::vector<trace::TraceEvent> decoded;
@@ -52,6 +54,9 @@ struct SiteScratch {
   core::Target target;
   core::EndpointSlot session;
   core::EndpointSlot endpoints;
+  core::WindowUpdateProbeResult window_update;
+  core::PushProbeResult push;
+  core::HpackProbeResult hpack;
 
   void reset() {
     recorder.clear();

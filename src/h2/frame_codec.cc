@@ -17,6 +17,14 @@ void write_priority_info(ByteWriter& out, const PriorityInfo& p) {
   out.write_u8(p.weight_field);
 }
 
+void write_goaway_payload(ByteWriter& out, std::uint32_t last_stream_id,
+                          ErrorCode error,
+                          std::span<const std::uint8_t> debug) {
+  out.write_u32(last_stream_id & kStreamIdMask);
+  out.write_u32(static_cast<std::uint32_t>(error));
+  out.write_bytes(debug);
+}
+
 struct SerializeVisitor {
   const Frame& frame;
   ByteWriter& out;
@@ -100,9 +108,7 @@ struct SerializeVisitor {
   void operator()(const GoawayPayload& p) const {
     write_frame_header(out, 8 + p.debug_data.size(), FrameType::kGoaway,
                        frame.flags, frame.stream_id);
-    out.write_u32(p.last_stream_id & kStreamIdMask);
-    out.write_u32(static_cast<std::uint32_t>(p.error));
-    out.write_bytes(p.debug_data);
+    write_goaway_payload(out, p.last_stream_id, p.error, p.debug_data);
   }
 
   void operator()(const WindowUpdatePayload& p) const {
@@ -161,6 +167,14 @@ void write_frame_header(ByteWriter& out, std::size_t length, FrameType type,
   out.write_u8(static_cast<std::uint8_t>(type));
   out.write_u8(flagbits);
   out.write_u32(stream_id & kStreamIdMask);
+}
+
+std::size_t write_goaway(ByteWriter& out, std::uint32_t last_stream_id,
+                         ErrorCode error, std::span<const std::uint8_t> debug) {
+  const std::size_t length = 8 + debug.size();
+  write_frame_header(out, length, FrameType::kGoaway, 0, 0);
+  write_goaway_payload(out, last_stream_id, error, debug);
+  return kFrameHeaderSize + length;
 }
 
 std::size_t serialize_frame_into(ByteWriter& out, const Frame& frame) {

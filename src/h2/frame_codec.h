@@ -30,6 +30,12 @@ std::size_t serialize_frame_into(ByteWriter& out, const Frame& frame);
 void write_frame_header(ByteWriter& out, std::size_t length, FrameType type,
                         std::uint8_t flagbits, std::uint32_t stream_id);
 
+/// Writes a GOAWAY frame (§6.8) carrying @p debug straight into @p out, as
+/// serialize_frame_into would write the equivalent Frame, without building
+/// one. Returns the frame's wire length.
+std::size_t write_goaway(ByteWriter& out, std::uint32_t last_stream_id,
+                         ErrorCode error, std::span<const std::uint8_t> debug);
+
 /// Serializes one frame, including its 9-octet header.
 /// Throws std::invalid_argument for unserializable model states (payload
 /// larger than 2^24-1, pad >= payload+1, increments with the reserved bit).

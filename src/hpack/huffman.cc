@@ -188,9 +188,9 @@ Status huffman_decode_into(std::span<const std::uint8_t> data,
   for (std::uint8_t octet : data) {
     const Fsm::Transition& e = table[state * 256u + octet];
     if (e.flags != 0) {
-      return CompressionFailureError(e.flags == kFailEos
-                                         ? "Huffman: EOS decoded in body"
-                                         : "Huffman: invalid code path");
+      return e.flags == kFailEos
+                 ? CompressionFailureError("Huffman: EOS decoded in body")
+                 : CompressionFailureError("Huffman: invalid code path");
     }
     if (e.nsym != 0) {
       out.push_back(static_cast<char>(e.sym[0]));

@@ -1,6 +1,8 @@
 #include "net/transport.h"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstddef>
 
 #include "h2/constants.h"
@@ -317,19 +319,25 @@ std::size_t WireCursor::scan(std::span<const std::uint8_t> s,
         break;
       }
       case Phase::kHeader: {
-        header_[header_have_++] = s[i];
-        ++i;
-        if (header_have_ == header_.size()) {
-          payload_left_ = (static_cast<std::uint32_t>(header_[0]) << 16) |
-                          (static_cast<std::uint32_t>(header_[1]) << 8) |
-                          static_cast<std::uint32_t>(header_[2]);
+        const std::uint8_t* header = s.data() + i;
+        if (header_have_ == 0 && s.size() - i >= header_.size()) {
+          // The whole header is in view: read its length field in place.
+          i += header_.size();
+        } else {
+          header_[header_have_++] = s[i];
+          ++i;
+          if (header_have_ < header_.size()) break;
+          header = header_.data();
           header_have_ = 0;
-          if (payload_left_ == 0) {
-            // Zero-length frame: complete at its header's last octet.
-            if (stop_at_boundary) return i;
-          } else {
-            phase_ = Phase::kPayload;
-          }
+        }
+        payload_left_ = (static_cast<std::uint32_t>(header[0]) << 16) |
+                        (static_cast<std::uint32_t>(header[1]) << 8) |
+                        static_cast<std::uint32_t>(header[2]);
+        if (payload_left_ == 0) {
+          // Zero-length frame: complete at its header's last octet.
+          if (stop_at_boundary) return i;
+        } else {
+          phase_ = Phase::kPayload;
         }
         break;
       }
@@ -397,6 +405,19 @@ void FaultyTransport::hold(DirState& d, Bytes& fresh) {
   d.pending.insert(d.pending.end(), fresh.begin(), fresh.end());
 }
 
+const Status& FaultyTransport::truncated_status(std::uint64_t at) {
+  static constexpr std::string_view kPrefix = "transport truncated at octet ";
+  std::array<char, kPrefix.size() + 20> text;
+  std::copy(kPrefix.begin(), kPrefix.end(), text.begin());
+  const auto end =
+      std::to_chars(text.data() + kPrefix.size(), text.data() + text.size(),
+                    at)
+          .ptr;
+  truncated_.assign(StatusCode::kUnavailable,
+                    std::string_view(text.data(), end - text.data()));
+  return truncated_;
+}
+
 void FaultyTransport::record_fault(trace::Direction dir, std::uint64_t at,
                                    std::uint32_t detail_b) {
   if (recorder_ == nullptr) return;
@@ -421,12 +442,15 @@ bool FaultyTransport::step(DirState& d, trace::Direction dir, Endpoint& dst,
     return true;
   }
 
+  // The cursor tracks every octet actually delivered — including fault
+  // prefixes and post-corruption bytes — so its view of frame boundaries is
+  // exactly the receiver's. Measuring a frame-aligned span already moves it
+  // past the span; a delivery that differs from the measured span (a fault
+  // prefix, a corrupted octet) restores it and scans what actually arrives.
+  bool rescan = false;
   const auto deliver = [&](std::size_t n) {
     const std::span<const std::uint8_t> chunk(d.pending.data() + d.pos, n);
-    // The cursor tracks every octet actually delivered — including fault
-    // prefixes and post-corruption bytes — so its view of frame boundaries
-    // is exactly the receiver's.
-    if (plan_.frame_aligned) d.cursor.advance(chunk);
+    if (rescan) d.cursor.advance(chunk);
     dst.receive(chunk);
     d.pos += n;
     d.offset += n;
@@ -435,9 +459,11 @@ bool FaultyTransport::step(DirState& d, trace::Direction dir, Endpoint& dst,
   bool moved = false;
   while (d.pos < d.pending.size()) {
     const std::size_t avail = d.pending.size() - d.pos;
+    const WireCursor measured_from = d.cursor;
+    rescan = false;
     const std::size_t n =
         plan_.frame_aligned
-            ? d.cursor.preview(std::span<const std::uint8_t>(
+            ? d.cursor.next_span(std::span<const std::uint8_t>(
                   d.pending.data() + d.pos, avail))
         : plan_.max_chunk == 0
             ? avail
@@ -449,6 +475,10 @@ bool FaultyTransport::step(DirState& d, trace::Direction dir, Endpoint& dst,
           plan_.at_byte > d.offset
               ? static_cast<std::size_t>(plan_.at_byte - d.offset)
               : 0;
+      if (plan_.frame_aligned) {
+        d.cursor = measured_from;
+        rescan = true;
+      }
       fault_armed_ = false;
       fault_fired_ = true;
       result.fault = plan_.kind;
@@ -461,9 +491,7 @@ bool FaultyTransport::step(DirState& d, trace::Direction dir, Endpoint& dst,
           d.cut = true;
           d.pending.clear();
           d.pos = 0;
-          dst.on_transport_close(
-              UnavailableError("transport truncated at octet " +
-                               std::to_string(plan_.at_byte)));
+          dst.on_transport_close(truncated_status(plan_.at_byte));
           return true;
         case FaultKind::kStall:
           if (prefix > 0) deliver(prefix);

@@ -401,11 +401,10 @@ class WireCursor {
 
   /// Length of the next delivery span within @p avail: up to and including
   /// the earliest boundary, or all of @p avail when none falls inside.
-  /// Never 0 for non-empty input. Does not advance the cursor.
-  [[nodiscard]] std::size_t preview(
-      std::span<const std::uint8_t> avail) const {
-    WireCursor probe = *this;
-    return probe.scan(avail, /*stop_at_boundary=*/true);
+  /// Never 0 for non-empty input. Advances the cursor over that span, as
+  /// advance() over the same octets would.
+  [[nodiscard]] std::size_t next_span(std::span<const std::uint8_t> avail) {
+    return scan(avail, /*stop_at_boundary=*/true);
   }
 
   /// Advances the cursor over octets actually delivered.
@@ -490,8 +489,13 @@ class FaultyTransport final : public Transport {
             Endpoint& client, Endpoint& server, ExchangeResult& result);
   void record_fault(trace::Direction dir, std::uint64_t at,
                     std::uint32_t detail_b);
+  /// "transport truncated at octet @p at", rendered into `truncated_`.
+  const Status& truncated_status(std::uint64_t at);
 
   FaultPlan plan_;
+  /// The truncation close status. Its text storage outlives reset(), so a
+  /// warm transport renders the status without allocating.
+  Status truncated_;
   Rng chunk_rng_;
   DirState c2s_{true};
   DirState s2c_{false};

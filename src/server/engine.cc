@@ -1158,17 +1158,17 @@ void Http2Server::note_window_resume(Stream& stream) {
 
 void Http2Server::react(ErrorReaction reaction, std::uint32_t stream_id,
                         ErrorCode stream_code, ErrorCode conn_code,
-                        std::string debug) {
+                        std::string_view debug) {
   switch (reaction) {
     case ErrorReaction::kIgnore:
       return;
     case ErrorReaction::kRstStream:
       if (stream_id != 0) return stream_error(stream_id, stream_code);
-      return connection_error(conn_code, std::move(debug));
+      return connection_error(conn_code, debug);
     case ErrorReaction::kGoaway:
-      return connection_error(conn_code, "");
+      return connection_error(conn_code, {});
     case ErrorReaction::kGoawayWithDebug:
-      return connection_error(conn_code, std::move(debug));
+      return connection_error(conn_code, debug);
   }
 }
 
@@ -1179,8 +1179,22 @@ void Http2Server::stream_error(std::uint32_t stream_id, ErrorCode code) {
   close_stream(stream_id);
 }
 
-void Http2Server::connection_error(ErrorCode code, std::string debug) {
-  send_frame(h2::make_goaway(last_client_stream_id_, code, std::move(debug)));
+void Http2Server::connection_error(ErrorCode code, std::string_view debug) {
+  // No Frame: a GOAWAY payload would copy the debug text into a vector.
+  const std::span<const std::uint8_t> octets(
+      reinterpret_cast<const std::uint8_t*>(debug.data()), debug.size());
+  const std::size_t wire =
+      h2::write_goaway(out_, last_client_stream_id_, code, octets);
+  if (recorder_ != nullptr) {
+    h2::FrameView view;
+    view.raw_type = static_cast<std::uint8_t>(FrameType::kGoaway);
+    view.payload_wire_octets =
+        static_cast<std::uint32_t>(wire - h2::kFrameHeaderSize);
+    view.body = octets;
+    view.last_stream_id = last_client_stream_id_;
+    view.error = code;
+    recorder_->record_frame(trace::Direction::kServerToClient, view, wire);
+  }
   dead_ = true;
 }
 

@@ -320,11 +320,15 @@ class Http2Server {
   /// Emits @p block as HEADERS (+ CONTINUATIONs when it exceeds the peer's
   /// SETTINGS_MAX_FRAME_SIZE, §4.3).
   void send_header_block(std::uint32_t stream_id, Bytes block, bool end_stream);
+  /// The profile's @p reaction to a violation; @p debug is the GOAWAY
+  /// debug text when the reaction carries one.
   void react(ErrorReaction reaction, std::uint32_t stream_id,
              h2::ErrorCode stream_code, h2::ErrorCode conn_code,
-             std::string debug);
+             std::string_view debug);
   void stream_error(std::uint32_t stream_id, h2::ErrorCode code);
-  void connection_error(h2::ErrorCode code, std::string debug);
+  /// Ends the connection with a GOAWAY carrying @p debug, written straight
+  /// into the output buffer as send_data_direct writes DATA.
+  void connection_error(h2::ErrorCode code, std::string_view debug);
   void close_stream(std::uint32_t stream_id);
   [[nodiscard]] bool tiny_window_mode() const;
 

@@ -30,40 +30,13 @@ std::string_view to_string(StatusCode code) noexcept {
 
 std::string Status::to_string() const {
   std::string out{h2r::to_string(code_)};
-  if (!message_.empty()) {
+  if (const std::string_view text = message(); !text.empty()) {
     out += ": ";
-    out += message_;
+    out += text;
   }
   return out;
 }
 
 Status OkStatus() noexcept { return Status{}; }
-Status InvalidArgumentError(std::string msg) {
-  return Status{StatusCode::kInvalidArgument, std::move(msg)};
-}
-Status OutOfRangeError(std::string msg) {
-  return Status{StatusCode::kOutOfRange, std::move(msg)};
-}
-Status ProtocolViolationError(std::string msg) {
-  return Status{StatusCode::kProtocolError, std::move(msg)};
-}
-Status FlowControlViolationError(std::string msg) {
-  return Status{StatusCode::kFlowControlError, std::move(msg)};
-}
-Status CompressionFailureError(std::string msg) {
-  return Status{StatusCode::kCompressionError, std::move(msg)};
-}
-Status FrameSizeViolationError(std::string msg) {
-  return Status{StatusCode::kFrameSizeError, std::move(msg)};
-}
-Status RefusedError(std::string msg) {
-  return Status{StatusCode::kRefused, std::move(msg)};
-}
-Status UnavailableError(std::string msg) {
-  return Status{StatusCode::kUnavailable, std::move(msg)};
-}
-Status InternalError(std::string msg) {
-  return Status{StatusCode::kInternal, std::move(msg)};
-}
 
 }  // namespace h2r

@@ -6,6 +6,7 @@
 // exceptions. Exceptions remain reserved for precondition violations.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -34,19 +35,59 @@ enum class StatusCode : std::uint8_t {
 /// Human-readable name for a StatusCode ("OK", "PROTOCOL_ERROR", ...).
 std::string_view to_string(StatusCode code) noexcept;
 
+/// The text of a Status, as a std::string_view. Prefixing it with context
+/// ("s2c parse: " + status.message()) builds a std::string.
+class StatusMessage : public std::string_view {
+ public:
+  constexpr StatusMessage(std::string_view text) noexcept  // NOLINT
+      : std::string_view(text) {}
+
+  friend std::string operator+(std::string_view prefix, StatusMessage text) {
+    std::string out;
+    out.reserve(prefix.size() + text.size());
+    out.append(prefix);
+    out.append(text);
+    return out;
+  }
+};
+
 /// Value-type error carrier: a code plus an explanatory message.
+///
+/// Text contract: a string literal is borrowed, never copied, so building,
+/// copying or returning a Status with literal text costs no allocation.
+/// Text built at run time (a std::string, or a const char* of unknown
+/// lifetime) is owned. A character array is taken for a string literal:
+/// pass run-time text in a char buffer as std::string(buffer).
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.
   Status() noexcept = default;
 
-  /// Constructs a status with @p code and diagnostic @p message.
+  /// A status with @p code whose message borrows the string literal
+  /// @p literal.
+  template <std::size_t N>
+  Status(StatusCode code, const char (&literal)[N]) noexcept
+      : code_(code), literal_(literal, N - 1) {}
+
+  /// A status with @p code that owns the run-time text @p message.
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code), owned_(std::move(message)) {}
 
   [[nodiscard]] bool ok() const noexcept { return code_ == StatusCode::kOk; }
   [[nodiscard]] StatusCode code() const noexcept { return code_; }
-  [[nodiscard]] const std::string& message() const noexcept { return message_; }
+  [[nodiscard]] StatusMessage message() const noexcept {
+    return owned_.empty() ? literal_ : std::string_view(owned_);
+  }
+
+  /// Rewrites this status as @p code with the run-time text @p message,
+  /// reusing the text storage it already owns: a status kept by its
+  /// producer (a transport's close status) re-renders without allocating
+  /// once its storage has grown to the text.
+  void assign(StatusCode code, std::string_view message) {
+    code_ = code;
+    literal_ = {};
+    owned_.assign(message);
+  }
 
   /// "CODE: message" rendering for logs and test failures.
   [[nodiscard]] std::string to_string() const;
@@ -57,20 +98,50 @@ class [[nodiscard]] Status {
 
  private:
   StatusCode code_ = StatusCode::kOk;
-  std::string message_;
+  std::string_view literal_;  ///< borrowed literal text; empty when owned
+  std::string owned_;         ///< run-time text; empty when borrowed
 };
 
-/// Shorthand constructors, mirroring absl::*Error style.
+/// Shorthand constructors, mirroring absl::*Error style. Each takes its
+/// message as Status does: a string literal is borrowed, anything else is
+/// owned.
 Status OkStatus() noexcept;
-Status InvalidArgumentError(std::string msg);
-Status OutOfRangeError(std::string msg);
-Status ProtocolViolationError(std::string msg);
-Status FlowControlViolationError(std::string msg);
-Status CompressionFailureError(std::string msg);
-Status FrameSizeViolationError(std::string msg);
-Status RefusedError(std::string msg);
-Status UnavailableError(std::string msg);
-Status InternalError(std::string msg);
+template <typename Text>
+Status InvalidArgumentError(Text&& msg) {
+  return Status(StatusCode::kInvalidArgument, std::forward<Text>(msg));
+}
+template <typename Text>
+Status OutOfRangeError(Text&& msg) {
+  return Status(StatusCode::kOutOfRange, std::forward<Text>(msg));
+}
+template <typename Text>
+Status ProtocolViolationError(Text&& msg) {
+  return Status(StatusCode::kProtocolError, std::forward<Text>(msg));
+}
+template <typename Text>
+Status FlowControlViolationError(Text&& msg) {
+  return Status(StatusCode::kFlowControlError, std::forward<Text>(msg));
+}
+template <typename Text>
+Status CompressionFailureError(Text&& msg) {
+  return Status(StatusCode::kCompressionError, std::forward<Text>(msg));
+}
+template <typename Text>
+Status FrameSizeViolationError(Text&& msg) {
+  return Status(StatusCode::kFrameSizeError, std::forward<Text>(msg));
+}
+template <typename Text>
+Status RefusedError(Text&& msg) {
+  return Status(StatusCode::kRefused, std::forward<Text>(msg));
+}
+template <typename Text>
+Status UnavailableError(Text&& msg) {
+  return Status(StatusCode::kUnavailable, std::forward<Text>(msg));
+}
+template <typename Text>
+Status InternalError(Text&& msg) {
+  return Status(StatusCode::kInternal, std::forward<Text>(msg));
+}
 
 /// Result<T>: either a value or a non-OK Status. Move-friendly; deref of an
 /// errored Result throws std::logic_error (programmer error, not data error).

@@ -1,6 +1,8 @@
 // Unit tests for the util layer: bytes, status, rng, stats.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/bytes.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -21,6 +23,73 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(s.code(), StatusCode::kProtocolError);
   EXPECT_EQ(s.message(), "bad frame");
   EXPECT_EQ(s.to_string(), "PROTOCOL_ERROR: bad frame");
+}
+
+// Literal text is borrowed: the status points at the literal itself, and
+// so does every copy.
+TEST(StatusTest, LiteralTextIsBorrowed) {
+  static constexpr char kText[] = "flow-control window exceeds 2^31-1";
+  const Status s = FlowControlViolationError(kText);
+  EXPECT_EQ(s.message().data(), kText);
+  EXPECT_EQ(s.message(), kText);
+  const Status copy = s;
+  EXPECT_EQ(copy.message().data(), kText);
+  Status source = copy;
+  const Status moved = std::move(source);
+  EXPECT_EQ(moved.message().data(), kText);
+  Status assigned;
+  assigned = moved;
+  EXPECT_EQ(assigned.message().data(), kText);
+  EXPECT_EQ(assigned.code(), StatusCode::kFlowControlError);
+  const Result<int> r = s;
+  EXPECT_EQ(r.status().message().data(), kText);
+}
+
+// Run-time text is owned: it survives the string it was built from, and a
+// copy owns its own.
+TEST(StatusTest, RuntimeTextIsOwned) {
+  std::string text = "transport truncated at octet " + std::to_string(137);
+  const Status s = UnavailableError(text);
+  text.assign("overwritten");
+  EXPECT_EQ(s.message(), "transport truncated at octet 137");
+  Status copy = s;
+  EXPECT_EQ(copy.message(), s.message());
+  EXPECT_NE(copy.message().data(), s.message().data());
+  const Status moved = std::move(copy);
+  EXPECT_EQ(moved.message(), "transport truncated at octet 137");
+  EXPECT_EQ(moved.code(), StatusCode::kUnavailable);
+  const char* pointer = "bad frame";
+  EXPECT_EQ(ProtocolViolationError(pointer).message(), "bad frame");
+}
+
+TEST(StatusTest, ToStringIsTheSameForLiteralAndRuntimeText) {
+  EXPECT_EQ(ProtocolViolationError("bad frame").to_string(),
+            "PROTOCOL_ERROR: bad frame");
+  EXPECT_EQ(ProtocolViolationError(std::string("bad frame")).to_string(),
+            "PROTOCOL_ERROR: bad frame");
+  EXPECT_EQ(ProtocolViolationError("").to_string(), "PROTOCOL_ERROR");
+  EXPECT_EQ(ProtocolViolationError(std::string()).to_string(),
+            "PROTOCOL_ERROR");
+  EXPECT_EQ(OkStatus().to_string(), "OK");
+}
+
+TEST(StatusTest, AssignRewritesOwnedTextInPlace) {
+  Status s(StatusCode::kInternal, "literal");
+  s.assign(StatusCode::kUnavailable, "transport truncated at octet 137");
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(s.to_string(), "UNAVAILABLE: transport truncated at octet 137");
+  const char* storage = s.message().data();
+  s.assign(StatusCode::kUnavailable, "transport truncated at octet 42");
+  EXPECT_EQ(s.message(), "transport truncated at octet 42");
+  EXPECT_EQ(s.message().data(), storage);
+}
+
+TEST(StatusTest, MessageConcatenatesOntoAPrefix) {
+  const Status s = CompressionFailureError("HPACK index 0 is invalid");
+  const std::string joined = "s2c hpack: " + s.message();
+  EXPECT_EQ(joined, "s2c hpack: HPACK index 0 is invalid");
+  EXPECT_EQ(std::string("ctx ") + s.message(),
+            "ctx HPACK index 0 is invalid");
 }
 
 TEST(ResultTest, HoldsValue) {

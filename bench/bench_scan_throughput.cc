@@ -13,14 +13,10 @@
 // BENCH_scan_throughput.json in the working directory; override with
 // H2R_BENCH_JSON. H2R_SCALE / H2R_SEED / H2R_THREADS apply as in every
 // other bench, except that scan_epoch2_faulted_1k always scans the 1/1000
-// subsample on one worker; H2R_COALESCE=0 pins the scan_epoch2_coalesced
-// row (and any other coalesce-capable scan) sequential (the other scan rows
-// are pinned sequential in code so their trajectories keep measuring the
-// same work).
-// H2R_TRACE_OUT=<path>
-// additionally dumps the traced scan's H2Wiretap JSONL to <path> and its
-// metrics snapshot to <path>.metrics.json. H2R_FAULT_SEED reseeds the
-// scan_epoch2_faulted chaos row's fault schedules.
+// subsample on one worker. H2R_TRACE_OUT=<path> additionally dumps the
+// traced scan's H2Wiretap JSONL to <path> and its metrics snapshot to
+// <path>.metrics.json. H2R_FAULT_SEED reseeds the scan_epoch2_faulted chaos
+// row's fault schedules.
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -279,8 +275,8 @@ void bench_framing() {
 /// MetricsRecorder fold on every frame (the gap between them is the
 /// subsystem's whole overhead budget); the reused row rewinds one client +
 /// engine + transport with reset() instead of reconstructing — the path
-/// the scan's per-worker scratch and ProbeSession actually take. Each row
-/// also reports heap allocations per conversation (operator-new hook).
+/// the scan's per-worker scratch actually takes. Each row also reports heap
+/// allocations per conversation (operator-new hook).
 void bench_exchange() {
   using namespace h2r;
   const core::Target base = core::Target::testbed(server::nginx_profile());
@@ -348,10 +344,6 @@ void bench_scan(std::uint64_t seed) {
   using namespace h2r;
   corpus::ScanOptions opts = bench::scan_options();
   opts.seed = seed;
-  // The historical row stays pinned sequential (a fresh connection per
-  // probe) so its trajectory — and the CI guard's ratio against the
-  // committed baseline — keeps measuring the same work across PRs.
-  opts.coalesce = false;
   const auto pop = bench::population_for(corpus::Epoch::kExp2);
   const double sites = static_cast<double>(pop.sites.size());
   const auto scan_allocs = [&sites](std::uint64_t allocs) {
@@ -365,23 +357,6 @@ void bench_scan(std::uint64_t seed) {
          scan_allocs(bench::heap_allocations() - allocs0));
   std::printf("  (%zu sites scanned, %zu responding, threads=%d)\n",
               pop.sites.size(), report.responding_sites, opts.threads);
-
-  // The same scan with coalesced probe scheduling (the scan's default; the
-  // row honours H2R_COALESCE so a =0 run shows the two rows converging).
-  // The report is asserted bitwise identical to the sequential row's.
-  corpus::ScanOptions copts = bench::scan_options();
-  copts.seed = seed;
-  allocs0 = bench::heap_allocations();
-  const auto cstart = Clock::now();
-  const auto coalesced = corpus::scan_population(pop, copts);
-  const double cwall = ms_since(cstart);
-  record("scan_epoch2_coalesced", cwall, sites, sites / (cwall / 1000.0),
-         scan_allocs(bench::heap_allocations() - allocs0));
-  if (coalesced.responding_sites != report.responding_sites) {
-    std::fprintf(stderr, "!! coalesced scan disagrees with sequential scan "
-                         "(responding %zu vs %zu)\n",
-                 coalesced.responding_sites, report.responding_sites);
-  }
 
   // Same scan with the wiretap folding metrics on every connection — the
   // end-to-end cost of tracing a full-population scan. With H2R_TRACE_OUT

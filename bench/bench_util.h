@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <string_view>
 
 #include "corpus/marginals.h"
 #include "corpus/population.h"
@@ -140,15 +139,6 @@ inline std::uint64_t fault_seed_from_env() {
   return static_cast<std::uint64_t>(v);
 }
 
-/// `H2R_COALESCE=0` pins every bench scan sequential (a fresh connection
-/// per probe); anything else — including unset — keeps coalesced probe
-/// scheduling on. The report is identical either way; only the wall clock
-/// moves.
-inline bool coalesce_from_env() {
-  const char* s = std::getenv("H2R_COALESCE");
-  return s == nullptr || std::string_view(s) != "0";
-}
-
 /// `H2R_TRACE_OUT=<path>`: where trace-capable benches dump the H2Wiretap
 /// JSONL trace (a sibling "<path>.metrics.json" gets the metrics snapshot).
 /// Empty string = tracing stays off.
@@ -171,12 +161,11 @@ inline void write_file_or_warn(const std::string& path,
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), contents.size());
 }
 
-/// ScanOptions seeded from the environment (H2R_THREADS, H2R_COALESCE);
-/// benches start from this instead of a default-constructed ScanOptions.
+/// ScanOptions seeded from the environment (H2R_THREADS); benches start
+/// from this instead of a default-constructed ScanOptions.
 inline corpus::ScanOptions scan_options() {
   corpus::ScanOptions opts;
   opts.threads = threads_from_env();
-  opts.coalesce = coalesce_from_env();
   return opts;
 }
 

@@ -173,16 +173,6 @@ class ClientConnection {
   /// options are copied into the ones the connection holds.
   void reset(const ClientOptions& options);
 
-  /// Flip the auto-replenish behaviours mid-connection. The coalesced probe
-  /// scheduler reuses one connection across probes that want different
-  /// flow-control stances.
-  void set_auto_connection_window_update(bool on) noexcept {
-    options_.auto_connection_window_update = on;
-  }
-  void set_auto_stream_window_update(bool on) noexcept {
-    options_.auto_stream_window_update = on;
-  }
-
   // ---- transport --------------------------------------------------------
   /// Drains queued client->server bytes (preface + frames).
   [[nodiscard]] Bytes take_output();

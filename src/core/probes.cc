@@ -22,11 +22,13 @@ ClientOptions with_initial_window(std::uint32_t iws) {
   return o;
 }
 
-}  // namespace
-
+/// How the server reacted on @p client: a received GOAWAY (with or without
+/// debug data, copied to @p debug_out when given) wins over an RST_STREAM
+/// on @p stream_id; anything else is kIgnored. Shared by the WINDOW_UPDATE
+/// and self-dependency probes.
 UpdateReaction classify_update_reaction(const ClientConnection& client,
                                         std::optional<std::uint32_t> stream_id,
-                                        std::string* debug_out) {
+                                        std::string* debug_out = nullptr) {
   if (client.goaway_received()) {
     const auto& g = *client.goaway();
     if (debug_out != nullptr) {
@@ -38,6 +40,8 @@ UpdateReaction classify_update_reaction(const ClientConnection& client,
   if (stream_id && client.rst_on(*stream_id)) return UpdateReaction::kRstStream;
   return UpdateReaction::kIgnored;
 }
+
+}  // namespace
 
 std::string_view to_string(SmallWindowOutcome o) noexcept {
   switch (o) {
@@ -420,19 +424,12 @@ void probe_window_update_reactions(const Target& target,
 
 // ----------------------------------------------------------------- priority
 
-PriorityProbeResult probe_priority_mechanism(const Target& target) {
-  // Huge stream windows so only the connection window gates DATA; no
-  // automatic connection window updates, so draining it blocks the server.
-  ClientOptions opts = with_initial_window(kHugeWindow);
-  opts.auto_connection_window_update = false;
-  opts.auto_stream_window_update = false;
-  const EndpointLease lease = target.lease_endpoints(opts);
-  ClientConnection& client = lease.client();
-  server::Http2Server& server = lease.server();
-  net::Transport& transport = lease.transport();  // six exchanges
-  return run_priority_rounds(client, server, transport, target.limits);
-}
+namespace {
 
+/// Algorithm 1's body, from the drain step on. Assumes @p client has huge
+/// (2^31-1) stream windows planted, both automatic window updates off, and
+/// a connection send window holding exactly the 65,535-octet default (the
+/// drain check verifies this).
 PriorityProbeResult run_priority_rounds(ClientConnection& client,
                                         server::Http2Server& server,
                                         net::Transport& transport,
@@ -513,6 +510,21 @@ PriorityProbeResult run_priority_rounds(ClientConnection& client,
   out.pass_by_last_data = check(last);
   out.pass_by_both = out.pass_by_first_data && out.pass_by_last_data;
   return out;
+}
+
+}  // namespace
+
+PriorityProbeResult probe_priority_mechanism(const Target& target) {
+  // Huge stream windows so only the connection window gates DATA; no
+  // automatic connection window updates, so draining it blocks the server.
+  ClientOptions opts = with_initial_window(kHugeWindow);
+  opts.auto_connection_window_update = false;
+  opts.auto_stream_window_update = false;
+  const EndpointLease lease = target.lease_endpoints(opts);
+  ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
+  net::Transport& transport = lease.transport();  // six exchanges
+  return run_priority_rounds(client, server, transport, target.limits);
 }
 
 SelfDependencyProbeResult probe_self_dependency(const Target& target) {

@@ -2,13 +2,10 @@
 // Section III of the paper, each returning a structured result.
 //
 // Every probe opens a fresh connection to the target (as the paper's scans
-// do) so no probe contaminates another's HPACK or flow-control state. The
-// connection is fresh on the wire, not in memory: its client and engine are
-// a pair leased from the target's EndpointSlot and rewound, not rebuilt.
-// core/session.h coalesces the probes that don't need that isolation onto
-// one shared connection per site; these free functions remain both the
-// fresh-connection path and the reference the coalesced scheduler must
-// match observation-for-observation.
+// do) so no probe contaminates another's HPACK or flow-control state, and
+// the scan runs every probe this way. The connection is fresh on the wire,
+// not in memory: its client and engine are a pair leased from the target's
+// EndpointSlot and rewound, not rebuilt.
 //
 // Each probe is one plain blocking function. Its exchanges run through
 // Transport::run, which skips a faulted transport's stalled stretches
@@ -390,14 +387,6 @@ enum class UpdateReaction : std::uint8_t {
 
 std::string_view to_string(UpdateReaction r) noexcept;
 
-/// How the server reacted on @p client: a received GOAWAY (with or without
-/// debug data, copied to @p debug_out when given) wins over an RST_STREAM
-/// on @p stream_id; anything else is kIgnored. Shared by the WINDOW_UPDATE
-/// and self-dependency probes and by the coalesced ProbeSession.
-UpdateReaction classify_update_reaction(const ClientConnection& client,
-                                        std::optional<std::uint32_t> stream_id,
-                                        std::string* debug_out = nullptr);
-
 struct WindowUpdateProbeResult {
   UpdateReaction zero_on_stream = UpdateReaction::kIgnored;
   UpdateReaction zero_on_connection = UpdateReaction::kIgnored;
@@ -430,17 +419,6 @@ struct PriorityProbeResult {
 };
 
 PriorityProbeResult probe_priority_mechanism(const Target& target);
-
-/// Algorithm 1's body, from the drain step on. Assumes @p client already
-/// has huge (2^31-1) stream windows planted, both automatic window updates
-/// off, and a connection send window holding exactly the 65,535-octet
-/// default (the drain check verifies this). Shared by
-/// probe_priority_mechanism (fresh connection, windows via the preface
-/// SETTINGS) and ProbeSession (streams of the site's shared connection).
-PriorityProbeResult run_priority_rounds(ClientConnection& client,
-                                        server::Http2Server& server,
-                                        net::Transport& transport,
-                                        const net::ExchangeLimits& limits);
 
 /// Section III-C2: PRIORITY frame making a stream depend on itself.
 struct SelfDependencyProbeResult {

@@ -27,20 +27,15 @@ struct ScanOptions {
   bool probe_priority = true;
   bool probe_push = true;
   bool probe_hpack = true;
-  /// Coalesced probe scheduling (core::ProbeSession): probes that don't
-  /// need a pristine connection run as streams of one shared connection
-  /// per site. The report is bitwise identical either way (asserted by
-  /// tests/scan_coalesce_test.cc); the scan silently stays sequential when
-  /// fault injection or the wiretap is active, whose per-connection
-  /// semantics are layout-dependent. H2R_COALESCE=0 pins the benches
-  /// sequential.
+  /// Inert: selects nothing, since every probe runs on a connection of
+  /// its own. perfbench/ (frozen) still assigns it.
   bool coalesce = true;
   /// Inert: selects nothing. perfbench/ (frozen) still assigns it.
   bool event_loop = true;
   std::uint64_t seed = 7;
-  /// H2Wiretap: fold every probe connection's frames into the report's
-  /// wire_metrics (and per-family shards). Off by default — the null sink
-  /// keeps the hot path free of tracing cost.
+  /// H2Wiretap: fold the frames of every probe connection (one per probe)
+  /// into the report's wire_metrics (and per-family shards). Off by
+  /// default — the null sink keeps the hot path free of tracing cost.
   bool wiretap_metrics = false;
   /// Additionally keep the annotated per-site JSONL traces (implies the
   /// recording wiretap_metrics needs; memory-heavy at full population
@@ -63,8 +58,8 @@ struct ScanOptions {
   /// the per-site reports into ScanReport::attack_detections. On a benign
   /// scan (this whole probe battery) the expected detection count is zero —
   /// the detector's false-positive bar, pinned by tests/detector_test.cc.
-  /// Like the wiretap, detection is per *connection*, so enabling it keeps
-  /// the scan on the sequential (non-coalesced) path.
+  /// Like the wiretap, detection is per *connection*: each probe's
+  /// connection is observed on its own.
   bool detect_attacks = false;
   trace::DetectorThresholds detector_thresholds;
 };

@@ -4,7 +4,6 @@
 #include <optional>
 #include <string_view>
 
-#include "core/session.h"
 #include "net/transport.h"
 #include "trace/annotate.h"
 #include "trace/detector.h"
@@ -14,23 +13,9 @@
 namespace h2r::corpus {
 namespace {
 
-using core::ProbeKind;
 using core::SmallWindowOutcome;
 using core::Target;
 using core::UpdateReaction;
-
-// The coalesced scheduler below substitutes ProbeSession for exactly the
-// probes the trait marks shareable; everything else stays on fresh
-// connections. Keep the two in sync.
-static_assert(!core::needs_fresh_connection(ProbeKind::kSettings));
-static_assert(!core::needs_fresh_connection(ProbeKind::kPriority));
-static_assert(!core::needs_fresh_connection(ProbeKind::kSelfDependency));
-static_assert(!core::needs_fresh_connection(ProbeKind::kPush));
-static_assert(!core::needs_fresh_connection(ProbeKind::kHpackRatio));
-static_assert(core::needs_fresh_connection(ProbeKind::kNegotiation));
-static_assert(core::needs_fresh_connection(ProbeKind::kDataFrameControl));
-static_assert(core::needs_fresh_connection(ProbeKind::kZeroWindowHeaders));
-static_assert(core::needs_fresh_connection(ProbeKind::kWindowUpdateReactions));
 
 /// FNV-1a 64. Hashing the host (instead of the scan index) makes a site's
 /// fault stream a pure function of (fault_seed, host) — independent of
@@ -67,27 +52,7 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
     return core::probe_with_retry(target, opts.retry, probe);
   };
 
-  // Coalesced scheduling: the shareable probes run as streams of one
-  // connection (core::ProbeSession). Fault injection keeps the
-  // per-fresh-connection path — its retry semantics are per connection —
-  // as does the wiretap, whose frame record legitimately depends on the
-  // connection layout. Report-identity between the two paths is asserted
-  // by tests/scan_coalesce_test.cc.
-  std::optional<core::ProbeSession> session;
-  if (opts.coalesce && !target.faults.enabled && target.recorder == nullptr) {
-    const core::ProbeSession::Options session_opts{
-        .hpack_h = opts.hpack_h,
-        .expect_hpack =
-            opts.probe_hpack && hpack_family_of_interest(spec.family)};
-    session.emplace(target, session_opts, &scratch.session);
-  }
-
-  core::SettingsProbeResult settings;
-  if (session) {
-    settings = session->settings();
-  } else {
-    settings = retried([&] { return core::probe_settings(target); });
-  }
+  const auto settings = retried([&] { return core::probe_settings(target); });
   if (!settings.headers_received) return;
   ++r.responding_sites;
   ++r.server_counts[settings.server_header];
@@ -172,23 +137,15 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
   }
 
   if (opts.probe_priority) {
-    core::PriorityProbeResult prio;
-    if (session) {
-      prio = session->priority();
-    } else {
-      prio = retried([&] { return core::probe_priority_mechanism(target); });
-    }
+    const auto prio =
+        retried([&] { return core::probe_priority_mechanism(target); });
     if (prio.ran) {
       if (prio.pass_by_last_data) ++r.priority_pass_last;
       if (prio.pass_by_first_data) ++r.priority_pass_first;
       if (prio.pass_by_both) ++r.priority_pass_both;
     }
-    core::SelfDependencyProbeResult self_dep;
-    if (session) {
-      self_dep = session->self_dependency();
-    } else {
-      self_dep = retried([&] { return core::probe_self_dependency(target); });
-    }
+    const auto self_dep =
+        retried([&] { return core::probe_self_dependency(target); });
     switch (self_dep.reaction) {
       case UpdateReaction::kRstStream:
         ++r.self_dep_rst;
@@ -205,11 +162,7 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
 
   if (opts.probe_push) {
     core::PushProbeResult& push = scratch.push;
-    if (session) {
-      push = session->push();
-    } else {
-      retried([&] { core::probe_server_push(target, "/", push); });
-    }
+    retried([&] { core::probe_server_push(target, "/", push); });
     if (push.push_received) {
       r.push_hosts.push_back(spec.host);
     }
@@ -217,12 +170,7 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
 
   if (opts.probe_hpack && hpack_family_of_interest(spec.family)) {
     core::HpackProbeResult& hpack = scratch.hpack;
-    if (session) {
-      hpack = session->hpack_ratio();
-    } else {
-      retried(
-          [&] { core::probe_hpack_ratio(target, opts.hpack_h, "/", hpack); });
-    }
+    retried([&] { core::probe_hpack_ratio(target, opts.hpack_h, "/", hpack); });
     if (hpack.ran) {
       if (hpack.ratio > 1.0) {
         ++r.hpack_filtered_out;  // the paper drops r > 1 (§V-G)

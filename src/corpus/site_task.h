@@ -23,13 +23,11 @@
 namespace h2r::corpus {
 
 /// Reusable per-worker scratch: one probe target, one wiretap buffer and
-/// two client/engine pairs serve every site a worker scans, rewound between
+/// one client/engine pair serve every site a worker scans, rewound between
 /// sites instead of reallocated. `target` is rewritten for each site
 /// (SiteSpec::fill_target), so its host, profile and content keep their
-/// storage. `endpoints` backs every fresh-connection probe (each lease
-/// rewinds it and its transport for the next connection); `session` backs
-/// the coalesced ProbeSession, whose shared connection stays leased while
-/// fresh probes run beside it. The recorder is an unbounded binary ring
+/// storage. `endpoints` backs every probe connection (each lease rewinds
+/// it and its transport for the next connection). The recorder is an unbounded binary ring
 /// (32 bytes per event, no per-event heap traffic). The default metrics
 /// fold runs straight off the raw records (annotate_ring with a
 /// MetricsRecorder tee), so `decoded` — the offline-expansion scratch — is
@@ -52,7 +50,6 @@ struct SiteScratch {
   trace::MetricsRegistry site_metrics;
   trace::MetricsRecorder folder{site_metrics};
   core::Target target;
-  core::EndpointSlot session;
   core::EndpointSlot endpoints;
   core::WindowUpdateProbeResult window_update;
   core::PushProbeResult push;

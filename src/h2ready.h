@@ -34,7 +34,6 @@
 #include "core/client.h"           // IWYU pragma: export
 #include "core/probes.h"           // IWYU pragma: export
 #include "core/report.h"           // IWYU pragma: export
-#include "core/session.h"          // IWYU pragma: export
 
 // Measurement campaign.
 #include "corpus/marginals.h"      // IWYU pragma: export

@@ -1,7 +1,7 @@
 // Test helper: a byte-exact rendering of every aggregate field of a
 // ScanReport, with doubles as hexfloats so "identical" means bitwise, not
 // approximately. Shared by the thread-count determinism tests and the
-// coalesced-vs-sequential equivalence tests.
+// scan tests that compare two runs of one population.
 #pragma once
 
 #include <sstream>

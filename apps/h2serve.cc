@@ -18,7 +18,7 @@
 // a process-wide ring on retirement — directly by shard 0, after the join
 // for the other shards. Without --trace-out that ring keeps only the newest
 // records under a fixed memory budget; with --trace-out the ring retains
-// every record it is handed and exports on exit, either as the legacy JSONL
+// every record it is handed and exports on exit, either as annotated JSONL
 // or as the raw "H2WT" binary dump (--trace-format=bin, decode offline with
 // h2trace-decode). The per-connection tape stays bounded either way, so
 // one peer cannot grow the server's memory: a connection that records more
@@ -210,9 +210,10 @@ int main(int argc, char** argv) {
 
   // Exports happen after the loop has fully drained, so the trace and the
   // metrics snapshot are written exactly once, whole — never torn by a
-  // signal landing mid-write. The binary dump carries no annotator tags
-  // (tags are offline-derived); h2trace-decode --annotate reproduces the
-  // JSONL this process would have written, byte for byte.
+  // signal landing mid-write. The metrics snapshot folds straight off the
+  // ring; only the JSONL export decodes it. The binary dump carries no
+  // annotator tags (tags are offline-derived); h2trace-decode --annotate
+  // reproduces the JSONL this process would have written, byte for byte.
   if (!trace_out.empty()) {
     if (trace_bin) {
       std::string bytes;
@@ -222,13 +223,18 @@ int main(int argc, char** argv) {
                      trace_out.c_str());
       }
     }
-    std::vector<trace::TraceEvent> events = recorder.decode();
-    const auto tags = trace::annotate_violations(events);
-    if (!trace_bin && !write_whole_file(trace_out, trace::to_jsonl(events))) {
-      std::fprintf(stderr, "h2serve: could not write %s\n", trace_out.c_str());
+    if (!trace_bin) {
+      std::vector<trace::TraceEvent> events = recorder.decode();
+      trace::annotate_violations(events);
+      if (!write_whole_file(trace_out, trace::to_jsonl(events))) {
+        std::fprintf(stderr, "h2serve: could not write %s\n",
+                     trace_out.c_str());
+      }
     }
     trace::MetricsRegistry registry;
-    trace::consume(registry, events);
+    trace::MetricsRecorder folder(registry);
+    trace::TagCounts tags;
+    trace::fold_ring(recorder, registry, folder, tags);
     registry.trace_drops =
         serve.value()->stats().trace_drops + recorder.drops();
     if (!write_whole_file(trace_out + ".metrics.json",

@@ -35,6 +35,7 @@
 #include "hpack/huffman.h"
 #include "hpack/table.h"
 #include "server/profile.h"
+#include "trace/annotate.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
 
@@ -271,9 +272,10 @@ void bench_framing() {
 
 /// One full request/response conversation (client + server engine +
 /// lockstep exchange) per op — the unit the wiretap instruments. The
-/// untraced row measures the null-sink cost; the traced row pays for the
-/// MetricsRecorder fold on every frame (the gap between them is the
-/// subsystem's whole overhead budget); the reused row rewinds one client +
+/// untraced row measures the null-sink cost; the traced row records every
+/// frame into a ring cleared per op and annotates + folds it the way the
+/// scan does (trace::fold_ring; the gap between them is the subsystem's
+/// whole overhead budget); the reused row rewinds one client +
 /// engine + transport with reset() instead of reconstructing — the path
 /// the scan's per-worker scratch actually takes. Each row also reports heap
 /// allocations per conversation (operator-new hook).
@@ -323,17 +325,22 @@ void bench_exchange() {
   }
 
   trace::MetricsRegistry registry;
-  trace::MetricsRecorder recorder(registry);
+  trace::MetricsRecorder folder(registry);
+  trace::TagCounts tags;
+  trace::RingRecorder ring;
   core::Target traced = base;
-  traced.recorder = &recorder;
+  traced.recorder = &ring;
   allocs0 = bench::heap_allocations();
   const auto tstart = Clock::now();
-  for (int it = 0; it < kIters; ++it) frames += run_one(traced);
+  for (int it = 0; it < kIters; ++it) {
+    ring.clear();
+    frames += run_one(traced);
+    trace::fold_ring(ring, registry, folder, tags);
+  }
   const double twall = ms_since(tstart);
   record("exchange_traced", twall, kIters,
          static_cast<double>(kIters) / (twall / 1000.0),
          per_op(bench::heap_allocations() - allocs0));
-  recorder.finish();
   std::printf("  (traced: %llu frames, %llu connections folded)\n",
               static_cast<unsigned long long>(registry.total_frames()),
               static_cast<unsigned long long>(registry.connections));

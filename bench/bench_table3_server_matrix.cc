@@ -6,9 +6,11 @@
 // servers' annotated frame traces (concatenated JSONL, `site` = profile
 // key) to <path> and the merged metrics snapshot to <path>.metrics.json.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/report.h"
+#include "trace/annotate.h"
 #include "trace/recorder.h"
 
 int main() {
@@ -27,10 +29,12 @@ int main() {
       columns.push_back(
           core::characterize(core::Target::testbed(profile), rng));
     } else {
-      trace::VectorRecorder recorder;
+      trace::RingRecorder recorder;
       columns.push_back(core::characterize_traced(core::Target::testbed(profile),
                                                   rng, recorder));
-      jsonl += trace::to_jsonl(recorder.events(), profile.key);
+      std::vector<trace::TraceEvent> events = recorder.decode();
+      trace::annotate_violations(events);
+      jsonl += trace::to_jsonl(events, profile.key);
       merged.merge(columns.back().wire_metrics);
     }
   }

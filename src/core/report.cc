@@ -76,11 +76,17 @@ Characterization characterize(const Target& target, Rng& rng) {
 }
 
 Characterization characterize_traced(Target target, Rng& rng,
-                                     trace::VectorRecorder& recorder) {
+                                     trace::RingRecorder& recorder) {
   target.recorder = &recorder;
   Characterization c = characterize(target, rng);
-  c.violation_tags = trace::annotate_violations(recorder.events());
-  trace::consume(c.wire_metrics, recorder.events());
+  trace::MetricsRecorder folder(c.wire_metrics);
+  trace::TagCounts counts;
+  trace::fold_ring(recorder, c.wire_metrics, folder, counts);
+  // The registry starts empty, so its (sorted) tag keys are exactly the
+  // tags this trace produced.
+  for (const auto& [tag, n] : c.wire_metrics.violation_tags) {
+    c.violation_tags.push_back(tag);
+  }
   return c;
 }
 

@@ -30,7 +30,7 @@ struct Characterization {
 
   /// Populated by characterize_traced(): the sorted violation tags the
   /// H2Wiretap annotator found across every probe connection, and the wire
-  /// metrics folded from the annotated trace.
+  /// metrics folded from the recorded ring.
   std::vector<std::string> violation_tags;
   trace::MetricsRegistry wire_metrics;
 
@@ -46,10 +46,11 @@ struct Characterization {
 Characterization characterize(const Target& target, Rng& rng);
 
 /// characterize() with the H2Wiretap recording every probe connection into
-/// @p recorder. Afterwards the trace is annotated in place (violation tags)
-/// and folded into the result's wire_metrics.
+/// @p recorder. Afterwards the ring is annotated and folded into the
+/// result's wire_metrics (trace::fold_ring); the ring itself carries no
+/// tags, so exporters decode and annotate it themselves.
 Characterization characterize_traced(Target target, Rng& rng,
-                                     trace::VectorRecorder& recorder);
+                                     trace::RingRecorder& recorder);
 
 /// Maps annotator violation tags onto the Table III rows they determine:
 /// row label -> cell value, covering the nine deviation-capable rows (flow

@@ -59,9 +59,9 @@ struct ScanOptions {
   /// scan (this whole probe battery) the expected detection count is zero —
   /// the detector's false-positive bar, pinned by tests/detector_test.cc.
   /// Like the wiretap, detection is per *connection*: each probe's
-  /// connection is observed on its own.
+  /// connection is observed on its own, with the detector's default
+  /// thresholds (trace::DetectorThresholds).
   bool detect_attacks = false;
-  trace::DetectorThresholds detector_thresholds;
 };
 
 /// Everything a full scan learns, pre-aggregated.

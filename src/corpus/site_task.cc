@@ -1,8 +1,8 @@
 #include "corpus/site_task.h"
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
+#include <vector>
 
 #include "net/transport.h"
 #include "trace/annotate.h"
@@ -181,23 +181,16 @@ void run_probes(const SiteSpec& spec, const ScanOptions& opts,
   }
 }
 
-/// Outcome class, ledger totals, park record and wiretap folds of one
-/// finished site.
+/// Outcome class, ledger totals, park record, detections and wiretap folds
+/// of one finished site.
 void fold_site(const SiteSpec& spec, const ScanOptions& opts,
-               const net::ExchangeLedger& ledger,
-               std::optional<trace::SequenceDetector>& detector,
-               SiteScratch& scratch, ScanReport& r) {
-  const bool wiretap = opts.wiretap_metrics || opts.wiretap_traces;
-  // TraceEvents are materialized only when something actually needs them
-  // (JSONL export, sequence detector); the default metrics fold runs
-  // straight off the ring's raw WireRecords.
-  const bool materialize =
-      wiretap && (opts.wiretap_traces || detector.has_value());
-  if (materialize) scratch.recorder.decode_into(scratch.decoded);
-  if (detector) {
-    if (materialize) detector->observe_all(scratch.decoded);
-    detector->finish();
-    r.attack_detections.merge(detector->report());
+               const net::ExchangeLedger& ledger, SiteScratch& scratch,
+               ScanReport& r) {
+  if (opts.detect_attacks) {
+    trace::SequenceDetector detector;
+    detector.observe(scratch.recorder);
+    detector.finish();
+    r.attack_detections.merge(detector.report());
   }
 
   // Exactly one outcome class per site (precedence: a deadline outranks a
@@ -231,35 +224,21 @@ void fold_site(const SiteSpec& spec, const ScanOptions& opts,
     r.wire_metrics.wakeups_per_site.add(ledger.parks);
   }
 
-  if (wiretap) {
+  if (opts.wiretap_metrics || opts.wiretap_traces) {
     // Everything folds into the site's per-family registry only; the scan
     // driver sums the family registries into the global snapshot once at
     // the end (MetricsRegistry merges are field-wise sums, so the result
     // is identical to merging per site, minus one merge per site here).
-    trace::MetricsRegistry& family = r.wire_metrics_by_family[spec.family];
-    if (materialize) {
+    // One walk over the 32-byte records annotates and folds, with
+    // violations landing as interned tag counts.
+    trace::fold_ring(scratch.recorder,
+                     r.wire_metrics_by_family[spec.family], scratch.folder,
+                     scratch.tag_counts);
+    if (opts.wiretap_traces) {
       std::vector<trace::TraceEvent>& events = scratch.decoded;
+      scratch.recorder.decode_into(events);
       trace::annotate_violations(events);
-      trace::consume(family, events);
-      if (opts.wiretap_traces) {
-        r.site_traces[spec.host] = trace::to_jsonl(events, spec.host);
-      }
-    } else {
-      // The hot path: one walk over the 32-byte records annotates and — via
-      // the fold tee — aggregates the metrics straight into the family
-      // registry, with violations landing as interned tag counts instead
-      // of per-event tag strings. Identical registry contents to the
-      // materialized branch (asserted by the scan tests): the annotator is
-      // the same template body, the fold sees records in trace order with
-      // their exact ring sequences, and tag counting is order-independent.
-      scratch.tag_counts.clear();
-      scratch.folder.rebind(family);
-      trace::annotate_ring(scratch.recorder, scratch.tag_counts,
-                           &scratch.folder);
-      scratch.folder.finish();
-      for (const auto& [name, n] : scratch.tag_counts) {
-        family.add_violation(name, n);
-      }
+      r.site_traces[spec.host] = trace::to_jsonl(events, spec.host);
     }
   }
 }
@@ -287,22 +266,13 @@ void scan_site(const SiteSpec& spec, const ScanOptions& opts,
   }
 
   // The probe sequence bails out early on dead or non-h2 sites, so the
-  // wiretap wraps it: record, run, then always annotate + fold.
-  const bool wiretap = opts.wiretap_metrics || opts.wiretap_traces;
-  if (wiretap) target.recorder = &scratch.recorder;
-
-  // Sequence detection: live when it can be the sink itself, replayed
-  // from the retained trace when the wiretap already owns the sink. The
-  // two paths produce identical reports (tests/detector_test.cc pins
-  // replay == live).
-  std::optional<trace::SequenceDetector> detector;
-  if (opts.detect_attacks) {
-    detector.emplace(opts.detector_thresholds);
-    if (!wiretap) target.recorder = &*detector;
+  // ring wraps it: record, run, then always fold what was recorded.
+  if (opts.wiretap_metrics || opts.wiretap_traces || opts.detect_attacks) {
+    target.recorder = &scratch.recorder;
   }
 
   run_probes(spec, opts, target, scratch, report);
-  fold_site(spec, opts, ledger, detector, scratch, report);
+  fold_site(spec, opts, ledger, scratch, report);
 }
 
 }  // namespace h2r::corpus

@@ -1,7 +1,8 @@
 // One scan site: the Section III probe sequence run to completion, plus
-// everything the site owns while it runs — its Target, fault ledger,
-// wiretap buffer, and sequence detector — and the fold of what it observed
-// into the worker's ScanReport.
+// everything the site owns while it runs — its Target, fault ledger and
+// wiretap ring — and the fold of what it observed into the worker's
+// ScanReport: the sequence detector, the metrics and the JSONL export all
+// read the ring after the site.
 //
 // Each scan worker calls scan_site() once per site it pulls. Every probe is
 // a plain blocking function; a faulted transport's stalls are skipped
@@ -27,14 +28,14 @@ namespace h2r::corpus {
 /// sites instead of reallocated. `target` is rewritten for each site
 /// (SiteSpec::fill_target), so its host, profile and content keep their
 /// storage. `endpoints` backs every probe connection (each lease rewinds
-/// it and its transport for the next connection). The recorder is an unbounded binary ring
-/// (32 bytes per event, no per-event heap traffic). The default metrics
-/// fold runs straight off the raw records (annotate_ring with a
-/// MetricsRecorder tee), so `decoded` — the offline-expansion scratch — is
-/// only touched when the site's TraceEvents are actually needed (JSONL
-/// export, sequence detector). The results of the probes that carry lists
-/// or text (WINDOW_UPDATE reactions, push, HPACK ratio) are rewritten in
-/// place, site after site, so their storage stays warm too.
+/// it and its transport for the next connection). The recorder is an
+/// unbounded binary ring (32 bytes per event, no per-event heap traffic),
+/// the site's only trace sink. The metrics fold runs straight off its raw
+/// records (trace::fold_ring), so `decoded` — the expansion scratch — is
+/// only touched when the site's JSONL is exported. The results of the
+/// probes that carry lists or text (WINDOW_UPDATE reactions, push, HPACK
+/// ratio) are rewritten in place, site after site, so their storage stays
+/// warm too.
 struct SiteScratch {
   trace::RingRecorder recorder;
   std::vector<trace::TraceEvent> decoded;

@@ -53,7 +53,7 @@ struct ServeOptions {
   /// Accepts beyond this many live connections are refused (closed
   /// immediately and counted as overload in the error taxonomy).
   std::size_t max_connections = 1024;
-  /// Optional wiretap sink. Null = off. Each connection records onto a
+  /// Optional wiretap ring. Null = off. Each connection records onto a
   /// private ring tape of 4096 records (engine c2s+s2c frames, transport
   /// rounds) that is replayed into this sink whole when the connection
   /// retires, so the exported trace stays contiguous per connection
@@ -61,7 +61,7 @@ struct ServeOptions {
   /// that records more keeps only its newest records, and the evictions
   /// count in ServeStats::trace_drops, so always-on tracing stays O(1) per
   /// connection no matter how long one lives.
-  trace::Recorder* recorder = nullptr;
+  trace::RingRecorder* recorder = nullptr;
 };
 
 /// What the listener did, exportable as JSON after run() returns.

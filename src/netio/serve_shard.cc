@@ -5,22 +5,10 @@
 
 namespace h2r::netio {
 
-std::size_t shard_tape_bound(const trace::Recorder* sink) {
-  const auto* ring = dynamic_cast<const trace::RingRecorder*>(sink);
-  return ring != nullptr ? ring->capacity() : 0;
-}
-
 void merge_shard_tapes(
     std::span<const std::unique_ptr<trace::RingRecorder>> tapes,
-    trace::Recorder& sink) {
-  auto* ring = dynamic_cast<trace::RingRecorder*>(&sink);
-  for (const auto& tape : tapes) {
-    if (ring != nullptr) {
-      ring->append_tape(*tape);
-    } else {
-      tape->replay_into(sink);
-    }
-  }
+    trace::RingRecorder& sink) {
+  for (const auto& tape : tapes) sink.append_tape(*tape);
 }
 
 ShardedServe::~ShardedServe() = default;
@@ -42,11 +30,11 @@ Result<std::unique_ptr<ShardedServe>> ShardedServe::create(
     shard_opts.port = port;
     if (i > 0 && opts.base.recorder != nullptr) {
       // Shard 0 shares the caller's thread, so it records straight into
-      // the sink. A sibling's tape accumulates its flushed connection
+      // the ring. A sibling's tape accumulates its flushed connection
       // segments until the post-join merge, and keeps no more than the
-      // sink can.
+      // ring can.
       sharded->shard_tapes_.push_back(std::make_unique<trace::RingRecorder>(
-          shard_tape_bound(opts.base.recorder)));
+          opts.base.recorder->capacity()));
       shard_opts.recorder = sharded->shard_tapes_.back().get();
     }
     auto shard = ServeLoop::create(shard_opts);

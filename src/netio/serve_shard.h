@@ -13,13 +13,13 @@
 // wakes), so all shards GOAWAY + drain concurrently under their own
 // deadline. After the threads join, per-shard ServeStats merge by summation.
 // Shard 0 runs on the thread that calls run() and records straight into the
-// caller's sink; shards 1..N-1 record onto private tapes that replay whole,
-// in shard order, into that sink after the join — connection segments
-// never interleave across shards, so the merged trace is untorn. When the
-// sink is a bounded RingRecorder, each private tape is bounded to the same
-// capacity, so trace memory stops growing with requests served; the merge
-// carries each tape's evictions into the sink, which ends up exactly as if
-// every shard had recorded into it in turn.
+// caller's ring; shards 1..N-1 record onto private tapes that append whole,
+// in shard order, to that ring after the join — connection segments never
+// interleave across shards, so the merged trace is untorn. Each private
+// tape has the ring's capacity (unbounded for an unbounded ring), so trace
+// memory stops growing with requests served under a bounded ring; the
+// merge carries each tape's evictions into the ring, which ends up exactly
+// as if every shard had recorded into it in turn.
 #pragma once
 
 #include <cstdint>
@@ -33,20 +33,14 @@
 
 namespace h2r::netio {
 
-/// Capacity of a shard's private tape feeding @p sink: a bounded
-/// RingRecorder's own capacity (it keeps no more than its newest records),
-/// 0 = unbounded for any other sink.
-std::size_t shard_tape_bound(const trace::Recorder* sink);
-
-/// Replays @p tapes, in order, into @p sink: identical to replaying
-/// unbounded tapes whole, provided each tape was sized with
-/// shard_tape_bound(&sink).
+/// Appends @p tapes, in order, to @p sink: identical to replaying unbounded
+/// tapes whole, provided each tape has @p sink's capacity.
 void merge_shard_tapes(
     std::span<const std::unique_ptr<trace::RingRecorder>> tapes,
-    trace::Recorder& sink);
+    trace::RingRecorder& sink);
 
 struct ShardedServeOptions {
-  /// Per-shard configuration. `base.recorder` is the FINAL merged sink; it
+  /// Per-shard configuration. `base.recorder` is the FINAL merged ring; it
   /// must outlive the ShardedServe, and nothing else may touch it while
   /// run() is running. `base.port == 0` resolves to one kernel-assigned
   /// port shared by every shard.
@@ -92,9 +86,9 @@ class ShardedServe {
  private:
   ShardedServe() = default;
 
-  /// Private trace sinks of shards 1..N-1 (see shard_tape_bound), merged
-  /// into opts_.base.recorder in shard order after the join. Empty when the
-  /// caller supplied no sink. Declared before shards_ so a shard that
+  /// Private trace tapes of shards 1..N-1, each with the caller's ring's
+  /// capacity, merged into opts_.base.recorder in shard order after the
+  /// join. Empty when the caller supplied no ring. Declared before shards_ so a shard that
   /// flushes on destruction still finds its tape.
   std::vector<std::unique_ptr<trace::RingRecorder>> shard_tapes_;
   std::vector<std::unique_ptr<ServeLoop>> shards_;

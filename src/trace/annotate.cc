@@ -26,10 +26,10 @@ constexpr std::uint64_t kTinyWindowLimit = 1024;
 
 // The annotator is written once against the field accessors in
 // wire_record.h (kind_of, dir_of, ...) and instantiated for both event
-// representations: decoded TraceEvents (the legacy / JSONL-export path) and
-// raw ring WireRecords (the always-on scan path, which never materializes
-// TraceEvents at all). Same template body ⇒ the two paths cannot drift
-// apart.
+// representations: decoded TraceEvents (the JSONL-export path, where tags
+// land on the events) and raw ring WireRecords (the metrics fold, which
+// never materializes TraceEvents at all). Same template body ⇒ exported
+// tags and folded tag counts cannot drift apart.
 template <typename E>
 bool is_frame(const E& ev, Direction dir, FrameType type) {
   return kind_of(ev) == EventKind::kFrame && dir_of(ev) == dir &&
@@ -676,6 +676,15 @@ void annotate_ring(const RingRecorder& ring, TagCounts& counts,
                    MetricsRecorder* fold) {
   RingView view{ring, counts, fold, ring.first_seq()};
   annotate_with(view);
+}
+
+void fold_ring(const RingRecorder& ring, MetricsRegistry& registry,
+               MetricsRecorder& folder, TagCounts& counts) {
+  counts.clear();
+  folder.rebind(registry);
+  annotate_ring(ring, counts, &folder);
+  folder.finish();
+  for (const auto& [name, n] : counts) registry.add_violation(name, n);
 }
 
 }  // namespace h2r::trace

@@ -105,7 +105,8 @@ std::vector<std::string> annotate_violations(std::vector<TraceEvent>& events);
 /// so the hot scan path counts violations with zero string traffic.
 using TagCounts = std::vector<std::pair<const char*, std::uint64_t>>;
 
-class MetricsRecorder;  // metrics.h
+class MetricsRecorder;   // metrics.h
+struct MetricsRegistry;  // metrics.h
 
 /// Annotates straight off a ring's raw WireRecords — the always-on scan
 /// path. Identical pass logic to annotate_violations() (one shared template
@@ -118,5 +119,15 @@ class MetricsRecorder;  // metrics.h
 /// records.
 void annotate_ring(const RingRecorder& ring, TagCounts& counts,
                    MetricsRecorder* fold = nullptr);
+
+/// Annotates @p ring and folds it into @p registry in one walk:
+/// annotate_ring() with @p folder as the tee, then one add_violation() per
+/// tag count. The result equals annotating the decoded TraceEvents and
+/// folding those. @p folder and @p counts are caller scratch, reused so a
+/// warm fold allocates nothing: @p folder is rebound onto @p registry and
+/// finished, and @p counts is cleared first and holds this ring's tag
+/// counts afterwards.
+void fold_ring(const RingRecorder& ring, MetricsRegistry& registry,
+               MetricsRecorder& folder, TagCounts& counts);
 
 }  // namespace h2r::trace

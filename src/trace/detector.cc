@@ -12,6 +12,8 @@ using h2::FrameType;
 // Settings identifier for SETTINGS_INITIAL_WINDOW_SIZE (RFC 7540 §6.5.2).
 constexpr std::uint32_t kInitialWindowSizeId = 4;
 
+constexpr DetectorThresholds kThresholds{};
+
 constexpr AttackClass kReportedClasses[] = {
     AttackClass::kSlowRead,    AttackClass::kSlowPost,
     AttackClass::kRapidReset,  AttackClass::kControlFlood,
@@ -98,8 +100,8 @@ std::string DetectorReport::to_json() const {
   return out;
 }
 
-void SequenceDetector::observe(const TraceEvent& ev) {
-  if (ev.kind == EventKind::kConnectionStart) {
+void SequenceDetector::observe_record(const WireRecord& ev) {
+  if (kind_of(ev) == EventKind::kConnectionStart) {
     fold_connection();
     saw_connection_ = true;
     return;
@@ -107,24 +109,24 @@ void SequenceDetector::observe(const TraceEvent& ev) {
   saw_connection_ = true;
   ++conn_events_;
 
-  switch (ev.kind) {
+  switch (kind_of(ev)) {
     case EventKind::kRoundMark:
       ++rounds_;
       // Slow-read is the one rule whose clock is rounds, not frames: many
       // tiny-window request streams held open with stream replenishment
       // withheld. Evaluated on round boundaries.
       if (!fired_[static_cast<std::size_t>(AttackClass::kSlowRead)] &&
-          any_request_ && client_iws_ < thresholds_.tiny_window &&
-          request_streams_ >= thresholds_.slow_read_min_streams &&
+          any_request_ && client_iws_ < kThresholds.tiny_window &&
+          request_streams_ >= kThresholds.slow_read_min_streams &&
           stream_window_updates_ == 0 &&
-          rounds_ - first_request_round_ >= thresholds_.slow_read_min_rounds) {
+          rounds_ - first_request_round_ >= kThresholds.slow_read_min_rounds) {
         flag(AttackClass::kSlowRead);
       }
       return;
     case EventKind::kSettingsApplied:
-      if (ev.dir == Direction::kClientToServer &&
-          ev.detail_a == kInitialWindowSizeId) {
-        client_iws_ = ev.detail_b;
+      if (dir_of(ev) == Direction::kClientToServer &&
+          a_of(ev) == kInitialWindowSizeId) {
+        client_iws_ = b_of(ev);
       }
       return;
     case EventKind::kFrame:
@@ -132,69 +134,69 @@ void SequenceDetector::observe(const TraceEvent& ev) {
     default:
       return;
   }
-  if (ev.dir != Direction::kClientToServer) return;
+  if (dir_of(ev) != Direction::kClientToServer) return;
 
-  switch (static_cast<FrameType>(ev.frame_type)) {
+  switch (static_cast<FrameType>(type_of(ev))) {
     case FrameType::kHeaders: {
       ++request_streams_;
       if (!any_request_) {
         any_request_ = true;
         first_request_round_ = rounds_;
       }
-      if ((ev.flags & h2::flags::kEndStream) == 0) {
-        uploads_.try_emplace(ev.stream_id,
+      if ((flags_of(ev) & h2::flags::kEndStream) == 0) {
+        uploads_.try_emplace(stream_of(ev),
                              UploadState{rounds_, rounds_, 0, false});
       }
       break;
     }
     case FrameType::kData: {
-      auto it = uploads_.find(ev.stream_id);
+      auto it = uploads_.find(stream_of(ev));
       if (it == uploads_.end()) break;
-      if ((ev.flags & h2::flags::kEndStream) != 0) {
+      if ((flags_of(ev) & h2::flags::kEndStream) != 0) {
         uploads_.erase(it);  // upload completed normally
         break;
       }
       UploadState& up = it->second;
       up.last_round = rounds_;
-      if (ev.detail_a <= thresholds_.slow_post_max_chunk) {
+      if (a_of(ev) <= kThresholds.slow_post_max_chunk) {
         ++up.dribble_frames;
       } else {
         up.oversized = true;
       }
       if (!fired_[static_cast<std::size_t>(AttackClass::kSlowPost)] &&
           !up.oversized &&
-          up.dribble_frames >= thresholds_.slow_post_min_frames &&
-          up.last_round - up.first_round >= thresholds_.slow_post_min_rounds) {
+          up.dribble_frames >= kThresholds.slow_post_min_frames &&
+          up.last_round - up.first_round >= kThresholds.slow_post_min_rounds) {
         flag(AttackClass::kSlowPost);
       }
       break;
     }
     case FrameType::kRstStream:
       ++client_resets_;
-      uploads_.erase(ev.stream_id);
+      uploads_.erase(stream_of(ev));
       if (!fired_[static_cast<std::size_t>(AttackClass::kRapidReset)] &&
-          client_resets_ >= thresholds_.rapid_reset_min) {
+          client_resets_ >= kThresholds.rapid_reset_min) {
         flag(AttackClass::kRapidReset);
       }
       break;
     case FrameType::kPing:
     case FrameType::kSettings:
-      if ((ev.flags & h2::flags::kAck) != 0) break;
+      if ((flags_of(ev) & h2::flags::kAck) != 0) break;
       ++control_frames_;
       if (!fired_[static_cast<std::size_t>(AttackClass::kControlFlood)] &&
-          control_frames_ >= thresholds_.control_flood_min) {
+          control_frames_ >= kThresholds.control_flood_min) {
         flag(AttackClass::kControlFlood);
       }
       break;
     case FrameType::kPriority:
       ++priority_frames_;
       if (!fired_[static_cast<std::size_t>(AttackClass::kPriorityChurn)] &&
-          priority_frames_ >= thresholds_.priority_churn_min) {
+          priority_frames_ >= kThresholds.priority_churn_min) {
         flag(AttackClass::kPriorityChurn);
       }
       break;
     case FrameType::kWindowUpdate:
-      if (ev.stream_id != 0) ++stream_window_updates_;
+      if (stream_of(ev) != 0) ++stream_window_updates_;
       break;
     default:
       break;

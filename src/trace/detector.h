@@ -3,11 +3,14 @@
 // "Delays have Dangerous Ends" (PAPERS.md) detects slow-rate HTTP/2 attacks
 // by sequence analysis of the event stream rather than by volumetric
 // thresholds; the H2Wiretap already emits exactly the events its rules need
-// (frames with per-type details, SETTINGS application, round marks). The
-// SequenceDetector is a Recorder, so it can be attached *live* as a probe
-// or attack runs (the h2olog model: always-on, cheap enough for full
-// scans — per-event work is a handful of counter bumps), or replayed over
-// a retained VectorRecorder trace; both paths produce identical reports.
+// (frames with per-type details, SETTINGS application, round marks), and
+// every rule reads only fields a WireRecord holds: kind, direction, frame
+// type, flags, stream id and the two details. The SequenceDetector is a
+// Recorder, so it can be attached *live* as a probe or attack runs (the
+// h2olog model: always-on, cheap enough for full scans — per-record work is
+// a handful of counter bumps), or observe a RingRecorder's retained
+// records afterwards, as the scan does; both paths see the same records and
+// produce identical reports.
 //
 // Detection is per connection segment (kConnectionStart delimits) and each
 // attack class fires at most once per connection, recording time-to-detect
@@ -45,9 +48,10 @@ inline constexpr std::size_t kAttackClassCount = 6;
 
 std::string_view to_string(AttackClass cls) noexcept;
 
-/// Rule thresholds. Defaults are calibrated against the benign probe
-/// battery (see header comment): every counter a normal scan connection
-/// reaches stays at least 4x below its threshold.
+/// Rule thresholds; the detector always runs with these defaults. They are
+/// calibrated against the benign probe battery (see header comment): every
+/// counter a normal scan connection reaches stays at least 4x below its
+/// threshold.
 struct DetectorThresholds {
   /// Client INITIAL_WINDOW_SIZE below this is "tiny" (the data_frame_control
   /// probe announces 1 on a single stream; slow-read needs many streams).
@@ -103,20 +107,16 @@ struct DetectorReport {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// Live sequence detector. Attach as the Recorder on a Target / client /
-/// server (cheap path, nothing retained), or replay a retained trace with
-/// observe_all(). Call finish() to fold the final connection before reading
-/// report().
-class SequenceDetector : public DecodedRecorder {
+/// Sequence detector. Attach as the Recorder on a Target / client / server
+/// (live, nothing retained), or read a retained ring with observe(). Call
+/// finish() to fold the final connection before reading report().
+class SequenceDetector : public Recorder {
  public:
-  explicit SequenceDetector(DetectorThresholds thresholds = {})
-      : thresholds_(thresholds) {}
   ~SequenceDetector() override { finish(); }
 
-  /// Feeds one already-stamped event (replay path).
-  void observe(const TraceEvent& event);
-  void observe_all(const std::vector<TraceEvent>& events) {
-    for (const auto& ev : events) observe(ev);
+  /// Observes every record @p ring retains, oldest first.
+  void observe(const RingRecorder& ring) {
+    for (std::size_t i = 0; i < ring.size(); ++i) observe_record(ring.at(i));
   }
 
   /// Folds the open connection into the report. Idempotent.
@@ -133,7 +133,10 @@ class SequenceDetector : public DecodedRecorder {
   }
 
  protected:
-  void on_event(const TraceEvent& event) override { observe(event); }
+  void on_record(std::uint64_t /*seq*/, const WireRecord& rec,
+                 std::string_view /*note*/) override {
+    observe_record(rec);
+  }
 
  private:
   struct UploadState {
@@ -143,11 +146,10 @@ class SequenceDetector : public DecodedRecorder {
     bool oversized = false;            ///< saw a chunk above the dribble cap
   };
 
-  void evaluate_rules();
+  void observe_record(const WireRecord& rec);
   void flag(AttackClass cls);
   void fold_connection();
 
-  DetectorThresholds thresholds_;
   DetectorReport report_;
   std::vector<Detection> live_;
 

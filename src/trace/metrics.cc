@@ -285,11 +285,6 @@ std::string MetricsRegistry::to_text() const {
   return out;
 }
 
-void MetricsRecorder::on_event(const TraceEvent& ev) {
-  for (const auto& tag : ev.tags) ++registry_->violation_tags[tag];
-  fold(ev.seq, ev);
-}
-
 void MetricsRecorder::flush_connection() {
   for (const auto& [stream, bytes] : stream_bytes_) {
     registry_->stream_wire_bytes.add(bytes);
@@ -311,11 +306,5 @@ void MetricsRecorder::flush_connection() {
 }
 
 void MetricsRecorder::finish() { flush_connection(); }
-
-void consume(MetricsRegistry& registry, const std::vector<TraceEvent>& events) {
-  MetricsRecorder folder(registry);
-  for (const auto& ev : events) folder.replay(ev);
-  folder.finish();
-}
 
 }  // namespace h2r::trace

@@ -17,7 +17,7 @@
 
 #include "h2/constants.h"
 #include "trace/event.h"
-#include "trace/recorder.h"
+#include "trace/wire_record.h"
 
 namespace h2r::trace {
 
@@ -124,17 +124,19 @@ struct MetricsRegistry {
   [[nodiscard]] std::string to_text() const;
 };
 
-/// Folds events into a registry as they are recorded, retaining nothing but
-/// small per-connection state (per-stream byte tallies, open stall marks,
-/// response header-block sizes for the Equation-1 compression ratio). Call
-/// finish() — or let the destructor — to flush the final connection.
-class MetricsRecorder : public DecodedRecorder {
+/// Folds a ring's WireRecords into a registry, retaining nothing but small
+/// per-connection state (per-stream byte tallies, open stall marks,
+/// response header-block sizes for the Equation-1 compression ratio). Not a
+/// sink: it reads records a RingRecorder already holds, usually as the
+/// annotator's tee (fold_ring in annotate.h). Call finish() — or let the
+/// destructor — to flush the final connection.
+class MetricsRecorder {
  public:
   explicit MetricsRecorder(MetricsRegistry& registry) : registry_(&registry) {}
-  ~MetricsRecorder() override { finish(); }
-
-  /// Feeds an already-stamped event (replay path used by consume()).
-  void replay(const TraceEvent& event) { on_event(event); }
+  ~MetricsRecorder() { finish(); }
+  /// A copy would flush the same open connection into the registry twice.
+  MetricsRecorder(const MetricsRecorder&) = delete;
+  MetricsRecorder& operator=(const MetricsRecorder&) = delete;
 
   /// Flushes the current connection into the old registry and retargets
   /// the fold. A long-lived recorder (scan worker scratch) folds each
@@ -145,28 +147,14 @@ class MetricsRecorder : public DecodedRecorder {
     registry_ = &registry;
   }
 
-  /// Folds one raw ring record directly — the same fold body as on_event()
-  /// instantiated over WireRecord fields, skipping TraceEvent
-  /// materialization entirely. Records carry no tags (only the offline
-  /// annotator produces those); @p seq is the record's ring sequence,
-  /// RingRecorder::first_seq() + index. Defined in the header so the scan's
-  /// single-pass fold inlines it into the annotator's sweep.
-  void fold_record(std::uint64_t seq, const WireRecord& rec) {
-    fold(seq, rec);
-  }
-
   /// Flushes per-connection state into the registry. Idempotent.
   void finish();
 
- protected:
-  void on_event(const TraceEvent& event) override;
-
- private:
-  /// The shared fold body, written against the wire_record.h field
-  /// accessors (kind_of, dir_of, ...) so decoded TraceEvents and raw
-  /// WireRecords take the same code path.
-  template <typename E>
-  void fold(std::uint64_t seq, const E& ev) {
+  /// Folds one ring record. Records carry no tags (violation counts reach
+  /// the registry through add_violation); @p seq is the record's ring
+  /// sequence, RingRecorder::first_seq() + index. Defined in the header so
+  /// the scan's single-pass fold inlines it into the annotator's sweep.
+  void fold_record(std::uint64_t seq, const WireRecord& ev) {
     switch (kind_of(ev)) {
       case EventKind::kConnectionStart:
         flush_connection();
@@ -267,6 +255,7 @@ class MetricsRecorder : public DecodedRecorder {
     }
   }
 
+ private:
   void flush_connection();
 
   MetricsRegistry* registry_;
@@ -278,9 +267,5 @@ class MetricsRecorder : public DecodedRecorder {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> open_stalls_;
   std::vector<std::uint64_t> response_block_sizes_;
 };
-
-/// Replays @p events (e.g. a VectorRecorder's, after annotation) into
-/// @p registry.
-void consume(MetricsRegistry& registry, const std::vector<TraceEvent>& events);
 
 }  // namespace h2r::trace

@@ -6,16 +6,12 @@
 // exchange_traced rows). The base class encodes each record() into a
 // fixed-width binary WireRecord and stamps sequence numbers (and the
 // virtual-clock time when a clock is attached) so sinks see a totally
-// ordered stream. Concrete sinks split two ways:
-//
-//   RingRecorder     retains WireRecords (bounded ring or unbounded tape)
-//                    plus an interned note table — the hot-path sink; the
-//                    offline decoder expands it back into TraceEvents.
-//   DecodedRecorder  adapter for live consumers (MetricsRecorder in
-//                    metrics.h, SequenceDetector in detector.h,
-//                    VectorRecorder below): decodes each record into one
-//                    reusable scratch TraceEvent and forwards it to the
-//                    classic on_event(const TraceEvent&) hook.
+// ordered stream. RingRecorder is the one sink that retains records: a
+// bounded ring or an unbounded tape of WireRecords plus an interned note
+// table. Every consumer reads it — the metrics fold and the violation
+// annotator walk the raw records (annotate.h), the SequenceDetector
+// (detector.h) observes them, and decode() expands them into TraceEvents
+// only where JSONL is written.
 #pragma once
 
 #include <cstdint>
@@ -122,10 +118,9 @@ class Recorder {
   virtual void on_record(std::uint64_t seq, const WireRecord& rec,
                          std::string_view note) = 0;
 
-  /// Restarts event numbering from zero — for sinks that drop their
-  /// retained events and start a logically new trace (RingRecorder::clear,
-  /// VectorRecorder::clear), so a reused sink's output matches a freshly
-  /// constructed one's.
+  /// Restarts event numbering from zero — for a sink that drops its
+  /// retained records and starts a logically new trace (RingRecorder::clear),
+  /// so a reused sink's output matches a freshly constructed one's.
   void restart_sequence() noexcept { next_seq_ = 0; }
   /// Consumes @p n sequence numbers for records this sink never saw.
   void skip_sequence(std::uint64_t n) noexcept { next_seq_ += n; }
@@ -242,49 +237,5 @@ class RingRecorder : public Recorder {
 [[nodiscard]] bool parse_trace_bin(std::string_view bytes,
                                    std::vector<TraceEvent>& out,
                                    std::uint64_t& drops, std::string& error);
-
-/// Adapter for live consumers: decodes each record into one reusable
-/// scratch TraceEvent and forwards it to on_event() — the classic hook,
-/// unchanged since the JSONL-first recorder, so MetricsRecorder and
-/// SequenceDetector logic runs identically live and on replayed traces.
-class DecodedRecorder : public Recorder {
- protected:
-  void on_record(std::uint64_t seq, const WireRecord& rec,
-                 std::string_view note) final {
-    decode_record(seq, rec, note, scratch_);
-    on_event(scratch_);
-  }
-
-  virtual void on_event(const TraceEvent& event) = 0;
-
- private:
-  TraceEvent scratch_;
-};
-
-/// Retains every event in decoded form — the test-facing tape. Prefer
-/// RingRecorder on hot paths; this adapter exists for tests and offline
-/// flows that want to poke TraceEvents directly (the violation annotator
-/// writes tags in place).
-class VectorRecorder : public DecodedRecorder {
- public:
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
-  /// Mutable access for the violation annotator (tags are written in place).
-  [[nodiscard]] std::vector<TraceEvent>& events() noexcept { return events_; }
-
-  /// Drops every retained event and restarts numbering: a cleared
-  /// recorder's trace is indistinguishable from a fresh one's.
-  void clear() noexcept {
-    events_.clear();
-    restart_sequence();
-  }
-
- protected:
-  void on_event(const TraceEvent& event) override { events_.push_back(event); }
-
- private:
-  std::vector<TraceEvent> events_;
-};
 
 }  // namespace h2r::trace

@@ -2,18 +2,20 @@
 // per trace event.
 //
 // This is what the hot path writes (RingRecorder appends one WireRecord per
-// record() — no strings, no vectors, no heap) and what the offline decoder
-// expands back into TraceEvents for the annotator, the JSONL exporter, and
-// every existing consumer. Two fields of the TraceEvent shape live outside
-// the record: `seq` is implicit (a ring's records are contiguous, so seq =
-// first_seq + index) and `note` is interned into the owning recorder's
-// string table (`note_ref`; 0 names the empty string). `tags` never existed
-// on the hot path at all — only the offline annotator produces them.
+// record() — no strings, no vectors, no heap) and what every consumer
+// reads: the metrics fold, the violation annotator and the sequence
+// detector walk the records themselves, and only the JSONL exporter
+// expands them back into TraceEvents. Two fields of the TraceEvent shape
+// live outside the record: `seq` is implicit (a ring's records are
+// contiguous, so seq = first_seq + index) and `note` is interned into the
+// owning recorder's string table (`note_ref`; 0 names the empty string).
+// `tags` never exists on the hot path at all — only the annotator writes
+// them, onto decoded events.
 //
 // The virtual-clock timestamp is stored as the raw bit pattern of the
 // `double` (time_bits), so a decode round-trips to the exact value the
-// legacy path would have stamped — the JSONL exporter's `%.3f` output is
-// byte-identical, not merely close.
+// clock read — the JSONL exporter's `%.3f` output is byte-stable, not
+// merely close.
 #pragma once
 
 #include <bit>
@@ -57,11 +59,12 @@ struct EventArgs {
   std::string_view note{};
 };
 
-// Shared field accessors: generic trace consumers (the violation annotator,
-// the metrics fold) are written once against these overloads and
-// instantiated for both event representations — decoded TraceEvents and raw
-// WireRecords — so the hot binary path and the legacy decoded path run the
-// same logic by construction.
+// Shared field accessors: the violation annotator is written once against
+// these overloads and instantiated for both event representations — decoded
+// TraceEvents (JSONL export) and raw WireRecords (the metrics fold) — so
+// exported tags and folded tag counts come from the same logic by
+// construction. The metrics fold and the sequence detector read records
+// through them too.
 [[nodiscard]] inline EventKind kind_of(const TraceEvent& ev) noexcept {
   return ev.kind;
 }

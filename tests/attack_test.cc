@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "attack/scenario.h"
 #include "core/client.h"
@@ -170,18 +171,19 @@ TEST(AttackAnnotation, MitigationFramesAreTaggedAndCounted) {
   // Run a mitigated rapid-reset under the wiretap: the escalation steps
   // appear as kMitigation events, the 0xb GOAWAY carries the
   // mitigation-goaway tag, and the metrics registry counts escalations.
-  trace::VectorRecorder recorder;
+  trace::RingRecorder recorder;
   core::Target target = hardened_testbed(server::nginx_profile());
   target.recorder = &recorder;
   const AttackResult r = AttackScenario(smoke(ScenarioKind::kRapidReset))
                              .run(target);
   ASSERT_EQ(r.termination, Termination::kMitigatedGoaway);
 
-  trace::annotate_violations(recorder.events());
+  std::vector<trace::TraceEvent> events = recorder.decode();
+  trace::annotate_violations(events);
   bool saw_escalation = false;
   bool goaway_tagged = false;
   bool rst_tagged = false;
-  for (const trace::TraceEvent& ev : recorder.events()) {
+  for (const trace::TraceEvent& ev : events) {
     if (ev.kind == trace::EventKind::kMitigation) saw_escalation = true;
     for (const std::string& tag : ev.tags) {
       if (tag == trace::tags::kMitigationGoaway) goaway_tagged = true;
@@ -196,7 +198,9 @@ TEST(AttackAnnotation, MitigationFramesAreTaggedAndCounted) {
   EXPECT_TRUE(rst_tagged);
 
   trace::MetricsRegistry metrics;
-  trace::consume(metrics, recorder.events());
+  trace::MetricsRecorder folder(metrics);
+  trace::TagCounts tags;
+  trace::fold_ring(recorder, metrics, folder, tags);
   EXPECT_GT(metrics.mitigation_events, 0u);
   EXPECT_NE(metrics.to_json().find("\"mitigation_events\""),
             std::string::npos);

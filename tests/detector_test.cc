@@ -1,6 +1,7 @@
 // SequenceDetector: per-class detection with bounded time-to-detect, zero
 // false positives on the benign (and faulted) probe battery, report
-// aggregation independent of H2R_THREADS sharding, and replay == live.
+// aggregation independent of H2R_THREADS sharding and of the scan's wiretap
+// mode, and ring replay == live.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -115,19 +116,63 @@ TEST(SequenceDetector, ReplayOverRetainedTraceEqualsLiveAttachment) {
     (void)attack::AttackScenario(smoke(kind)).run(live_target);
     live.finish();
 
-    // Replay: a VectorRecorder retains the trace, the detector reads it
-    // back afterwards.
-    VectorRecorder recorder;
+    // Replay: a ring retains the trace, the detector reads it back
+    // afterwards.
+    RingRecorder recorder;
     core::Target replay_target =
         core::Target::testbed(server::nginx_profile());
     replay_target.recorder = &recorder;
     (void)attack::AttackScenario(smoke(kind)).run(replay_target);
     SequenceDetector replay;
-    replay.observe_all(recorder.events());
+    replay.observe(recorder);
     replay.finish();
 
     EXPECT_EQ(live.report().to_json(), replay.report().to_json());
   }
+}
+
+TEST(SequenceDetector, ScanDetectionsIndependentOfWiretapMode) {
+  // Detection alone, beside the wiretap metrics, and beside the JSONL
+  // export: the reports must agree byte for byte, and detection must not
+  // move the wire metrics a wiretap-only scan folds.
+  const corpus::Population pop =
+      corpus::generate_population(corpus::Epoch::kExp2, 7, /*scale=*/1000);
+  ASSERT_FALSE(pop.sites.empty());
+
+  corpus::ScanOptions detect;
+  detect.threads = 2;
+  detect.detect_attacks = true;
+  corpus::ScanOptions detect_metrics = detect;
+  detect_metrics.wiretap_metrics = true;
+  corpus::ScanOptions detect_traces = detect;
+  detect_traces.wiretap_traces = true;
+  corpus::ScanOptions metrics_only;
+  metrics_only.threads = 2;
+  metrics_only.wiretap_metrics = true;
+
+  const corpus::ScanReport a = corpus::scan_population(pop, detect);
+  const corpus::ScanReport b = corpus::scan_population(pop, detect_metrics);
+  const corpus::ScanReport c = corpus::scan_population(pop, detect_traces);
+  const corpus::ScanReport m = corpus::scan_population(pop, metrics_only);
+  EXPECT_GT(a.attack_detections.connections, 0u);
+  EXPECT_EQ(a.attack_detections.to_json(), b.attack_detections.to_json());
+  EXPECT_EQ(a.attack_detections.to_json(), c.attack_detections.to_json());
+
+  EXPECT_TRUE(a.wire_metrics_by_family.empty());  // no wiretap, no fold
+  ASSERT_FALSE(b.wire_metrics_by_family.empty());
+  EXPECT_EQ(b.wire_metrics.to_json(), c.wire_metrics.to_json());
+  EXPECT_EQ(b.wire_metrics.to_json(), m.wire_metrics.to_json());
+  for (const corpus::ScanReport* other : {&c, &m}) {
+    ASSERT_EQ(other->wire_metrics_by_family.size(),
+              b.wire_metrics_by_family.size());
+    for (const auto& [family, metrics] : b.wire_metrics_by_family) {
+      ASSERT_TRUE(other->wire_metrics_by_family.count(family)) << family;
+      EXPECT_EQ(other->wire_metrics_by_family.at(family).to_json(),
+                metrics.to_json())
+          << family;
+    }
+  }
+  EXPECT_FALSE(c.site_traces.empty());
 }
 
 TEST(SequenceDetector, LiveDetectionsVisibleBeforeConnectionEnds) {

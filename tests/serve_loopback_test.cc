@@ -104,7 +104,7 @@ TEST(ServeLoopback, HardenedProfileServesWellBehavedLoadCleanly) {
 }
 
 TEST(ServeLoopback, GracefulShutdownSendsGoawayAndFlushesWholeTrace) {
-  trace::VectorRecorder recorder;
+  trace::RingRecorder recorder;
   netio::ServeOptions sopts;
   sopts.profile_key = "h2o";
   sopts.recorder = &recorder;
@@ -136,10 +136,11 @@ TEST(ServeLoopback, GracefulShutdownSendsGoawayAndFlushesWholeTrace) {
   // balanced JSON object. The engine tapes the remote client's frames too
   // (c2s), so the segment is a faithful wiretap — the flow-control
   // annotator must find nothing to flag in a clean serve.
-  ASSERT_FALSE(recorder.events().empty());
+  std::vector<trace::TraceEvent> events = recorder.decode();
+  ASSERT_FALSE(events.empty());
   std::size_t starts = 0;
   std::size_t c2s_frames = 0;
-  for (const auto& event : recorder.events()) {
+  for (const auto& event : events) {
     if (event.kind == trace::EventKind::kConnectionStart) ++starts;
     if (event.kind == trace::EventKind::kFrame &&
         event.dir == trace::Direction::kClientToServer) {
@@ -148,8 +149,8 @@ TEST(ServeLoopback, GracefulShutdownSendsGoawayAndFlushesWholeTrace) {
   }
   EXPECT_EQ(starts, 1u);
   EXPECT_GT(c2s_frames, 0u);
-  EXPECT_TRUE(trace::annotate_violations(recorder.events()).empty());
-  const std::string jsonl = trace::to_jsonl(recorder.events());
+  EXPECT_TRUE(trace::annotate_violations(events).empty());
+  const std::string jsonl = trace::to_jsonl(events);
   ASSERT_FALSE(jsonl.empty());
   std::size_t lines = 0;
   std::size_t start = 0;

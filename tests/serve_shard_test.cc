@@ -227,7 +227,7 @@ TEST(ShardedServe, MergedStatsEqualPerShardSums) {
 // -------------------------------------------------------- drain broadcast
 
 TEST(ShardedServe, DrainSendsGoawayOnEveryShardAndMergesTraceUntorn) {
-  trace::VectorRecorder tape;
+  trace::RingRecorder tape;
   netio::ShardedServeOptions opts;
   opts.base.profile_key = "nginx";
   opts.base.recorder = &tape;
@@ -272,7 +272,7 @@ TEST(ShardedServe, DrainSendsGoawayOnEveryShardAndMergesTraceUntorn) {
   // segment carries the drain GOAWAY (s2c, type 0x7).
   int segments = 0;
   std::vector<bool> goaway_in_segment;
-  for (const auto& event : tape.events()) {
+  for (const auto& event : tape.decode()) {
     if (event.kind == trace::EventKind::kConnectionStart) {
       ++segments;
       goaway_in_segment.push_back(false);
@@ -300,7 +300,6 @@ TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
   constexpr std::size_t kRing = 16;
   trace::RingRecorder reference(kRing);
   trace::RingRecorder merged(kRing);
-  ASSERT_EQ(netio::shard_tape_bound(&merged), kRing);
   for (auto* sink : {&reference, &merged}) {
     for (int i = 0; i < 5; ++i) sink->begin_connection("before-merge");
   }
@@ -309,8 +308,7 @@ TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
   // Shards that overflow the ring, fit it, fill it exactly, and trail.
   for (const int records : {40, 5, 16, 23, 3}) {
     unbounded.push_back(std::make_unique<trace::RingRecorder>(0));
-    bounded.push_back(std::make_unique<trace::RingRecorder>(
-        netio::shard_tape_bound(&merged)));
+    bounded.push_back(std::make_unique<trace::RingRecorder>(merged.capacity()));
     const std::string shard = std::to_string(unbounded.size());
     for (int i = 0; i < records; ++i) {
       const std::string label = "conn-" + shard + "-" + std::to_string(i);
@@ -351,11 +349,22 @@ TEST(ShardTapes, BoundedTapesMergeExactlyLikeUnboundedOnes) {
 }
 
 TEST(ShardTapes, UnboundedSinksKeepUnboundedTapes) {
-  trace::RingRecorder tape(0);
-  trace::VectorRecorder vector;
-  EXPECT_EQ(netio::shard_tape_bound(&tape), 0u);
-  EXPECT_EQ(netio::shard_tape_bound(&vector), 0u);
-  EXPECT_EQ(netio::shard_tape_bound(nullptr), 0u);
+  // An unbounded ring sizes its shard tapes unbounded too, so the merge
+  // keeps every record every shard saw.
+  trace::RingRecorder sink(0);
+  std::vector<std::unique_ptr<trace::RingRecorder>> tapes;
+  for (int shard = 0; shard < 2; ++shard) {
+    tapes.push_back(std::make_unique<trace::RingRecorder>(sink.capacity()));
+    tapes.back()->begin_connection("conn-" + std::to_string(shard));
+    for (int i = 0; i < 5000; ++i) {
+      tapes.back()->record({.kind = trace::EventKind::kRoundMark});
+    }
+  }
+  netio::merge_shard_tapes(tapes, sink);
+  EXPECT_EQ(sink.capacity(), 0u);
+  EXPECT_EQ(sink.drops(), 0u);
+  EXPECT_EQ(sink.size(), 2u * 5001u);
+  EXPECT_EQ(sink.note_at(5001), "conn-1");
 }
 
 TEST(ShardedServe, SmallRingSinkHoldsTheNewestRecords) {

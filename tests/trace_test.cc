@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/report.h"
 #include "corpus/population.h"
@@ -18,6 +20,7 @@
 #include "trace/event.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
+#include "trace/wire_record.h"
 
 namespace h2r::trace {
 namespace {
@@ -46,27 +49,29 @@ TEST(TraceEvent, JsonlHasStableFieldOrderAndEscaping) {
             "\\\\slash\",\"tags\":[\"a-tag\"]}\n");
 }
 
-TEST(TraceRecorder, NullSinkIsSafeAndVectorSinkStampsSequence) {
+TEST(TraceRecorder, NullSinkIsSafeAndRingSinkStampsSequence) {
   Recorder* none = nullptr;
   begin(none, "ignored");  // null-safe helper: must be a no-op
 
-  VectorRecorder rec;
+  RingRecorder rec;
   rec.begin_connection("c1");
   rec.record({.kind = EventKind::kRoundMark});
-  ASSERT_EQ(rec.events().size(), 2u);
-  EXPECT_EQ(rec.events()[0].kind, EventKind::kConnectionStart);
-  EXPECT_EQ(rec.events()[0].seq, 0u);
-  EXPECT_EQ(rec.events()[0].note, "c1");
-  EXPECT_EQ(rec.events()[1].seq, 1u);
+  std::vector<TraceEvent> events = rec.decode();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, EventKind::kConnectionStart);
+  EXPECT_EQ(events[0].seq, 0u);
+  EXPECT_EQ(events[0].note, "c1");
+  EXPECT_EQ(events[1].seq, 1u);
   EXPECT_EQ(rec.events_recorded(), 2u);
 
   // clear() restarts numbering: a reused sink's trace is indistinguishable
   // from a fresh one's.
   rec.clear();
   rec.begin_connection("c2");
-  ASSERT_EQ(rec.events().size(), 1u);
-  EXPECT_EQ(rec.events()[0].seq, 0u);
-  EXPECT_EQ(rec.events()[0].note, "c2");
+  events = rec.decode();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].seq, 0u);
+  EXPECT_EQ(events[0].note, "c2");
 }
 
 TEST(TraceRecorder, StringTableInternsAndSurvivesClear) {
@@ -147,16 +152,17 @@ TEST(RingRecorder, ReplayIntoPreservesTimeAndRestampsSequence) {
   clock.advance_ms(2.25);
   tape.record({.kind = EventKind::kRoundMark, .detail_a = 2, .note = "n"});
 
-  VectorRecorder sink;
+  RingRecorder sink;
   sink.begin_connection("pre-existing");  // flush appends after prior events
   tape.replay_into(sink);
-  ASSERT_EQ(sink.events().size(), 3u);
-  EXPECT_EQ(sink.events()[1].seq, 1u);  // sink stamps fresh sequence numbers
-  EXPECT_EQ(sink.events()[2].seq, 2u);
-  EXPECT_EQ(sink.events()[1].time_ms, 12.5);  // record's own timestamp kept
-  EXPECT_EQ(sink.events()[2].time_ms, 14.75);
-  EXPECT_EQ(sink.events()[2].note, "n");
-  EXPECT_EQ(sink.events()[2].detail_a, 2u);
+  const std::vector<TraceEvent> events = sink.decode();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].seq, 1u);  // sink stamps fresh sequence numbers
+  EXPECT_EQ(events[2].seq, 2u);
+  EXPECT_EQ(events[1].time_ms, 12.5);  // record's own timestamp kept
+  EXPECT_EQ(events[2].time_ms, 14.75);
+  EXPECT_EQ(events[2].note, "n");
+  EXPECT_EQ(events[2].detail_a, 2u);
 }
 
 TEST(MetricsRegistry, TraceDropsMergeAndConditionalExport) {
@@ -249,11 +255,26 @@ TEST(TraceBinaryDump, StrictParserRejectsCorruptDumps) {
 
 // ------------------------------------------------------- golden identity
 
+/// The oracle the ring path is checked against: a sink that decodes each
+/// record the moment it is recorded, under the sequence number the
+/// recorder stamps — no ring storage, note interning or offline decode
+/// involved.
+class DecodingSink : public Recorder {
+ public:
+  std::vector<TraceEvent> events;
+
+ protected:
+  void on_record(std::uint64_t seq, const WireRecord& rec,
+                 std::string_view note) override {
+    decode_record(seq, rec, note, events.emplace_back());
+  }
+};
+
 TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
   // The contract the whole binary path rests on: record the Section III
   // exchange as 32-byte WireRecords, decode offline, annotate, export —
-  // and the JSONL is byte-identical to the legacy retain-TraceEvents
-  // path. One shared ring reused via clear() across all six Table III
+  // and the JSONL is byte-identical to decoding every record as it
+  // happens. One shared ring reused via clear() across all six Table III
   // profiles also proves sequence restart on reuse.
   const server::ServerProfile profiles[] = {
       server::nginx_profile(),   server::litespeed_profile(),
@@ -261,21 +282,25 @@ TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
       server::tengine_profile(), server::apache_profile()};
   RingRecorder ring;  // unbounded retaining mode, reused across profiles
   for (const auto& profile : profiles) {
-    Rng legacy_rng(7);
-    VectorRecorder legacy;
-    core::characterize_traced(core::Target::testbed(profile), legacy_rng,
-                              legacy);
-    const std::string want = to_jsonl(legacy.events(), profile.key);
+    Rng oracle_rng(7);
+    DecodingSink oracle;
+    core::Target oracle_target = core::Target::testbed(profile);
+    oracle_target.recorder = &oracle;
+    core::characterize(oracle_target, oracle_rng);
+    const std::vector<std::string> want_tags =
+        annotate_violations(oracle.events);
+    const std::string want = to_jsonl(oracle.events, profile.key);
     ASSERT_FALSE(want.empty()) << profile.key;
 
     ring.clear();
     Rng rng(7);
-    core::Target target = core::Target::testbed(profile);
-    target.recorder = &ring;
-    core::characterize(target, rng);
+    const core::Characterization c = core::characterize_traced(
+        core::Target::testbed(profile), rng, ring);
     std::vector<TraceEvent> decoded = ring.decode();
     annotate_violations(decoded);
     EXPECT_EQ(to_jsonl(decoded, profile.key), want) << profile.key;
+    // The ring fold's tag counts name exactly the annotated tags.
+    EXPECT_EQ(c.violation_tags, want_tags) << profile.key;
 
     // The binary dump round-trips to the same trace, so an h2trace-decode
     // of a serialized ring reproduces the exporter's JSONL byte for byte.
@@ -341,10 +366,12 @@ TEST(MetricsRegistry, MergeIsFieldwiseSum) {
 TEST(TraceDeterminism, RepeatedCharacterizationsProduceIdenticalJsonl) {
   const auto run = [] {
     Rng rng(7);
-    VectorRecorder recorder;
+    RingRecorder recorder;
     core::characterize_traced(
         core::Target::testbed(server::litespeed_profile()), rng, recorder);
-    return to_jsonl(recorder.events(), "litespeed");
+    std::vector<TraceEvent> events = recorder.decode();
+    annotate_violations(events);
+    return to_jsonl(events, "litespeed");
   };
   const std::string a = run();
   const std::string b = run();
@@ -354,7 +381,7 @@ TEST(TraceDeterminism, RepeatedCharacterizationsProduceIdenticalJsonl) {
 
 TEST(TraceDeterminism, CharacterizeTracedRecordsFullDuplexConversation) {
   Rng rng(7);
-  VectorRecorder recorder;
+  RingRecorder recorder;
   const auto c = core::characterize_traced(
       core::Target::testbed(server::nghttpd_profile()), rng, recorder);
 

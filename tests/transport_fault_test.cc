@@ -191,7 +191,7 @@ TEST(FaultyTransport, CorruptionSurfacesAsProtocolOrFlowEffect) {
 TEST(FaultyTransport, SameFaultPlanReplaysTheSameConversation) {
   const auto run_once = [](std::string* jsonl) {
     auto server = make_server();
-    trace::VectorRecorder recorder;
+    trace::RingRecorder recorder;
     core::ClientOptions opts;
     opts.recorder = &recorder;
     ClientConnection client(opts);
@@ -200,7 +200,7 @@ TEST(FaultyTransport, SameFaultPlanReplaysTheSameConversation) {
     auto result = transport.run(client, server, {.max_rounds = 512});
     client.send_request("/small");
     result = transport.run(client, server, {.max_rounds = 512});
-    *jsonl = trace::to_jsonl(recorder.events(), "replay.example");
+    *jsonl = trace::to_jsonl(recorder.decode(), "replay.example");
     return result;
   };
   std::string a, b;
@@ -214,7 +214,7 @@ TEST(FaultyTransport, SameFaultPlanReplaysTheSameConversation) {
 
 TEST(FaultyTransport, FaultsAreRecordedAsTraceEvents) {
   auto server = make_server();
-  trace::VectorRecorder recorder;
+  trace::RingRecorder recorder;
   core::ClientOptions opts;
   opts.recorder = &recorder;
   ClientConnection client(opts);
@@ -228,7 +228,7 @@ TEST(FaultyTransport, FaultsAreRecordedAsTraceEvents) {
   transport.run(client, server, {.max_rounds = 512});
 
   std::optional<trace::TraceEvent> fault;
-  for (const auto& ev : recorder.events()) {
+  for (const auto& ev : recorder.decode()) {
     if (ev.kind == trace::EventKind::kFault) fault = ev;
   }
   ASSERT_TRUE(fault.has_value());

@@ -26,7 +26,7 @@ namespace {
 
 std::vector<std::string> traced_tags(const server::ServerProfile& profile) {
   Rng rng(7);
-  VectorRecorder recorder;
+  RingRecorder recorder;
   const auto c =
       core::characterize_traced(core::Target::testbed(profile), rng, recorder);
   return c.violation_tags;
@@ -89,7 +89,7 @@ TEST(WiretapAnnotator, DerivedQuirksMatchProbeDerivedTable3) {
 
   Rng rng(7);
   for (const auto& profile : server::testbed_profiles()) {
-    VectorRecorder recorder;
+    RingRecorder recorder;
     const auto c = core::characterize_traced(core::Target::testbed(profile),
                                              rng, recorder);
     const auto derived = core::derive_table3_quirks(c.violation_tags);

@@ -41,12 +41,10 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "netio/serve.h"
 #include "netio/serve_shard.h"
 #include "trace/annotate.h"
-#include "trace/event.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
 #include "util/parse.h"
@@ -210,10 +208,11 @@ int main(int argc, char** argv) {
 
   // Exports happen after the loop has fully drained, so the trace and the
   // metrics snapshot are written exactly once, whole — never torn by a
-  // signal landing mid-write. The metrics snapshot folds straight off the
-  // ring; only the JSONL export decodes it. The binary dump carries no
-  // annotator tags (tags are offline-derived); h2trace-decode --annotate
-  // reproduces the JSONL this process would have written, byte for byte.
+  // signal landing mid-write. The metrics snapshot and the annotated JSONL
+  // are both written straight off the ring. The binary dump carries no
+  // annotator tags (tags are derived from the records); h2trace-decode
+  // --annotate parses it back into a ring and reproduces the JSONL this
+  // process would have written, byte for byte.
   if (!trace_out.empty()) {
     if (trace_bin) {
       std::string bytes;
@@ -224,9 +223,9 @@ int main(int argc, char** argv) {
       }
     }
     if (!trace_bin) {
-      std::vector<trace::TraceEvent> events = recorder.decode();
-      trace::annotate_violations(events);
-      if (!write_whole_file(trace_out, trace::to_jsonl(events))) {
+      std::string jsonl;
+      trace::append_annotated_jsonl(jsonl, recorder);
+      if (!write_whole_file(trace_out, jsonl)) {
         std::fprintf(stderr, "h2serve: could not write %s\n",
                      trace_out.c_str());
       }

@@ -1,16 +1,19 @@
 // h2trace-decode — offline expansion of "H2WT" binary wiretap dumps.
 //
 // Reads a dump written by h2serve --trace-format=bin (or any
-// RingRecorder::serialize() output), expands the 32-byte records back into
-// TraceEvents, and prints the H2Wiretap JSONL to stdout — byte-identical to
-// what the producing process would have written with --trace-format=jsonl
-// when --annotate is given (the binary path never stores tags; violation
-// annotation is an offline pass by design).
+// RingRecorder::serialize() output) back into a ring and prints its
+// H2Wiretap JSONL to stdout. With --annotate the ring goes through the same
+// writer as the producing process (trace::append_annotated_jsonl), so the
+// output is byte-identical to what it would have written with
+// --trace-format=jsonl (the binary path never stores tags; the annotator
+// derives them from the records). Without it, the decoded records are
+// printed with empty tags.
 //
 //   h2serve --trace-out t.bin --trace-format=bin ... ; h2trace-decode --annotate t.bin
 //
 // Parsing is strict: bad magic or version, truncation, trailing garbage,
-// and out-of-range note refs all fail with a message on stderr and exit 1.
+// out-of-range note refs, a repeated note string and a first_seq that is
+// not the drop count all fail with a message on stderr and exit 1.
 //
 // Flags:
 //   --annotate    run the violation annotator before printing (tags column)
@@ -19,7 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "trace/annotate.h"
 #include "trace/event.h"
@@ -74,22 +76,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<trace::TraceEvent> events;
-  std::uint64_t drops = 0;
+  trace::RingRecorder ring;
   std::string error;
-  if (!trace::parse_trace_bin(bytes, events, drops, error)) {
+  if (!trace::parse_trace_bin(bytes, ring, error)) {
     std::fprintf(stderr, "h2trace-decode: %s: %s\n", path, error.c_str());
     return 1;
   }
-  if (annotate) trace::annotate_violations(events);
-  if (drops != 0) {
+  if (ring.drops() != 0) {
     std::fprintf(stderr,
                  "h2trace-decode: note: %llu older record(s) were evicted "
                  "from the producing ring before this dump\n",
-                 static_cast<unsigned long long>(drops));
+                 static_cast<unsigned long long>(ring.drops()));
   }
 
-  const std::string jsonl = trace::to_jsonl(events, site);
+  std::string jsonl;
+  if (annotate) {
+    trace::append_annotated_jsonl(jsonl, ring, site);
+  } else {
+    jsonl = trace::to_jsonl(ring.decode(), site);
+  }
   if (std::fwrite(jsonl.data(), 1, jsonl.size(), stdout) != jsonl.size()) {
     std::fprintf(stderr, "h2trace-decode: short write to stdout\n");
     return 1;

@@ -32,9 +32,7 @@ int main() {
       trace::RingRecorder recorder;
       columns.push_back(core::characterize_traced(core::Target::testbed(profile),
                                                   rng, recorder));
-      std::vector<trace::TraceEvent> events = recorder.decode();
-      trace::annotate_violations(events);
-      jsonl += trace::to_jsonl(events, profile.key);
+      trace::append_annotated_jsonl(jsonl, recorder, profile.key);
       merged.merge(columns.back().wire_metrics);
     }
   }

@@ -48,7 +48,8 @@ Characterization characterize(const Target& target, Rng& rng);
 /// characterize() with the H2Wiretap recording every probe connection into
 /// @p recorder. Afterwards the ring is annotated and folded into the
 /// result's wire_metrics (trace::fold_ring); the ring itself carries no
-/// tags, so exporters decode and annotate it themselves.
+/// tags, so an exporter writes its JSONL with trace::append_annotated_jsonl,
+/// which annotates the same records again.
 Characterization characterize_traced(Target target, Rng& rng,
                                      trace::RingRecorder& recorder);
 

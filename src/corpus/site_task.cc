@@ -1,13 +1,12 @@
 #include "corpus/site_task.h"
 
 #include <cstdint>
+#include <string>
 #include <string_view>
-#include <vector>
 
 #include "net/transport.h"
 #include "trace/annotate.h"
 #include "trace/detector.h"
-#include "trace/event.h"
 #include "util/rng.h"
 
 namespace h2r::corpus {
@@ -235,10 +234,9 @@ void fold_site(const SiteSpec& spec, const ScanOptions& opts,
                      r.wire_metrics_by_family[spec.family], scratch.folder,
                      scratch.tag_counts);
     if (opts.wiretap_traces) {
-      std::vector<trace::TraceEvent>& events = scratch.decoded;
-      scratch.recorder.decode_into(events);
-      trace::annotate_violations(events);
-      r.site_traces[spec.host] = trace::to_jsonl(events, spec.host);
+      std::string& jsonl = r.site_traces[spec.host];
+      jsonl.clear();
+      trace::append_annotated_jsonl(jsonl, scratch.recorder, spec.host);
     }
   }
 }

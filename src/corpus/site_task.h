@@ -11,13 +11,10 @@
 // of the thread count.
 #pragma once
 
-#include <vector>
-
 #include "core/probes.h"
 #include "corpus/population.h"
 #include "corpus/scan.h"
 #include "trace/annotate.h"
-#include "trace/event.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
 
@@ -31,14 +28,13 @@ namespace h2r::corpus {
 /// it and its transport for the next connection). The recorder is an
 /// unbounded binary ring (32 bytes per event, no per-event heap traffic),
 /// the site's only trace sink. The metrics fold runs straight off its raw
-/// records (trace::fold_ring), so `decoded` — the expansion scratch — is
-/// only touched when the site's JSONL is exported. The results of the
-/// probes that carry lists or text (WINDOW_UPDATE reactions, push, HPACK
-/// ratio) are rewritten in place, site after site, so their storage stays
-/// warm too.
+/// records (trace::fold_ring), and so does the JSONL export
+/// (trace::append_annotated_jsonl), which decodes one reused row at a
+/// time. The results of the probes that carry lists or text (WINDOW_UPDATE
+/// reactions, push, HPACK ratio) are rewritten in place, site after site,
+/// so their storage stays warm too.
 struct SiteScratch {
   trace::RingRecorder recorder;
-  std::vector<trace::TraceEvent> decoded;
   trace::TagCounts tag_counts;
   // Shared metrics fold. Each site rebind()s the folder onto its family
   // registry and folds straight into it — no per-site scratch registry to

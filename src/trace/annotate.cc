@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -24,14 +23,7 @@ constexpr std::uint64_t kDefaultWindow = 65535;
 // response in one flight.
 constexpr std::uint64_t kTinyWindowLimit = 1024;
 
-// The annotator is written once against the field accessors in
-// wire_record.h (kind_of, dir_of, ...) and instantiated for both event
-// representations: decoded TraceEvents (the JSONL-export path, where tags
-// land on the events) and raw ring WireRecords (the metrics fold, which
-// never materializes TraceEvents at all). Same template body ⇒ exported
-// tags and folded tag counts cannot drift apart.
-template <typename E>
-bool is_frame(const E& ev, Direction dir, FrameType type) {
+bool is_frame(const WireRecord& ev, Direction dir, FrameType type) {
   return kind_of(ev) == EventKind::kFrame && dir_of(ev) == dir &&
          type_of(ev) == static_cast<std::uint8_t>(type);
 }
@@ -39,8 +31,7 @@ bool is_frame(const E& ev, Direction dir, FrameType type) {
 // Mitigation reactions (server::MitigationPolicy) are coded
 // ENHANCE_YOUR_CALM so the quirk passes can tell them apart from genuine
 // protocol reactions and leave the Table III derivation untouched.
-template <typename E>
-bool is_mitigation_frame(const E& ev) {
+bool is_mitigation_frame(const WireRecord& ev) {
   return kind_of(ev) == EventKind::kFrame &&
          dir_of(ev) == Direction::kServerToClient &&
          (type_of(ev) == static_cast<std::uint8_t>(FrameType::kRstStream) ||
@@ -48,46 +39,29 @@ bool is_mitigation_frame(const E& ev) {
          a_of(ev) == static_cast<std::uint32_t>(h2::ErrorCode::kEnhanceYourCalm);
 }
 
-/// View over decoded TraceEvents: tags land on the events themselves (the
-/// JSONL exporter emits them) and in the caller's dedup set.
-struct EventsView {
-  std::vector<TraceEvent>& events;
-  std::set<std::string>& found;
-
-  [[nodiscard]] std::size_t size() const noexcept { return events.size(); }
-  const TraceEvent& operator[](std::size_t i) const noexcept {
-    return events[i];
-  }
-  // GOAWAY notes are "<ERROR_NAME>" or "<ERROR_NAME>:<debug data>".
-  [[nodiscard]] bool goaway_has_debug(std::size_t i) const {
-    return events[i].note.find(':') != std::string::npos;
-  }
-  void tag(std::size_t i, const char* name) {
-    events[i].tags.emplace_back(name);
-    found.insert(name);
-  }
-  void tee(std::size_t) {}
-};
-
-/// View over a ring's raw WireRecords: tags become occurrence counts keyed
-/// by the interned tag constants (pointer identity — every tag() call in
-/// this file passes a tags::k* constant), and each record can be folded
-/// into a MetricsRecorder as the segmentation sweep passes over it.
+/// The annotator's one input: a ring's raw WireRecords. Tags become
+/// occurrence counts keyed by the interned tag constants (pointer identity
+/// — every tag() call in this file passes a tags::k* constant) and, when
+/// `record_tags` is non-null (the JSONL export), (record index, tag) pairs
+/// in pass order. Each record can be folded into a MetricsRecorder as the
+/// segmentation sweep passes over it.
 struct RingView {
   const RingRecorder& ring;
   TagCounts& counts;
   MetricsRecorder* fold;
+  RecordTags* record_tags;
   std::uint64_t first_seq;
 
   [[nodiscard]] std::size_t size() const noexcept { return ring.size(); }
   const WireRecord& operator[](std::size_t i) const noexcept {
     return ring.at(i);
   }
+  // GOAWAY notes are "<ERROR_NAME>" or "<ERROR_NAME>:<debug data>".
   [[nodiscard]] bool goaway_has_debug(std::size_t i) const {
     return ring.note_at(i).find(':') != std::string_view::npos;
   }
   void tag(std::size_t i, const char* name) {
-    (void)i;
+    if (record_tags != nullptr) record_tags->emplace_back(i, name);
     for (auto& [existing, n] : counts) {
       if (existing == name) {
         ++n;
@@ -199,8 +173,7 @@ struct SegmentWitness {
 
   void reset() { *this = SegmentWitness{}; }
 
-  template <typename E>
-  void observe(const E& ev, std::size_t index) {
+  void observe(const WireRecord& ev, std::size_t index) {
     if (kind_of(ev) == EventKind::kSettingsApplied) {
       if (!iws_seen && dir_of(ev) == Direction::kClientToServer &&
           a_of(ev) == kInitialWindowSizeId) {
@@ -248,10 +221,9 @@ struct SegmentWitness {
   }
 };
 
-template <typename View>
 class SegmentAnnotator {
  public:
-  SegmentAnnotator(View& view, std::size_t begin, std::size_t end,
+  SegmentAnnotator(RingView& view, std::size_t begin, std::size_t end,
                    ShadowScratch& scratch, const SegmentWitness& witness)
       : view_(view), begin_(begin), end_(end), sc_(scratch), w_(witness),
         client_iws_(witness.client_iws) {
@@ -612,7 +584,7 @@ class SegmentAnnotator {
     }
   }
 
-  View& view_;
+  RingView& view_;
   std::size_t begin_;
   std::size_t end_;
   ShadowScratch& sc_;
@@ -620,12 +592,11 @@ class SegmentAnnotator {
   std::uint64_t client_iws_;
 };
 
-/// The shared driver: one sweep segments the trace on kConnectionStart
-/// markers and collects each segment's witness (and tees every record into
-/// the view's live sink, so the metrics fold rides the same walk), then the
-/// gated passes run per segment.
-template <typename View>
-void annotate_with(View& view) {
+/// The driver: one sweep segments the trace on kConnectionStart markers and
+/// collects each segment's witness (and tees every record into the view's
+/// fold, so the metrics ride the same walk), then the gated passes run per
+/// segment.
+void annotate_with(RingView& view) {
   // Shared across segments — and, being thread-local, across calls: a scan
   // worker annotating hundreds of sites reuses the same shadow buffers
   // instead of growing fresh ones per site. Every segment starts from
@@ -638,7 +609,7 @@ void annotate_with(View& view) {
   const std::size_t n = view.size();
   auto close_segment = [&](std::size_t end) {
     if (in_segment && end > segment_begin) {
-      SegmentAnnotator<View>(view, segment_begin, end, scratch, witness).run();
+      SegmentAnnotator(view, segment_begin, end, scratch, witness).run();
     }
   };
   for (std::size_t i = 0; i < n; ++i) {
@@ -653,9 +624,9 @@ void annotate_with(View& view) {
     }
     witness.observe(ev, i);
   }
-  // Traces may omit connection markers (hand-built event lists); treat the
-  // whole vector as one segment then. The witness already covers the whole
-  // vector in that case (segment_begin never moved off zero).
+  // Traces may omit connection markers (hand-built rings); treat the whole
+  // ring as one segment then. The witness already covers the whole ring in
+  // that case (segment_begin never moved off zero).
   if (!in_segment && n != 0) {
     segment_begin = 0;
     in_segment = true;
@@ -665,17 +636,32 @@ void annotate_with(View& view) {
 
 }  // namespace
 
-std::vector<std::string> annotate_violations(std::vector<TraceEvent>& events) {
-  std::set<std::string> found;
-  EventsView view{events, found};
+void annotate_ring(const RingRecorder& ring, TagCounts& counts,
+                   MetricsRecorder* fold, RecordTags* record_tags) {
+  RingView view{ring, counts, fold, record_tags, ring.first_seq()};
   annotate_with(view);
-  return {found.begin(), found.end()};
 }
 
-void annotate_ring(const RingRecorder& ring, TagCounts& counts,
-                   MetricsRecorder* fold) {
-  RingView view{ring, counts, fold, ring.first_seq()};
-  annotate_with(view);
+void append_annotated_jsonl(std::string& out, const RingRecorder& ring,
+                            std::string_view site) {
+  TagCounts counts;
+  RecordTags record_tags;
+  annotate_ring(ring, counts, nullptr, &record_tags);
+  // The passes tag in pass order, not record order; a stable sort by index
+  // keeps each record's own tags in the order the passes attached them.
+  std::stable_sort(
+      record_tags.begin(), record_tags.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  out.reserve(out.size() + ring.size() * 96);
+  TraceEvent row;  // one decoded row, reused for every record
+  auto next = record_tags.cbegin();
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    decode_record(ring.first_seq() + i, ring.at(i), ring.note_at(i), row);
+    for (; next != record_tags.cend() && next->first == i; ++next) {
+      row.tags.emplace_back(next->second);
+    }
+    append_jsonl(out, row, site);
+  }
 }
 
 void fold_ring(const RingRecorder& ring, MetricsRegistry& registry,

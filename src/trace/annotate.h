@@ -1,12 +1,14 @@
 // H2Wiretap violation annotator.
 //
-// Post-processes a recorded trace and tags events where the server's
+// Post-processes a recorded ring and tags records where the server's
 // observable behaviour deviates from RFC 7540 — exactly the quirk axes of
-// the paper's Table III. The annotator works purely on the event stream
+// the paper's Table III. The annotator reads only the ring's WireRecords
 // (per connection segment, delimited by kConnectionStart), so a server's
 // deviation column can be *derived from traces* instead of being read back
 // from bespoke probe counters; core::derive_table3_quirks() does that
-// mapping.
+// mapping. Its one walk serves both outputs: tag counts for the metrics
+// fold (fold_ring) and per-record tags for the JSONL export
+// (append_annotated_jsonl).
 //
 // Reaction-style tags follow one scheme: `<axis>-ignored`, `<axis>-goaway`,
 // `<axis>-goaway-debug` — the RFC-prescribed reaction (RST_STREAM for
@@ -15,8 +17,10 @@
 // which the paper counts separately (§V-D).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -95,35 +99,41 @@ inline constexpr const char* kMitigationRelease = "mitigation-release";
 
 }  // namespace tags
 
-/// Scans @p events connection by connection, appends violation tags to the
-/// offending events in place, and returns the sorted, de-duplicated set of
-/// tags found anywhere in the trace.
-std::vector<std::string> annotate_violations(std::vector<TraceEvent>& events);
-
 /// Tag-occurrence counts keyed by the interned tag constants above. Keyed
 /// by pointer identity (the annotator only ever emits tags::k* constants),
 /// so the hot scan path counts violations with zero string traffic.
 using TagCounts = std::vector<std::pair<const char*, std::uint64_t>>;
 
+/// (record index, tag) pairs, one per tag attached, in the order the passes
+/// attach them — not sorted by index. The index is the record's position
+/// in the ring (RingRecorder::at()).
+using RecordTags = std::vector<std::pair<std::size_t, const char*>>;
+
 class MetricsRecorder;   // metrics.h
 struct MetricsRegistry;  // metrics.h
 
-/// Annotates straight off a ring's raw WireRecords — the always-on scan
-/// path. Identical pass logic to annotate_violations() (one shared template
-/// body), but instead of materializing TraceEvents it accumulates tag
-/// occurrence counts into @p counts (appended, not cleared). When @p fold
-/// is non-null every record is additionally folded into it in trace order
-/// during the segmentation sweep (MetricsRecorder::fold_record, with the
-/// record's exact ring sequence) — the wiretap metrics ride the same walk,
-/// so the whole trace is consumed in a single pass over the 32-byte
-/// records.
+/// Scans @p ring's WireRecords connection by connection and accumulates
+/// tag occurrence counts into @p counts (appended, not cleared). When
+/// @p fold is non-null every record is additionally folded into it in trace
+/// order during the segmentation sweep (MetricsRecorder::fold_record, with
+/// the record's exact ring sequence) — the wiretap metrics ride the same
+/// walk, so the whole trace is consumed in a single pass over the 32-byte
+/// records. When @p record_tags is non-null each tag is also appended to it
+/// with the index of the record it lands on; the metrics fold passes null.
 void annotate_ring(const RingRecorder& ring, TagCounts& counts,
-                   MetricsRecorder* fold = nullptr);
+                   MetricsRecorder* fold = nullptr,
+                   RecordTags* record_tags = nullptr);
+
+/// Annotates @p ring and appends its JSONL to @p out: one line per record
+/// (seq = first_seq() + index), each carrying that record's violation tags
+/// in pass order, written by append_jsonl() with @p site prepended when
+/// non-empty. Deterministic: identical rings give byte-identical output.
+void append_annotated_jsonl(std::string& out, const RingRecorder& ring,
+                            std::string_view site = {});
 
 /// Annotates @p ring and folds it into @p registry in one walk:
 /// annotate_ring() with @p folder as the tee, then one add_violation() per
-/// tag count. The result equals annotating the decoded TraceEvents and
-/// folding those. @p folder and @p counts are caller scratch, reused so a
+/// tag count. @p folder and @p counts are caller scratch, reused so a
 /// warm fold allocates nothing: @p folder is rebound onto @p registry and
 /// finished, and @p counts is cleared first and holds this ring's tag
 /// counts afterwards.

@@ -5,8 +5,6 @@
 namespace h2r::trace {
 namespace {
 
-using h2::FrameType;
-
 void put_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
@@ -69,75 +67,6 @@ std::string_view to_string(EventKind k) noexcept {
       return "mitigation";
   }
   return "?";
-}
-
-TraceEvent frame_event(Direction dir, const h2::Frame& frame,
-                       std::size_t wire_length) {
-  TraceEvent ev;
-  ev.dir = dir;
-  ev.kind = EventKind::kFrame;
-  ev.stream_id = frame.stream_id;
-  ev.flags = frame.flags;
-  ev.wire_length = static_cast<std::uint32_t>(wire_length);
-
-  const FrameType type = frame.type();
-  ev.frame_type = frame.is<h2::UnknownPayload>()
-                      ? frame.as<h2::UnknownPayload>().type
-                      : static_cast<std::uint8_t>(type);
-  switch (type) {
-    case FrameType::kData:
-      ev.detail_a =
-          static_cast<std::uint32_t>(frame.as<h2::DataPayload>().data.size());
-      break;
-    case FrameType::kHeaders: {
-      const auto& p = frame.as<h2::HeadersPayload>();
-      if (p.priority) {
-        ev.detail_a = p.priority->dependency;
-        ev.detail_b = kPriorityPresentBit | p.priority->weight_field |
-                      (p.priority->exclusive ? kExclusiveBit : 0);
-      }
-      break;
-    }
-    case FrameType::kPriority: {
-      const auto& info = frame.as<h2::PriorityPayload>().info;
-      ev.detail_a = info.dependency;
-      ev.detail_b = info.weight_field | (info.exclusive ? kExclusiveBit : 0);
-      break;
-    }
-    case FrameType::kRstStream: {
-      const auto code = frame.as<h2::RstStreamPayload>().error;
-      ev.detail_a = static_cast<std::uint32_t>(code);
-      ev.note = std::string(h2::to_string(code));
-      break;
-    }
-    case FrameType::kSettings:
-      ev.detail_a = static_cast<std::uint32_t>(
-          frame.as<h2::SettingsPayload>().entries.size());
-      break;
-    case FrameType::kPushPromise:
-      ev.detail_a = frame.as<h2::PushPromisePayload>().promised_stream_id;
-      break;
-    case FrameType::kGoaway: {
-      const auto& p = frame.as<h2::GoawayPayload>();
-      ev.detail_a = static_cast<std::uint32_t>(p.error);
-      ev.detail_b = p.last_stream_id;
-      ev.note = std::string(h2::to_string(p.error));
-      if (!p.debug_data.empty()) {
-        ev.note += ':';
-        ev.note.append(p.debug_data.begin(), p.debug_data.end());
-      }
-      break;
-    }
-    case FrameType::kWindowUpdate:
-      ev.detail_a = frame.as<h2::WindowUpdatePayload>().increment;
-      break;
-    default:
-      if (frame.is<h2::UnknownPayload>()) {
-        ev.detail_a = frame.as<h2::UnknownPayload>().type;
-      }
-      break;
-  }
-  return ev;
 }
 
 void append_jsonl(std::string& out, const TraceEvent& ev,

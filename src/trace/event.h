@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "h2/constants.h"
-#include "h2/frame.h"
 
 namespace h2r::trace {
 
@@ -47,10 +46,12 @@ enum class EventKind : std::uint8_t {
 std::string_view to_string(Direction d) noexcept;
 std::string_view to_string(EventKind k) noexcept;
 
-/// One trace record. `detail_a`/`detail_b` are per-kind scalars (documented
-/// at frame_event() for frames and at EventKind above for protocol events);
-/// `note` carries free text (GOAWAY cause, parse-error message, connection
-/// label) and `tags` is filled by the violation annotator after the fact.
+/// One trace record, decoded from a ring's WireRecord for export.
+/// `detail_a`/`detail_b` are per-kind scalars (documented at
+/// Recorder::record_frame() for frames and at EventKind above for protocol
+/// events); `note` carries free text (GOAWAY cause, parse-error message,
+/// connection label) and `tags` holds the violation annotator's tags for
+/// this record (append_annotated_jsonl in annotate.h).
 struct TraceEvent {
   std::uint64_t seq = 0;     ///< stamped by the Recorder, 0-based
   double time_ms = 0.0;      ///< virtual clock, 0 when no clock is attached
@@ -71,20 +72,6 @@ struct TraceEvent {
 /// carried a priority block at all.
 inline constexpr std::uint32_t kExclusiveBit = 0x100;
 inline constexpr std::uint32_t kPriorityPresentBit = 0x200;
-
-/// Builds the kFrame event for @p frame as serialized (@p wire_length octets
-/// including the frame header). Per-type details:
-///   DATA           a = payload octets
-///   HEADERS        a = dependency, b = priority bits | weight octet
-///   PRIORITY       a = dependency, b = exclusive bit | weight octet
-///   RST_STREAM     a = error code, note = code name
-///   SETTINGS       a = entry count
-///   PUSH_PROMISE   a = promised stream id
-///   GOAWAY         a = error code, b = last stream id, note = name[:debug]
-///   WINDOW_UPDATE  a = increment
-///   unknown        a = raw type octet
-TraceEvent frame_event(Direction dir, const h2::Frame& frame,
-                       std::size_t wire_length);
 
 /// JSONL exporters: one event per line, fixed key order
 /// (site?, seq, t, dir, kind, stream, type, flags, len, a, b, note, tags) —

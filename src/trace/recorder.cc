@@ -277,13 +277,12 @@ void Recorder::record_frame(Direction dir, const h2::FrameView& view,
 
 // ------------------------------------------------------------ RingRecorder
 
-void RingRecorder::decode_into(std::vector<TraceEvent>& out) const {
-  out.resize(records_.size());
-  const std::uint64_t base = first_seq();
+std::vector<TraceEvent> RingRecorder::decode() const {
+  std::vector<TraceEvent> out(records_.size());
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    const WireRecord& rec = records_[index(i)];
-    decode_record(base + i, rec, notes_.at(rec.note_ref), out[i]);
+    decode_record(first_seq() + i, at(i), note_at(i), out[i]);
   }
+  return out;
 }
 
 void RingRecorder::append_tape(const RingRecorder& tape) {
@@ -330,70 +329,75 @@ void RingRecorder::serialize(std::string& out) const {
   }
 }
 
-bool parse_trace_bin(std::string_view bytes, std::vector<TraceEvent>& out,
-                     std::uint64_t& drops, std::string& error) {
+bool parse_trace_bin(std::string_view bytes, RingRecorder& out,
+                     std::string& error) {
   out.clear();
-  drops = 0;
+  out.capacity_ = 0;
+  const auto fail = [&](const char* why) {
+    error = why;
+    out.clear();
+    return false;
+  };
   ByteReader in(bytes);
   std::string_view magic;
   if (!in.bytes(sizeof kMagic, magic) ||
       std::memcmp(magic.data(), kMagic, sizeof kMagic) != 0) {
-    error = "not an H2WT binary trace (bad magic)";
-    return false;
+    return fail("not an H2WT binary trace (bad magic)");
   }
   std::uint32_t version = 0;
   if (!in.u32(version) || version != kVersion) {
-    error = "unsupported H2WT trace version";
-    return false;
+    return fail("unsupported H2WT trace version");
   }
   std::uint64_t record_count = 0;
   std::uint64_t first_seq = 0;
+  std::uint64_t drops = 0;
   std::uint32_t string_count = 0;
   if (!in.u64(record_count) || !in.u64(first_seq) || !in.u64(drops) ||
       !in.u32(string_count) || string_count == 0) {
-    error = "truncated H2WT trace header";
-    return false;
+    return fail("truncated H2WT trace header");
   }
-  std::vector<std::string_view> notes;
-  notes.reserve(string_count);
+  // A ring's oldest retained record is numbered by its eviction count.
+  if (first_seq != drops) return fail("corrupt H2WT header (first_seq)");
   for (std::uint32_t i = 0; i < string_count; ++i) {
     std::uint32_t len = 0;
     std::string_view s;
     if (!in.u32(len) || !in.bytes(len, s)) {
-      error = "truncated H2WT note table";
-      return false;
+      return fail("truncated H2WT note table");
     }
-    notes.push_back(s);
+    if (i == 0) {
+      if (!s.empty()) return fail("H2WT note table entry 0 must be empty");
+      continue;
+    }
+    // serialize() writes an interned table: every entry is new, so
+    // interning in order hands each string its dumped ref.
+    if (out.notes_.intern(s) != i) {
+      return fail("corrupt H2WT note table (repeated string)");
+    }
   }
-  if (!notes[0].empty()) {
-    error = "H2WT note table entry 0 must be empty";
-    return false;
+  if (record_count > in.remaining() / sizeof(WireRecord)) {
+    return fail("truncated H2WT record block");
   }
-  out.resize(record_count);
+  out.records_.reserve(record_count);
   for (std::uint64_t i = 0; i < record_count; ++i) {
     WireRecord rec;
     if (!in.u64(rec.time_bits) || !in.u32(rec.stream_id) ||
         !in.u32(rec.wire_length) || !in.u32(rec.detail_a) ||
         !in.u32(rec.detail_b) || !in.u32(rec.note_ref) || !in.u8(rec.dir) ||
         !in.u8(rec.kind) || !in.u8(rec.frame_type) || !in.u8(rec.flags)) {
-      error = "truncated H2WT record block";
-      out.clear();
-      return false;
+      return fail("truncated H2WT record block");
     }
     if (rec.dir > 1 ||
         rec.kind > static_cast<std::uint8_t>(EventKind::kMitigation) ||
-        rec.note_ref >= notes.size()) {
-      error = "corrupt H2WT record";
-      out.clear();
-      return false;
+        rec.note_ref >= string_count) {
+      return fail("corrupt H2WT record");
     }
-    decode_record(first_seq + i, rec, notes[rec.note_ref], out[i]);
+    out.records_.push_back(rec);
   }
   if (in.remaining() != 0) {
-    error = "trailing garbage after H2WT records";
-    out.clear();
-    return false;
+    return fail("trailing garbage after H2WT records");
   }
+  out.dropped_ = drops;
+  out.skip_sequence(drops + record_count);
   return true;
 }
 

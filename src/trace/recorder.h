@@ -8,10 +8,10 @@
 // virtual-clock time when a clock is attached) so sinks see a totally
 // ordered stream. RingRecorder is the one sink that retains records: a
 // bounded ring or an unbounded tape of WireRecords plus an interned note
-// table. Every consumer reads it — the metrics fold and the violation
-// annotator walk the raw records (annotate.h), the SequenceDetector
-// (detector.h) observes them, and decode() expands them into TraceEvents
-// only where JSONL is written.
+// table. Every consumer reads it — the violation annotator walks the raw
+// records (annotate.h) for both the metrics fold and the annotated JSONL
+// export, the SequenceDetector (detector.h) observes them, and a binary
+// dump (serialize / parse_trace_bin) round-trips it whole.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +81,18 @@ class Recorder {
   }
 
   /// Records the kFrame event for @p frame as serialized (@p wire_length
-  /// octets including the frame header). Same per-type details as
-  /// frame_event() — see event.h — without constructing a TraceEvent.
+  /// octets including the frame header). Per-type details, as JSONL
+  /// readers see them in the `a`, `b` and `note` columns:
+  ///   DATA           a = payload octets
+  ///   HEADERS        a = dependency, b = priority bits | weight octet
+  ///   PRIORITY       a = dependency, b = exclusive bit | weight octet
+  ///   RST_STREAM     a = error code, note = code name
+  ///   SETTINGS       a = entry count
+  ///   PUSH_PROMISE   a = promised stream id
+  ///   GOAWAY         a = error code, b = last stream id, note = name[:debug]
+  ///   WINDOW_UPDATE  a = increment
+  ///   unknown        a = raw type octet
+  /// (priority bits: kPriorityPresentBit, kExclusiveBit in event.h).
   void record_frame(Direction dir, const h2::Frame& frame,
                     std::size_t wire_length);
   /// Same, straight off a parsed FrameView — no materialize() copy. The
@@ -163,14 +173,9 @@ class RingRecorder : public Recorder {
   }
 
   /// Expands the retained records into TraceEvents (seq = first_seq() + i,
-  /// exact time round-trip, empty tags). Overwrites @p out in place,
-  /// reusing element capacity — allocation-free once warmed up.
-  void decode_into(std::vector<TraceEvent>& out) const;
-  [[nodiscard]] std::vector<TraceEvent> decode() const {
-    std::vector<TraceEvent> out;
-    decode_into(out);
-    return out;
-  }
+  /// exact time round-trip, empty tags). Annotated export goes through
+  /// append_annotated_jsonl() (annotate.h) instead.
+  [[nodiscard]] std::vector<TraceEvent> decode() const;
 
   /// Replays every retained record into @p sink in order, preserving
   /// timestamps; @p sink stamps fresh sequence numbers.
@@ -228,14 +233,20 @@ class RingRecorder : public Recorder {
   std::size_t capacity_;  ///< 0 = unbounded
   std::uint64_t dropped_ = 0;
   StringTable notes_;
+
+  friend bool parse_trace_bin(std::string_view bytes, RingRecorder& out,
+                              std::string& error);
 };
 
-/// Parses a binary dump produced by RingRecorder::serialize() back into
-/// TraceEvents. Strict: bad magic/version, truncation, trailing garbage,
-/// or an out-of-range note ref fail the parse. @p drops receives the
-/// dump's recorded eviction count.
-[[nodiscard]] bool parse_trace_bin(std::string_view bytes,
-                                   std::vector<TraceEvent>& out,
-                                   std::uint64_t& drops, std::string& error);
+/// The inverse of RingRecorder::serialize(): clears @p out, makes it an
+/// unbounded tape (capacity 0) and fills it with the dump's records, note
+/// table and drop count, so out.serialize() reproduces @p bytes and every
+/// ring consumer — decode(), the annotator, append_annotated_jsonl() —
+/// reads a parsed dump exactly as it read the producing ring. Strict: bad
+/// magic/version, truncation, trailing garbage, an out-of-range note ref,
+/// and the two states serialize() never writes (a repeated note string,
+/// first_seq != drops) fail the parse and leave @p out empty.
+[[nodiscard]] bool parse_trace_bin(std::string_view bytes, RingRecorder& out,
+                                   std::string& error);
 
 }  // namespace h2r::trace

@@ -5,12 +5,13 @@
 // record() — no strings, no vectors, no heap) and what every consumer
 // reads: the metrics fold, the violation annotator and the sequence
 // detector walk the records themselves, and only the JSONL exporter
-// expands them back into TraceEvents. Two fields of the TraceEvent shape
-// live outside the record: `seq` is implicit (a ring's records are
-// contiguous, so seq = first_seq + index) and `note` is interned into the
-// owning recorder's string table (`note_ref`; 0 names the empty string).
-// `tags` never exists on the hot path at all — only the annotator writes
-// them, onto decoded events.
+// expands them, one reused row at a time, back into TraceEvents. Two
+// fields of the TraceEvent shape live outside the record: `seq` is
+// implicit (a ring's records are contiguous, so seq = first_seq + index)
+// and `note` is interned into the owning recorder's string table
+// (`note_ref`; 0 names the empty string). `tags` are not stored at all:
+// the annotator derives them from the records and the exporter attaches
+// them to each row as it writes it.
 //
 // The virtual-clock timestamp is stored as the raw bit pattern of the
 // `double` (time_bits), so a decode round-trips to the exact value the
@@ -59,65 +60,37 @@ struct EventArgs {
   std::string_view note{};
 };
 
-// Shared field accessors: the violation annotator is written once against
-// these overloads and instantiated for both event representations — decoded
-// TraceEvents (JSONL export) and raw WireRecords (the metrics fold) — so
-// exported tags and folded tag counts come from the same logic by
-// construction. The metrics fold and the sequence detector read records
-// through them too.
-[[nodiscard]] inline EventKind kind_of(const TraceEvent& ev) noexcept {
-  return ev.kind;
-}
+// Field accessors: the violation annotator, the metrics fold and the
+// sequence detector read records through these.
 [[nodiscard]] inline EventKind kind_of(const WireRecord& r) noexcept {
   return static_cast<EventKind>(r.kind);
-}
-[[nodiscard]] inline Direction dir_of(const TraceEvent& ev) noexcept {
-  return ev.dir;
 }
 [[nodiscard]] inline Direction dir_of(const WireRecord& r) noexcept {
   return static_cast<Direction>(r.dir);
 }
-[[nodiscard]] inline std::uint8_t type_of(const TraceEvent& ev) noexcept {
-  return ev.frame_type;
-}
 [[nodiscard]] inline std::uint8_t type_of(const WireRecord& r) noexcept {
   return r.frame_type;
-}
-[[nodiscard]] inline std::uint8_t flags_of(const TraceEvent& ev) noexcept {
-  return ev.flags;
 }
 [[nodiscard]] inline std::uint8_t flags_of(const WireRecord& r) noexcept {
   return r.flags;
 }
-[[nodiscard]] inline std::uint32_t stream_of(const TraceEvent& ev) noexcept {
-  return ev.stream_id;
-}
 [[nodiscard]] inline std::uint32_t stream_of(const WireRecord& r) noexcept {
   return r.stream_id;
-}
-[[nodiscard]] inline std::uint32_t len_of(const TraceEvent& ev) noexcept {
-  return ev.wire_length;
 }
 [[nodiscard]] inline std::uint32_t len_of(const WireRecord& r) noexcept {
   return r.wire_length;
 }
-[[nodiscard]] inline std::uint32_t a_of(const TraceEvent& ev) noexcept {
-  return ev.detail_a;
-}
 [[nodiscard]] inline std::uint32_t a_of(const WireRecord& r) noexcept {
   return r.detail_a;
-}
-[[nodiscard]] inline std::uint32_t b_of(const TraceEvent& ev) noexcept {
-  return ev.detail_b;
 }
 [[nodiscard]] inline std::uint32_t b_of(const WireRecord& r) noexcept {
   return r.detail_b;
 }
 
 /// Expands (seq, record, note) into @p out in place, reusing out's note
-/// capacity — the decode loop over a per-site ring is allocation-free once
-/// the scratch vector has warmed up. `tags` is cleared, never populated:
-/// tags are the offline annotator's to write.
+/// capacity — the annotated JSONL export decodes every record into one
+/// reused row. `tags` is cleared, never populated: tags are the
+/// annotator's to attach.
 inline void decode_record(std::uint64_t seq, const WireRecord& rec,
                           std::string_view note, TraceEvent& out) {
   out.seq = seq;

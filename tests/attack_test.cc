@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/scenario.h"
@@ -178,20 +179,24 @@ TEST(AttackAnnotation, MitigationFramesAreTaggedAndCounted) {
                              .run(target);
   ASSERT_EQ(r.termination, Termination::kMitigatedGoaway);
 
-  std::vector<trace::TraceEvent> events = recorder.decode();
-  trace::annotate_violations(events);
+  trace::TagCounts counts;
+  trace::RecordTags record_tags;
+  trace::annotate_ring(recorder, counts, nullptr, &record_tags);
   bool saw_escalation = false;
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    if (trace::kind_of(recorder.at(i)) == trace::EventKind::kMitigation) {
+      saw_escalation = true;
+    }
+  }
   bool goaway_tagged = false;
   bool rst_tagged = false;
-  for (const trace::TraceEvent& ev : events) {
-    if (ev.kind == trace::EventKind::kMitigation) saw_escalation = true;
-    for (const std::string& tag : ev.tags) {
-      if (tag == trace::tags::kMitigationGoaway) goaway_tagged = true;
-      if (tag == trace::tags::kMitigationRst) rst_tagged = true;
-      // Mitigation reactions must never surface as Table III quirk tags —
-      // a mitigated profile derives the same quirk row as its plain twin.
-      EXPECT_TRUE(tag.rfind("mitigation-", 0) == 0) << "unexpected " << tag;
-    }
+  for (const auto& [i, name] : record_tags) {
+    const std::string_view tag = name;
+    if (tag == trace::tags::kMitigationGoaway) goaway_tagged = true;
+    if (tag == trace::tags::kMitigationRst) rst_tagged = true;
+    // Mitigation reactions must never surface as Table III quirk tags —
+    // a mitigated profile derives the same quirk row as its plain twin.
+    EXPECT_TRUE(tag.starts_with("mitigation-")) << "unexpected " << tag;
   }
   EXPECT_TRUE(saw_escalation);
   EXPECT_TRUE(goaway_tagged);

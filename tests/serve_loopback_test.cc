@@ -149,8 +149,11 @@ TEST(ServeLoopback, GracefulShutdownSendsGoawayAndFlushesWholeTrace) {
   }
   EXPECT_EQ(starts, 1u);
   EXPECT_GT(c2s_frames, 0u);
-  EXPECT_TRUE(trace::annotate_violations(events).empty());
-  const std::string jsonl = trace::to_jsonl(events);
+  trace::TagCounts tags;
+  trace::annotate_ring(recorder, tags);
+  EXPECT_TRUE(tags.empty());
+  std::string jsonl;
+  trace::append_annotated_jsonl(jsonl, recorder);
   ASSERT_FALSE(jsonl.empty());
   std::size_t lines = 0;
   std::size_t start = 0;

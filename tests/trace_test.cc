@@ -7,6 +7,8 @@
 // across machines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -203,54 +205,92 @@ TEST(TraceBinaryDump, SerializeParsesBackToIdenticalEvents) {
   std::string bytes;
   ring.serialize(bytes);
 
-  std::vector<TraceEvent> parsed;
-  std::uint64_t drops = 0;
+  RingRecorder parsed(/*capacity=*/7);  // parsing makes it a tape
   std::string error;
-  ASSERT_TRUE(parse_trace_bin(bytes, parsed, drops, error)) << error;
-  EXPECT_EQ(drops, 1u);  // the connection-start marker was evicted
+  ASSERT_TRUE(parse_trace_bin(bytes, parsed, error)) << error;
+  EXPECT_EQ(parsed.capacity(), 0u);
+  EXPECT_EQ(parsed.drops(), 1u);  // the connection-start marker was evicted
+  EXPECT_EQ(parsed.first_seq(), ring.first_seq());
+  EXPECT_EQ(parsed.drops(), ring.drops());
+  EXPECT_EQ(parsed.events_recorded(), ring.events_recorded());
+  const std::vector<TraceEvent> got = parsed.decode();
   const std::vector<TraceEvent> want = ring.decode();
-  ASSERT_EQ(parsed.size(), want.size());
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(to_jsonl(got, "s"), to_jsonl(want, "s"));
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(to_jsonl(parsed, "s"), to_jsonl(want, "s"));
-    EXPECT_EQ(parsed[i].seq, want[i].seq);
-    EXPECT_EQ(parsed[i].time_ms, want[i].time_ms);  // exact bit round-trip
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    EXPECT_EQ(got[i].time_ms, want[i].time_ms);  // exact bit round-trip
   }
+  std::string got_jsonl;
+  std::string want_jsonl;
+  append_annotated_jsonl(got_jsonl, parsed, "s");
+  append_annotated_jsonl(want_jsonl, ring, "s");
+  EXPECT_EQ(got_jsonl, want_jsonl);
+  // The parse is serialize()'s inverse: the note table (including the
+  // evicted marker's label) and the records dump back byte for byte.
+  std::string again;
+  parsed.serialize(again);
+  EXPECT_EQ(again, bytes);
 }
 
 TEST(TraceBinaryDump, StrictParserRejectsCorruptDumps) {
   RingRecorder ring;
-  ring.begin_connection("c");
-  ring.record({.kind = EventKind::kRoundMark});
+  ring.begin_connection("a");
+  ring.record({.kind = EventKind::kRoundMark, .note = "b"});
   std::string good;
   ring.serialize(good);
 
-  std::vector<TraceEvent> out;
-  std::uint64_t drops = 0;
+  RingRecorder out;
   std::string error;
+  // Every rejection leaves the ring empty, never a partial parse.
+  const auto rejects = [&](std::string_view bytes) {
+    error.clear();
+    const bool ok = parse_trace_bin(bytes, out, error);
+    return !ok && !error.empty() && out.empty() && out.drops() == 0;
+  };
 
   std::string bad_magic = good;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(parse_trace_bin(bad_magic, out, drops, error));
+  EXPECT_TRUE(rejects(bad_magic));
 
   std::string bad_version = good;
   bad_version[4] = 0x7f;
-  EXPECT_FALSE(parse_trace_bin(bad_version, out, drops, error));
+  EXPECT_TRUE(rejects(bad_version));
 
-  // Truncation anywhere — header, note table, record block — must fail,
-  // never yield a partial parse.
+  // Truncation anywhere — header, note table, record block — must fail.
   for (const std::size_t len : {std::size_t{3}, std::size_t{20},
                                 good.size() - 1}) {
-    EXPECT_FALSE(
-        parse_trace_bin(std::string_view(good).substr(0, len), out, drops,
-                        error))
-        << len;
+    EXPECT_TRUE(rejects(std::string_view(good).substr(0, len))) << len;
   }
 
   std::string trailing = good + "x";
-  EXPECT_FALSE(parse_trace_bin(trailing, out, drops, error));
-  EXPECT_FALSE(error.empty());
+  EXPECT_TRUE(rejects(trailing));
 
-  EXPECT_TRUE(parse_trace_bin(good, out, drops, error)) << error;
+  // Two states serialize() never writes. Header: magic, version, then u64
+  // record_count, first_seq and drops, then u32 string_count (36 octets);
+  // the note table follows as {u32 len, bytes}: "" at 36, "a" at 40, "b"
+  // at 45.
+  ASSERT_EQ(good.substr(44, 1), "a");
+  ASSERT_EQ(good.substr(49, 1), "b");
+  std::string repeated_note = good;
+  repeated_note[49] = 'a';  // the table names "a" twice
+  EXPECT_TRUE(rejects(repeated_note));
+  EXPECT_NE(error.find("repeated"), std::string::npos) << error;
+
+  // A record count far beyond the bytes that follow is a truncation,
+  // caught before any storage is sized from it.
+  std::string huge_count = good;
+  huge_count[14] = 0x7f;  // record_count ~ 2^54
+  EXPECT_TRUE(rejects(huge_count));
+
+  std::string shifted_seq = good;
+  shifted_seq[16] = 1;  // first_seq = 1 while drops = 0
+  EXPECT_TRUE(rejects(shifted_seq));
+  EXPECT_NE(error.find("first_seq"), std::string::npos) << error;
+
+  EXPECT_TRUE(parse_trace_bin(good, out, error)) << error;
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_EQ(out.note_at(1), "b");
 }
 
 // ------------------------------------------------------- golden identity
@@ -270,12 +310,34 @@ class DecodingSink : public Recorder {
   }
 };
 
+/// Re-records @p events, timestamps and notes included, into a fresh ring
+/// through the replay path — the oracle's own copy for the annotator.
+RingRecorder rerecord(const std::vector<TraceEvent>& events) {
+  RingRecorder ring;
+  for (const TraceEvent& ev : events) {
+    WireRecord rec;
+    rec.time_bits = std::bit_cast<std::uint64_t>(ev.time_ms);
+    rec.stream_id = ev.stream_id;
+    rec.wire_length = ev.wire_length;
+    rec.detail_a = ev.detail_a;
+    rec.detail_b = ev.detail_b;
+    rec.dir = static_cast<std::uint8_t>(ev.dir);
+    rec.kind = static_cast<std::uint8_t>(ev.kind);
+    rec.frame_type = ev.frame_type;
+    rec.flags = ev.flags;
+    ring.replay_record(rec, ev.note);
+  }
+  return ring;
+}
+
 TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
   // The contract the whole binary path rests on: record the Section III
-  // exchange as 32-byte WireRecords, decode offline, annotate, export —
-  // and the JSONL is byte-identical to decoding every record as it
-  // happens. One shared ring reused via clear() across all six Table III
-  // profiles also proves sequence restart on reuse.
+  // exchange as 32-byte WireRecords, then annotate and export straight off
+  // the ring — and the JSONL is byte-identical to decoding every record as
+  // it happens and attaching the tags the annotator finds on a ring
+  // re-recorded from those decoded events. One shared ring reused via
+  // clear() across all six Table III profiles also proves sequence
+  // restart on reuse.
   const server::ServerProfile profiles[] = {
       server::nginx_profile(),   server::litespeed_profile(),
       server::h2o_profile(),     server::nghttpd_profile(),
@@ -287,8 +349,15 @@ TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
     core::Target oracle_target = core::Target::testbed(profile);
     oracle_target.recorder = &oracle;
     core::characterize(oracle_target, oracle_rng);
-    const std::vector<std::string> want_tags =
-        annotate_violations(oracle.events);
+    TagCounts counts;
+    RecordTags per_record;
+    annotate_ring(rerecord(oracle.events), counts, nullptr, &per_record);
+    for (const auto& [i, name] : per_record) {
+      oracle.events[i].tags.emplace_back(name);  // pass order per record
+    }
+    std::vector<std::string> want_tags;
+    for (const auto& [name, n] : counts) want_tags.emplace_back(name);
+    std::sort(want_tags.begin(), want_tags.end());
     const std::string want = to_jsonl(oracle.events, profile.key);
     ASSERT_FALSE(want.empty()) << profile.key;
 
@@ -296,9 +365,9 @@ TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
     Rng rng(7);
     const core::Characterization c = core::characterize_traced(
         core::Target::testbed(profile), rng, ring);
-    std::vector<TraceEvent> decoded = ring.decode();
-    annotate_violations(decoded);
-    EXPECT_EQ(to_jsonl(decoded, profile.key), want) << profile.key;
+    std::string got;
+    append_annotated_jsonl(got, ring, profile.key);
+    EXPECT_EQ(got, want) << profile.key;
     // The ring fold's tag counts name exactly the annotated tags.
     EXPECT_EQ(c.violation_tags, want_tags) << profile.key;
 
@@ -306,13 +375,13 @@ TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
     // of a serialized ring reproduces the exporter's JSONL byte for byte.
     std::string bytes;
     ring.serialize(bytes);
-    std::vector<TraceEvent> parsed;
-    std::uint64_t drops = 0;
+    RingRecorder parsed;
     std::string error;
-    ASSERT_TRUE(parse_trace_bin(bytes, parsed, drops, error)) << error;
-    EXPECT_EQ(drops, 0u);
-    annotate_violations(parsed);
-    EXPECT_EQ(to_jsonl(parsed, profile.key), want) << profile.key;
+    ASSERT_TRUE(parse_trace_bin(bytes, parsed, error)) << error;
+    EXPECT_EQ(parsed.drops(), 0u);
+    std::string parsed_jsonl;
+    append_annotated_jsonl(parsed_jsonl, parsed, profile.key);
+    EXPECT_EQ(parsed_jsonl, want) << profile.key;
   }
 }
 
@@ -369,9 +438,9 @@ TEST(TraceDeterminism, RepeatedCharacterizationsProduceIdenticalJsonl) {
     RingRecorder recorder;
     core::characterize_traced(
         core::Target::testbed(server::litespeed_profile()), rng, recorder);
-    std::vector<TraceEvent> events = recorder.decode();
-    annotate_violations(events);
-    return to_jsonl(events, "litespeed");
+    std::string jsonl;
+    append_annotated_jsonl(jsonl, recorder, "litespeed");
+    return jsonl;
   };
   const std::string a = run();
   const std::string b = run();

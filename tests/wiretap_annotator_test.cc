@@ -18,7 +18,6 @@
 #include "h2/constants.h"
 #include "server/profile.h"
 #include "trace/annotate.h"
-#include "trace/event.h"
 #include "trace/recorder.h"
 
 namespace h2r::trace {
@@ -105,19 +104,57 @@ TEST(WiretapAnnotator, DerivedQuirksMatchProbeDerivedTable3) {
 }
 
 // --------------------------------------------- synthetic trace edge cases
+//
+// Each case records its trace into a RingRecorder through the same
+// Recorder::record() call the probe stack uses.
 
-TraceEvent frame(Direction dir, h2::FrameType type, std::uint32_t stream,
-                 std::uint32_t a = 0, std::uint8_t flags = 0,
-                 std::uint32_t b = 0) {
-  TraceEvent ev;
-  ev.kind = EventKind::kFrame;
-  ev.dir = dir;
-  ev.frame_type = static_cast<std::uint8_t>(type);
-  ev.stream_id = stream;
-  ev.detail_a = a;
-  ev.detail_b = b;
-  ev.flags = flags;
-  return ev;
+EventArgs frame(Direction dir, h2::FrameType type, std::uint32_t stream,
+                std::uint32_t a = 0, std::uint8_t flags = 0,
+                std::uint32_t b = 0) {
+  return {.dir = dir,
+          .kind = EventKind::kFrame,
+          .stream_id = stream,
+          .frame_type = static_cast<std::uint8_t>(type),
+          .flags = flags,
+          .detail_a = a,
+          .detail_b = b};
+}
+
+/// The client's SETTINGS_INITIAL_WINDOW_SIZE taking effect at the server.
+EventArgs client_iws(std::uint32_t window) {
+  return {.dir = Direction::kClientToServer,
+          .kind = EventKind::kSettingsApplied,
+          .detail_a = 4,  // SETTINGS_INITIAL_WINDOW_SIZE
+          .detail_b = window};
+}
+
+RingRecorder ring_of(const std::vector<EventArgs>& events) {
+  RingRecorder ring;
+  for (const EventArgs& ev : events) ring.record(ev);
+  return ring;
+}
+
+/// The sorted, de-duplicated tags the annotator finds anywhere in @p ring.
+Tags found_tags(const RingRecorder& ring) {
+  TagCounts counts;
+  annotate_ring(ring, counts);
+  Tags out;
+  for (const auto& [name, n] : counts) out.emplace_back(name);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The tags attached to record @p index, in the order the passes attached
+/// them.
+Tags record_tags(const RingRecorder& ring, std::size_t index) {
+  TagCounts counts;
+  RecordTags per_record;
+  annotate_ring(ring, counts, nullptr, &per_record);
+  Tags out;
+  for (const auto& [i, name] : per_record) {
+    if (i == index) out.emplace_back(name);
+  }
+  return out;
 }
 
 constexpr auto kC2s = Direction::kClientToServer;
@@ -125,100 +162,114 @@ constexpr auto kS2c = Direction::kServerToClient;
 
 TEST(WiretapAnnotator, LargeWindowUpdateIgnoredOnSyntheticTrace) {
   // Stream window 65535 + 2^31-1 overflows; no server reaction follows.
-  std::vector<TraceEvent> events;
-  events.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  events.push_back(frame(kC2s, h2::FrameType::kWindowUpdate, 1, 0x7FFFFFFF));
-  events.push_back(frame(kS2c, h2::FrameType::kHeaders, 1));
-  const auto tags = annotate_violations(events);
-  EXPECT_EQ(tags, (Tags{tags::kLargeWuStreamIgnored}));
-  EXPECT_EQ(events[1].tags, (Tags{tags::kLargeWuStreamIgnored}));
+  const RingRecorder ring = ring_of({
+      frame(kC2s, h2::FrameType::kHeaders, 1),
+      frame(kC2s, h2::FrameType::kWindowUpdate, 1, 0x7FFFFFFF),
+      frame(kS2c, h2::FrameType::kHeaders, 1),
+  });
+  EXPECT_EQ(found_tags(ring), (Tags{tags::kLargeWuStreamIgnored}));
+  EXPECT_EQ(record_tags(ring, 1), (Tags{tags::kLargeWuStreamIgnored}));
 }
 
 TEST(WiretapAnnotator, ReplenishingWindowUpdatesAreNotOverflows) {
   // Regression: a client refilling exactly what DATA consumed never pushes
   // the shadow window past 2^31-1, even against a huge initial window.
-  std::vector<TraceEvent> events;
-  TraceEvent settings;
-  settings.kind = EventKind::kSettingsApplied;
-  settings.dir = kC2s;
-  settings.detail_a = 4;           // SETTINGS_INITIAL_WINDOW_SIZE
-  settings.detail_b = 0x7FFFFFFF;  // maximum legal window
-  events.push_back(settings);
-  events.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
+  std::vector<EventArgs> events = {
+      client_iws(0x7FFFFFFF),  // maximum legal window
+      frame(kC2s, h2::FrameType::kHeaders, 1),
+  };
   for (int i = 0; i < 4; ++i) {
     events.push_back(frame(kS2c, h2::FrameType::kData, 1, 10000));
     events.push_back(frame(kC2s, h2::FrameType::kWindowUpdate, 1, 10000));
     events.push_back(frame(kC2s, h2::FrameType::kWindowUpdate, 0, 10000));
   }
-  EXPECT_TRUE(annotate_violations(events).empty());
+  EXPECT_TRUE(found_tags(ring_of(events)).empty());
 }
 
 TEST(WiretapAnnotator, DataBeyondAdvertisedBudgetIsTagged) {
   // Client never raised the connection window beyond the 65535 default, but
   // the server shipped 80000 octets on one stream: both scopes violated.
-  std::vector<TraceEvent> events;
-  TraceEvent settings;
-  settings.kind = EventKind::kSettingsApplied;
-  settings.dir = kC2s;
-  settings.detail_a = 4;
-  settings.detail_b = 30000;
-  events.push_back(settings);
-  events.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  events.push_back(frame(kS2c, h2::FrameType::kData, 1, 40000));
-  events.push_back(frame(kS2c, h2::FrameType::kData, 1, 40000, 0x1));
-  const auto tags = annotate_violations(events);
-  EXPECT_EQ(tags,
+  const RingRecorder ring = ring_of({
+      client_iws(30000),
+      frame(kC2s, h2::FrameType::kHeaders, 1),
+      frame(kS2c, h2::FrameType::kData, 1, 40000),
+      frame(kS2c, h2::FrameType::kData, 1, 40000, 0x1),
+  });
+  EXPECT_EQ(found_tags(ring),
             (Tags{tags::kDataExceedsConnWindow, tags::kDataExceedsStreamWindow}));
+}
+
+TEST(WiretapAnnotator, TagsOnOneRecordKeepPassOrderInJsonl) {
+  // One DATA frame overruns both budgets (the data-budget pass tags the
+  // stream scope, then the connection scope) while the stream's declared
+  // parent, stream 1, is still unserved (the priority pass runs later and
+  // adds priority-inversion). All three land on one record, in pass order.
+  const RingRecorder ring = ring_of({
+      client_iws(30000),
+      frame(kC2s, h2::FrameType::kHeaders, 1),
+      frame(kC2s, h2::FrameType::kHeaders, 3, /*a=*/1, 0,
+            /*b=*/kPriorityPresentBit | 15),
+      frame(kS2c, h2::FrameType::kData, 3, 70000, 0x1),
+  });
+  EXPECT_EQ(record_tags(ring, 3),
+            (Tags{tags::kDataExceedsStreamWindow, tags::kDataExceedsConnWindow,
+                  tags::kPriorityInversion}));
+
+  std::string jsonl;
+  append_annotated_jsonl(jsonl, ring, "multi.test");
+  const std::size_t last = jsonl.rfind('\n', jsonl.size() - 2) + 1;
+  EXPECT_EQ(jsonl.substr(last),
+            "{\"site\":\"multi.test\",\"seq\":3,\"t\":0.000,\"dir\":\"s2c\","
+            "\"kind\":\"frame\",\"stream\":3,\"type\":\"DATA\",\"flags\":1,"
+            "\"len\":0,\"a\":70000,\"b\":0,\"note\":\"\",\"tags\":["
+            "\"data-exceeds-stream-window\",\"data-exceeds-connection-window\","
+            "\"priority-inversion\"]}\n");
 }
 
 TEST(WiretapAnnotator, TinyWindowDeviationsOnSyntheticTraces) {
   // Zero-length END_STREAM DATA before any payload under a 1-octet window.
-  std::vector<TraceEvent> zero_len;
-  TraceEvent settings;
-  settings.kind = EventKind::kSettingsApplied;
-  settings.dir = kC2s;
-  settings.detail_a = 4;
-  settings.detail_b = 1;
-  zero_len.push_back(settings);
-  zero_len.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  zero_len.push_back(frame(kS2c, h2::FrameType::kHeaders, 1));
-  zero_len.push_back(frame(kS2c, h2::FrameType::kData, 1, 0, 0x1));
-  EXPECT_EQ(annotate_violations(zero_len),
+  EXPECT_EQ(found_tags(ring_of({
+                client_iws(1),
+                frame(kC2s, h2::FrameType::kHeaders, 1),
+                frame(kS2c, h2::FrameType::kHeaders, 1),
+                frame(kS2c, h2::FrameType::kData, 1, 0, 0x1),
+            })),
             (Tags{tags::kZeroLengthDataUnderTinyWindow}));
 
   // Same window, but the server answers with nothing at all.
-  std::vector<TraceEvent> stalled;
-  stalled.push_back(settings);
-  stalled.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  EXPECT_EQ(annotate_violations(stalled),
+  EXPECT_EQ(found_tags(ring_of({
+                client_iws(1),
+                frame(kC2s, h2::FrameType::kHeaders, 1),
+            })),
             (Tags{tags::kStalledUnderTinyWindow}));
 
   // A compliant 1-octet DATA response under the same window: no tags.
-  std::vector<TraceEvent> compliant;
-  compliant.push_back(settings);
-  compliant.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  compliant.push_back(frame(kS2c, h2::FrameType::kHeaders, 1));
-  compliant.push_back(frame(kS2c, h2::FrameType::kData, 1, 1));
-  EXPECT_TRUE(annotate_violations(compliant).empty());
+  EXPECT_TRUE(found_tags(ring_of({
+                             client_iws(1),
+                             frame(kC2s, h2::FrameType::kHeaders, 1),
+                             frame(kS2c, h2::FrameType::kHeaders, 1),
+                             frame(kS2c, h2::FrameType::kData, 1, 1),
+                         }))
+                  .empty());
 }
 
 TEST(WiretapAnnotator, SegmentsIsolateConnections) {
   // A violation in connection 1 must not leak tags into connection 2's
-  // events, and per-connection state (windows, priority tree) resets.
-  std::vector<TraceEvent> events;
-  TraceEvent start;
-  start.kind = EventKind::kConnectionStart;
-  events.push_back(start);
-  events.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  events.push_back(frame(kC2s, h2::FrameType::kWindowUpdate, 1, 0));  // zero WU
-  events.push_back(start);
-  events.push_back(frame(kC2s, h2::FrameType::kHeaders, 1));
-  events.push_back(frame(kS2c, h2::FrameType::kHeaders, 1));
-  events.push_back(frame(kS2c, h2::FrameType::kData, 1, 100, 0x1));
-  const auto tags = annotate_violations(events);
-  EXPECT_EQ(tags, (Tags{tags::kZeroWuStreamIgnored}));
-  for (std::size_t i = 3; i < events.size(); ++i) {
-    EXPECT_TRUE(events[i].tags.empty()) << i;
+  // records, and per-connection state (windows, priority tree) resets.
+  const EventArgs start{.kind = EventKind::kConnectionStart};
+  const RingRecorder ring = ring_of({
+      start,
+      frame(kC2s, h2::FrameType::kHeaders, 1),
+      frame(kC2s, h2::FrameType::kWindowUpdate, 1, 0),  // zero WU
+      start,
+      frame(kC2s, h2::FrameType::kHeaders, 1),
+      frame(kS2c, h2::FrameType::kHeaders, 1),
+      frame(kS2c, h2::FrameType::kData, 1, 100, 0x1),
+  });
+  EXPECT_EQ(found_tags(ring), (Tags{tags::kZeroWuStreamIgnored}));
+  EXPECT_EQ(record_tags(ring, 2), (Tags{tags::kZeroWuStreamIgnored}));
+  for (std::size_t i = 3; i < ring.size(); ++i) {
+    EXPECT_TRUE(record_tags(ring, i).empty()) << i;
   }
 }
 

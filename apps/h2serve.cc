@@ -208,32 +208,27 @@ int main(int argc, char** argv) {
 
   // Exports happen after the loop has fully drained, so the trace and the
   // metrics snapshot are written exactly once, whole — never torn by a
-  // signal landing mid-write. The metrics snapshot and the annotated JSONL
-  // are both written straight off the ring. The binary dump carries no
-  // annotator tags (tags are derived from the records); h2trace-decode
-  // --annotate parses it back into a ring and reproduces the JSONL this
-  // process would have written, byte for byte.
+  // signal landing mid-write. One annotator walk over the ring folds the
+  // metrics snapshot and collects the tags the annotated JSONL is written
+  // from. The binary dump carries no annotator tags (tags are derived from
+  // the records); h2trace-decode --annotate parses it back into a ring and
+  // reproduces the JSONL this process would have written, byte for byte.
   if (!trace_out.empty()) {
-    if (trace_bin) {
-      std::string bytes;
-      recorder.serialize(bytes);
-      if (!write_whole_file(trace_out, bytes)) {
-        std::fprintf(stderr, "h2serve: could not write %s\n",
-                     trace_out.c_str());
-      }
-    }
-    if (!trace_bin) {
-      std::string jsonl;
-      trace::append_annotated_jsonl(jsonl, recorder);
-      if (!write_whole_file(trace_out, jsonl)) {
-        std::fprintf(stderr, "h2serve: could not write %s\n",
-                     trace_out.c_str());
-      }
-    }
     trace::MetricsRegistry registry;
     trace::MetricsRecorder folder(registry);
     trace::TagCounts tags;
-    trace::fold_ring(recorder, registry, folder, tags);
+    trace::RecordTags record_tags;
+    trace::fold_ring(recorder, registry, folder, tags, record_tags);
+    std::string bytes;
+    if (trace_bin) {
+      recorder.serialize(bytes);
+    } else {
+      trace::append_annotated_jsonl(bytes, recorder, record_tags);
+    }
+    if (!write_whole_file(trace_out, bytes)) {
+      std::fprintf(stderr, "h2serve: could not write %s\n",
+                   trace_out.c_str());
+    }
     registry.trace_drops =
         serve.value()->stats().trace_drops + recorder.drops();
     if (!write_whole_file(trace_out + ".metrics.json",

@@ -91,7 +91,10 @@ int main(int argc, char** argv) {
 
   std::string jsonl;
   if (annotate) {
-    trace::append_annotated_jsonl(jsonl, ring, site);
+    trace::TagCounts counts;
+    trace::RecordTags record_tags;
+    trace::annotate_ring(ring, counts, nullptr, &record_tags);
+    trace::append_annotated_jsonl(jsonl, ring, record_tags, site);
   } else {
     jsonl = trace::to_jsonl(ring.decode(), site);
   }

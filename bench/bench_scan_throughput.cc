@@ -327,6 +327,7 @@ void bench_exchange() {
   trace::MetricsRegistry registry;
   trace::MetricsRecorder folder(registry);
   trace::TagCounts tags;
+  trace::RecordTags record_tags;
   trace::RingRecorder ring;
   core::Target traced = base;
   traced.recorder = &ring;
@@ -335,7 +336,7 @@ void bench_exchange() {
   for (int it = 0; it < kIters; ++it) {
     ring.clear();
     frames += run_one(traced);
-    trace::fold_ring(ring, registry, folder, tags);
+    trace::fold_ring(ring, registry, folder, tags, record_tags);
   }
   const double twall = ms_since(tstart);
   record("exchange_traced", twall, kIters,

@@ -32,7 +32,8 @@ int main() {
       trace::RingRecorder recorder;
       columns.push_back(core::characterize_traced(core::Target::testbed(profile),
                                                   rng, recorder));
-      trace::append_annotated_jsonl(jsonl, recorder, profile.key);
+      trace::append_annotated_jsonl(jsonl, recorder,
+                                    columns.back().record_tags, profile.key);
       merged.merge(columns.back().wire_metrics);
     }
   }

@@ -191,17 +191,16 @@ AttackResult AttackScenario::run(const core::Target& target) const {
   AttackResult result;
   result.kind = cfg.kind;
 
-  // Client before server: its constructor marks the wiretap connection
-  // start, so the server's preface frames land inside the segment (the
+  // The lease rewinds the client before the engine, so the wiretap's
+  // connection start precedes the server's preface frames (the
   // SequenceDetector scopes its rules per connection segment).
-  core::ClientOptions opts =
+  const core::EndpointLease lease = target.lease_endpoints(
       cfg.kind == ScenarioKind::kSlowRead
-          ? target.client_options(
-                core::ClientOptions::slow_read_stance(cfg.tiny_window))
-          : target.client_options();
-  core::ClientConnection client(opts);
-  server::Http2Server server = target.make_server();
-  std::unique_ptr<net::Transport> transport = target.make_transport();
+          ? core::ClientOptions::slow_read_stance(cfg.tiny_window)
+          : core::ClientOptions{});
+  core::ClientConnection& client = lease.client();
+  server::Http2Server& server = lease.server();
+  net::Transport& transport = lease.transport();
 
   std::uint64_t seed_state = cfg.seed;
   Rng rng(splitmix64(seed_state) ^ static_cast<std::uint64_t>(cfg.kind));
@@ -211,7 +210,7 @@ AttackResult AttackScenario::run(const core::Target& target) const {
     result.frames_sent +=
         inject_round(cfg, client, round, rng, open_streams);
     const net::ExchangeResult ex =
-        transport->run(client, server, cfg.round_limits);
+        transport.run(client, server, cfg.round_limits);
     ++result.rounds_run;
     result.bytes_c2s += ex.bytes_c2s;
     result.bytes_s2c += ex.bytes_s2c;

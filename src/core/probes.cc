@@ -124,54 +124,9 @@ EndpointLease EndpointSlot::lease(const Target& target,
 
 EndpointLease Target::lease_endpoints(const ClientOptions& opts) const {
   if (endpoints != nullptr) return endpoints->lease(*this, opts);
-  if (!own_endpoints_) own_endpoints_ = std::make_unique<EndpointSlot>();
-  return own_endpoints_->lease(*this, opts);
-}
-
-Target::Target(const Target& other)
-    : host(other.host),
-      profile(other.profile),
-      site(other.site),
-      path(other.path),
-      offers_h2(other.offers_h2),
-      recorder(other.recorder),
-      limits(other.limits),
-      faults(other.faults),
-      ledger(other.ledger),
-      endpoints(other.endpoints),
-      transport_seq_(other.transport_seq_) {}
-
-Target& Target::operator=(const Target& other) {
-  if (this == &other) return *this;
-  host = other.host;
-  profile = other.profile;
-  site = other.site;
-  path = other.path;
-  offers_h2 = other.offers_h2;
-  recorder = other.recorder;
-  limits = other.limits;
-  faults = other.faults;
-  ledger = other.ledger;
-  endpoints = other.endpoints;
-  transport_seq_ = other.transport_seq_;
-  cached_profile_.reset();
-  cached_site_.reset();
-  return *this;
-}
-
-const std::shared_ptr<const server::ServerProfile>& Target::shared_profile()
-    const {
-  if (!cached_profile_) {
-    cached_profile_ = std::make_shared<const server::ServerProfile>(profile);
-  }
-  return cached_profile_;
-}
-
-const std::shared_ptr<const server::Site>& Target::shared_site() const {
-  if (!cached_site_) {
-    cached_site_ = std::make_shared<const server::Site>(site);
-  }
-  return cached_site_;
+  std::unique_ptr<EndpointSlot>& own = own_endpoints_.slot;
+  if (!own) own = std::make_unique<EndpointSlot>();
+  return own->lease(*this, opts);
 }
 
 Target Target::testbed(server::ServerProfile profile) {
@@ -188,14 +143,6 @@ net::FaultPlan Target::next_fault_plan() const {
   // => the same sequence of plans, independent of which worker runs it.
   std::uint64_t sm = faults.seed + 0x9E3779B97F4A7C15ull * ++transport_seq_;
   return net::FaultPlan::generate(splitmix64(sm), faults.probability);
-}
-
-std::unique_ptr<net::Transport> Target::make_transport() const {
-  if (!faults.enabled) {
-    return std::make_unique<net::LockstepTransport>(recorder, ledger);
-  }
-  return std::make_unique<net::FaultyTransport>(next_fault_plan(), recorder,
-                                                ledger);
 }
 
 // ------------------------------------------------------------- negotiation

@@ -5,7 +5,9 @@
 // do) so no probe contaminates another's HPACK or flow-control state, and
 // the scan runs every probe this way. The connection is fresh on the wire,
 // not in memory: its client and engine are a pair leased from the target's
-// EndpointSlot and rewound, not rebuilt.
+// EndpointSlot and rewound, not rebuilt. The lease is the only source of a
+// connection's transport, and its engine borrows the target's profile and
+// site, as every engine a Target builds does.
 //
 // Each probe is one plain blocking function. Its exchanges run through
 // Transport::run, which skips a faulted transport's stalled stretches
@@ -71,8 +73,10 @@ class EndpointLease {
 
   [[nodiscard]] ClientConnection& client() const;
   [[nodiscard]] server::Http2Server& server() const;
-  /// The connection's transport: lockstep, or faulty with the plan of the
-  /// target's next connection ordinal (see Target::make_transport).
+  /// The connection's transport: lockstep when the target's faults are
+  /// off, otherwise faulty with the plan derived from (faults.seed, the
+  /// target's next connection ordinal). The lease is the only source of
+  /// transports against a Target.
   [[nodiscard]] net::Transport& transport() const;
 
  private:
@@ -149,47 +153,29 @@ struct Target {
   /// built on the first lease.
   EndpointSlot* endpoints = nullptr;
 
-  Target() = default;
-  /// Copying clears the cached shared profile/site so a copy that then
-  /// tweaks `profile` (probe_concurrency_limit does) serves the tweaked
-  /// values. The cache refills on the copy's first make_server().
-  Target(const Target& other);
-  Target& operator=(const Target& other);
-  Target(Target&&) = default;
-  Target& operator=(Target&&) = default;
-
-  /// Builds a server for the next connection. The profile and site are
-  /// shared with the engine (cached on first call), not deep-copied — so
-  /// don't mutate the public `profile` / `site` fields after the first
-  /// make_server(); copy the Target instead.
+  /// Builds an engine for a fresh connection against this target. The
+  /// engine borrows `profile` and `site` without copying them, so it must
+  /// not outlive this Target, nor be used once either field is rewritten
+  /// or moved; copy the Target to serve other values.
   [[nodiscard]] server::Http2Server make_server() const {
-    return server::Http2Server(shared_profile(), shared_site(),
+    return server::Http2Server(borrow(profile), borrow(site),
                                server::Http2Server::StartMode::kTls, recorder);
   }
 
   /// Rewinds @p server into a fresh first connection against this target —
   /// how an EndpointSlot serves site after site without reconstructing.
-  /// The engine borrows `profile` and `site` without owning them: it must
-  /// not be used past this Target's lifetime or the next field rewrite.
-  /// The slot keeps that promise, since it reads its engine only while
-  /// leased and re-points it at every lease.
+  /// The engine borrows as make_server()'s does. The slot keeps the
+  /// lifetime rule, since it reads its engine only while leased and
+  /// re-points it at every lease.
   void reset_server(server::Http2Server& server) const {
-    server.reset(std::shared_ptr<const server::ServerProfile>(
-                     std::shared_ptr<void>(), &profile),
-                 std::shared_ptr<const server::Site>(std::shared_ptr<void>(),
-                                                     &site),
+    server.reset(borrow(profile), borrow(site),
                  server::Http2Server::StartMode::kTls, recorder);
   }
 
-  /// Back to connection ordinal 0, with no cached shared copies: what a
-  /// Target newly built with the current fields would be. For a Target
-  /// whose fields were rewritten for another host
-  /// (corpus::SiteSpec::fill_target).
-  void restart() {
-    transport_seq_ = 0;
-    cached_profile_.reset();
-    cached_site_.reset();
-  }
+  /// Back to connection ordinal 0: what a Target newly built with the
+  /// current fields would be. For a Target whose fields were rewritten for
+  /// another host (corpus::SiteSpec::fill_target).
+  void restart() { transport_seq_ = 0; }
 
   /// ClientOptions pre-wired to this target's recorder. Probes reason about
   /// DATA frame *sizes* only, so response payload octets are not retained.
@@ -207,38 +193,40 @@ struct Target {
   [[nodiscard]] EndpointLease lease_endpoints(
       const ClientOptions& opts = {}) const;
 
-  /// A newly built transport for the next connection against this target:
-  /// lockstep when faults are off, otherwise a FaultyTransport whose plan
-  /// is derived from (faults.seed, connection ordinal). One transport
-  /// models one connection — probes that reuse a connection reuse its
-  /// transport. Probes take theirs from the lease instead, which rewinds
-  /// the slot's transport to the same state.
-  [[nodiscard]] std::unique_ptr<net::Transport> make_transport() const;
-
   /// A target wired to the paper's testbed content for @p profile.
   static Target testbed(server::ServerProfile profile);
 
  private:
   friend class EndpointSlot;
 
+  /// The slot leased when `endpoints` is null, built on the first lease.
+  /// A copy of the target starts without one, since a slot serves one
+  /// lease at a time; assignment keeps the slot the target already has.
+  struct OwnSlot {
+    std::unique_ptr<EndpointSlot> slot;
+
+    OwnSlot() = default;
+    OwnSlot(const OwnSlot& /*other*/) noexcept {}
+    OwnSlot& operator=(const OwnSlot& /*other*/) noexcept { return *this; }
+    OwnSlot(OwnSlot&&) noexcept = default;
+    OwnSlot& operator=(OwnSlot&&) noexcept = default;
+  };
+
+  /// A non-owning handle on @p field for an engine: an aliasing shared_ptr
+  /// with no owner.
+  template <typename T>
+  [[nodiscard]] static std::shared_ptr<const T> borrow(const T& field) {
+    return std::shared_ptr<const T>(std::shared_ptr<void>(), &field);
+  }
+
   /// The fault plan of the next connection (advances the ordinal).
   [[nodiscard]] net::FaultPlan next_fault_plan() const;
-
-  [[nodiscard]] const std::shared_ptr<const server::ServerProfile>&
-  shared_profile() const;
-  [[nodiscard]] const std::shared_ptr<const server::Site>& shared_site() const;
 
   /// Ordinal of the next connection, for per-connection fault seeds.
   /// Mutable: handing out a transport doesn't change what the target *is*,
   /// and probes receive `const Target&` everywhere.
   mutable std::uint64_t transport_seq_ = 0;
-  /// Lazily built shared copies of `profile` / `site` handed to every
-  /// engine this target spawns (one deep copy per site, not per
-  /// connection). Cleared by copy so stale values never leak.
-  mutable std::shared_ptr<const server::ServerProfile> cached_profile_;
-  mutable std::shared_ptr<const server::Site> cached_site_;
-  /// The slot leased when `endpoints` is null; never copied.
-  mutable std::unique_ptr<EndpointSlot> own_endpoints_;
+  mutable OwnSlot own_endpoints_;
 };
 
 /// Runs @p fn — a probe body that opens fresh connections against

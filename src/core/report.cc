@@ -81,7 +81,7 @@ Characterization characterize_traced(Target target, Rng& rng,
   Characterization c = characterize(target, rng);
   trace::MetricsRecorder folder(c.wire_metrics);
   trace::TagCounts counts;
-  trace::fold_ring(recorder, c.wire_metrics, folder, counts);
+  trace::fold_ring(recorder, c.wire_metrics, folder, counts, c.record_tags);
   // The registry starts empty, so its (sorted) tag keys are exactly the
   // tags this trace produced.
   for (const auto& [tag, n] : c.wire_metrics.violation_tags) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/probes.h"
+#include "trace/annotate.h"
 #include "trace/metrics.h"
 #include "trace/recorder.h"
 
@@ -29,10 +30,12 @@ struct Characterization {
   PingProbeResult ping;
 
   /// Populated by characterize_traced(): the sorted violation tags the
-  /// H2Wiretap annotator found across every probe connection, and the wire
-  /// metrics folded from the recorded ring.
+  /// H2Wiretap annotator found across every probe connection, the wire
+  /// metrics folded from the recorded ring, and the per-record tags of
+  /// that walk (indices into the ring, for trace::append_annotated_jsonl).
   std::vector<std::string> violation_tags;
   trace::MetricsRegistry wire_metrics;
+  trace::RecordTags record_tags;
 
   /// The fourteen Table III row labels, in the paper's order.
   static const std::vector<std::string>& row_labels();
@@ -47,9 +50,9 @@ Characterization characterize(const Target& target, Rng& rng);
 
 /// characterize() with the H2Wiretap recording every probe connection into
 /// @p recorder. Afterwards the ring is annotated and folded into the
-/// result's wire_metrics (trace::fold_ring); the ring itself carries no
-/// tags, so an exporter writes its JSONL with trace::append_annotated_jsonl,
-/// which annotates the same records again.
+/// result's wire_metrics in one walk (trace::fold_ring); the ring itself
+/// carries no tags, so an exporter writes its JSONL from the walk's
+/// record_tags with trace::append_annotated_jsonl.
 Characterization characterize_traced(Target target, Rng& rng,
                                      trace::RingRecorder& recorder);
 

@@ -229,14 +229,16 @@ void fold_site(const SiteSpec& spec, const ScanOptions& opts,
     // the end (MetricsRegistry merges are field-wise sums, so the result
     // is identical to merging per site, minus one merge per site here).
     // One walk over the 32-byte records annotates and folds, with
-    // violations landing as interned tag counts.
+    // violations landing as interned tag counts; the JSONL export is
+    // written from the per-record tags that walk collected.
     trace::fold_ring(scratch.recorder,
                      r.wire_metrics_by_family[spec.family], scratch.folder,
-                     scratch.tag_counts);
+                     scratch.tag_counts, scratch.record_tags);
     if (opts.wiretap_traces) {
       std::string& jsonl = r.site_traces[spec.host];
       jsonl.clear();
-      trace::append_annotated_jsonl(jsonl, scratch.recorder, spec.host);
+      trace::append_annotated_jsonl(jsonl, scratch.recorder,
+                                    scratch.record_tags, spec.host);
     }
   }
 }

@@ -28,14 +28,16 @@ namespace h2r::corpus {
 /// it and its transport for the next connection). The recorder is an
 /// unbounded binary ring (32 bytes per event, no per-event heap traffic),
 /// the site's only trace sink. The metrics fold runs straight off its raw
-/// records (trace::fold_ring), and so does the JSONL export
-/// (trace::append_annotated_jsonl), which decodes one reused row at a
-/// time. The results of the probes that carry lists or text (WINDOW_UPDATE
-/// reactions, push, HPACK ratio) are rewritten in place, site after site,
-/// so their storage stays warm too.
+/// records (trace::fold_ring), and the JSONL export
+/// (trace::append_annotated_jsonl) is written from the per-record tags of
+/// that same walk, decoding one reused row at a time. The results of the
+/// probes that carry lists or text (WINDOW_UPDATE reactions, push, HPACK
+/// ratio) are rewritten in place, site after site, so their storage stays
+/// warm too.
 struct SiteScratch {
   trace::RingRecorder recorder;
   trace::TagCounts tag_counts;
+  trace::RecordTags record_tags;
   // Shared metrics fold. Each site rebind()s the folder onto its family
   // registry and folds straight into it — no per-site scratch registry to
   // re-zero, no per-site merge — while the folder's per-connection scratch

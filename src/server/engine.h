@@ -80,8 +80,8 @@ class Http2Server {
   /// Shared-ownership variant: the engine aliases @p profile / @p site
   /// instead of deep-copying them, so constructing a connection against an
   /// already-materialized profile+site costs no per-connection heap churn.
-  /// Target caches shared copies and the scan reuses them across every
-  /// connection of a site.
+  /// core::Target hands its engines non-owning handles on its own fields;
+  /// a serving shard shares one owned copy among its engines.
   Http2Server(std::shared_ptr<const ServerProfile> profile,
               std::shared_ptr<const Site> site,
               StartMode mode = StartMode::kTls,

@@ -42,9 +42,9 @@ bool is_mitigation_frame(const WireRecord& ev) {
 /// The annotator's one input: a ring's raw WireRecords. Tags become
 /// occurrence counts keyed by the interned tag constants (pointer identity
 /// — every tag() call in this file passes a tags::k* constant) and, when
-/// `record_tags` is non-null (the JSONL export), (record index, tag) pairs
-/// in pass order. Each record can be folded into a MetricsRecorder as the
-/// segmentation sweep passes over it.
+/// `record_tags` is non-null, (record index, tag) pairs in pass order.
+/// Each record can be folded into a MetricsRecorder as the segmentation
+/// sweep passes over it.
 struct RingView {
   const RingRecorder& ring;
   TagCounts& counts;
@@ -643,10 +643,7 @@ void annotate_ring(const RingRecorder& ring, TagCounts& counts,
 }
 
 void append_annotated_jsonl(std::string& out, const RingRecorder& ring,
-                            std::string_view site) {
-  TagCounts counts;
-  RecordTags record_tags;
-  annotate_ring(ring, counts, nullptr, &record_tags);
+                            RecordTags& record_tags, std::string_view site) {
   // The passes tag in pass order, not record order; a stable sort by index
   // keeps each record's own tags in the order the passes attached them.
   std::stable_sort(
@@ -665,10 +662,12 @@ void append_annotated_jsonl(std::string& out, const RingRecorder& ring,
 }
 
 void fold_ring(const RingRecorder& ring, MetricsRegistry& registry,
-               MetricsRecorder& folder, TagCounts& counts) {
+               MetricsRecorder& folder, TagCounts& counts,
+               RecordTags& record_tags) {
   counts.clear();
+  record_tags.clear();
   folder.rebind(registry);
-  annotate_ring(ring, counts, &folder);
+  annotate_ring(ring, counts, &folder, &record_tags);
   folder.finish();
   for (const auto& [name, n] : counts) registry.add_violation(name, n);
 }

@@ -7,8 +7,8 @@
 // deviation column can be *derived from traces* instead of being read back
 // from bespoke probe counters; core::derive_table3_quirks() does that
 // mapping. Its one walk serves both outputs: tag counts for the metrics
-// fold (fold_ring) and per-record tags for the JSONL export
-// (append_annotated_jsonl).
+// fold (fold_ring) and per-record tags, from which append_annotated_jsonl
+// writes the JSONL export without walking the ring again.
 //
 // Reaction-style tags follow one scheme: `<axis>-ignored`, `<axis>-goaway`,
 // `<axis>-goaway-debug` — the RFC-prescribed reaction (RST_STREAM for
@@ -105,8 +105,9 @@ inline constexpr const char* kMitigationRelease = "mitigation-release";
 using TagCounts = std::vector<std::pair<const char*, std::uint64_t>>;
 
 /// (record index, tag) pairs, one per tag attached, in the order the passes
-/// attach them — not sorted by index. The index is the record's position
-/// in the ring (RingRecorder::at()).
+/// attach them — not sorted by index until append_annotated_jsonl() sorts
+/// them. The index is the record's position in the ring
+/// (RingRecorder::at()).
 using RecordTags = std::vector<std::pair<std::size_t, const char*>>;
 
 class MetricsRecorder;   // metrics.h
@@ -119,25 +120,31 @@ struct MetricsRegistry;  // metrics.h
 /// the record's exact ring sequence) — the wiretap metrics ride the same
 /// walk, so the whole trace is consumed in a single pass over the 32-byte
 /// records. When @p record_tags is non-null each tag is also appended to it
-/// with the index of the record it lands on; the metrics fold passes null.
+/// with the index of the record it lands on.
 void annotate_ring(const RingRecorder& ring, TagCounts& counts,
                    MetricsRecorder* fold = nullptr,
                    RecordTags* record_tags = nullptr);
 
-/// Annotates @p ring and appends its JSONL to @p out: one line per record
-/// (seq = first_seq() + index), each carrying that record's violation tags
-/// in pass order, written by append_jsonl() with @p site prepended when
-/// non-empty. Deterministic: identical rings give byte-identical output.
+/// Appends @p ring's JSONL to @p out: one line per record
+/// (seq = first_seq() + index), each carrying the violation tags that
+/// @p record_tags — collected by one annotator walk of this ring
+/// (fold_ring, or annotate_ring) — attaches to it, in pass order, written
+/// by append_jsonl() with @p site prepended when non-empty. Sorts
+/// @p record_tags by index in place. Deterministic: identical rings give
+/// byte-identical output.
 void append_annotated_jsonl(std::string& out, const RingRecorder& ring,
+                            RecordTags& record_tags,
                             std::string_view site = {});
 
 /// Annotates @p ring and folds it into @p registry in one walk:
 /// annotate_ring() with @p folder as the tee, then one add_violation() per
-/// tag count. @p folder and @p counts are caller scratch, reused so a
-/// warm fold allocates nothing: @p folder is rebound onto @p registry and
-/// finished, and @p counts is cleared first and holds this ring's tag
-/// counts afterwards.
+/// tag count. @p folder, @p counts and @p record_tags are caller scratch,
+/// reused so a warm fold allocates nothing: @p folder is rebound onto
+/// @p registry and finished, and @p counts and @p record_tags are cleared
+/// first and hold this ring's tag counts and per-record tags afterwards —
+/// what append_annotated_jsonl() writes the ring's JSONL from.
 void fold_ring(const RingRecorder& ring, MetricsRegistry& registry,
-               MetricsRecorder& folder, TagCounts& counts);
+               MetricsRecorder& folder, TagCounts& counts,
+               RecordTags& record_tags);
 
 }  // namespace h2r::trace

@@ -205,7 +205,9 @@ TEST(AttackAnnotation, MitigationFramesAreTaggedAndCounted) {
   trace::MetricsRegistry metrics;
   trace::MetricsRecorder folder(metrics);
   trace::TagCounts tags;
-  trace::fold_ring(recorder, metrics, folder, tags);
+  trace::RecordTags folded_tags;
+  trace::fold_ring(recorder, metrics, folder, tags, folded_tags);
+  EXPECT_EQ(folded_tags, record_tags);
   EXPECT_GT(metrics.mitigation_events, 0u);
   EXPECT_NE(metrics.to_json().find("\"mitigation_events\""),
             std::string::npos);

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/probes.h"
@@ -268,6 +270,43 @@ TEST(EndpointReuse, TargetOwnedSlotMatchesProvidedSlot) {
   EXPECT_EQ(a.zero_on_stream, b.zero_on_stream);
   EXPECT_EQ(a.large_on_connection, b.large_on_connection);
   EXPECT_EQ(tape(owned_ring), tape(slot_ring));
+}
+
+/// What the next connection against @p t serves: the
+/// SETTINGS_MAX_CONCURRENT_STREAMS its engine announces and the DATA
+/// octets of /small.
+std::pair<std::optional<std::uint32_t>, std::size_t> served(const Target& t) {
+  const EndpointLease lease = t.lease_endpoints();
+  const std::uint32_t sid = lease.client().send_request("/small");
+  lease.transport().run(lease.client(), lease.server(), t.limits);
+  return {lease.client().server_settings().raw(
+              h2::SettingId::kMaxConcurrentStreams),
+          lease.client().data_received(sid)};
+}
+
+// Engines borrow the profile and site of the target they are leased for.
+// A copy of a target that has already leased, with its profile and one
+// resource tweaked (as probe_concurrency_limit tweaks its copies), serves
+// its own values, and the original's next lease serves the original's —
+// on the target's own slot and on a slot the two share, as in the scan.
+TEST(EndpointReuse, CopyOfLeasedTargetServesItsOwnFields) {
+  for (const bool shared_slot : {false, true}) {
+    SCOPED_TRACE(shared_slot ? "shared slot" : "own slot");
+    EndpointSlot slot;
+    Target original = Target::testbed(server::profile_by_key("h2o"));
+    if (shared_slot) original.endpoints = &slot;
+    const auto before = served(original);
+    ASSERT_TRUE(before.first.has_value());
+    ASSERT_GT(before.second, 0u);
+
+    Target copy = original;
+    copy.profile.max_concurrent_streams = *before.first + 7;
+    copy.site.add_resource({.path = "/small", .size = before.second + 100});
+    EXPECT_EQ(served(copy), std::make_pair(std::optional<std::uint32_t>(
+                                               *before.first + 7),
+                                           before.second + 100));
+    EXPECT_EQ(served(original), before);
+  }
 }
 
 #ifndef NDEBUG

@@ -150,10 +150,11 @@ TEST(ServeLoopback, GracefulShutdownSendsGoawayAndFlushesWholeTrace) {
   EXPECT_EQ(starts, 1u);
   EXPECT_GT(c2s_frames, 0u);
   trace::TagCounts tags;
-  trace::annotate_ring(recorder, tags);
+  trace::RecordTags record_tags;
+  trace::annotate_ring(recorder, tags, nullptr, &record_tags);
   EXPECT_TRUE(tags.empty());
   std::string jsonl;
-  trace::append_annotated_jsonl(jsonl, recorder);
+  trace::append_annotated_jsonl(jsonl, recorder, record_tags);
   ASSERT_FALSE(jsonl.empty());
   std::size_t lines = 0;
   std::size_t start = 0;

@@ -481,7 +481,7 @@ struct LockstepOutcome {
 
 /// One Site shared by every engine of a test, as a shard's engines share
 /// one: cache entries are keyed by Resource pointer.
-std::shared_ptr<const server::Site> shared_site(bool cookie_churn = false) {
+std::shared_ptr<const server::Site> common_site(bool cookie_churn = false) {
   server::Site site = server::Site::standard_testbed_site();
   site.set_cookie_churn(cookie_churn);
   return std::make_shared<const server::Site>(std::move(site));
@@ -521,7 +521,7 @@ LockstepOutcome serve_repeats(const std::string& profile_key,
 }
 
 TEST(HeaderBlockCache, CachedBlocksAreByteIdenticalToFreshEncodes) {
-  const auto site = shared_site();
+  const auto site = common_site();
   for (const std::string profile : {"nginx", "h2o"}) {
     server::SharedBlockCache cache;
     const LockstepOutcome cached = serve_repeats(profile, site, &cache, 8);
@@ -540,7 +540,7 @@ TEST(HeaderBlockCache, CachedBlocksAreByteIdenticalToFreshEncodes) {
 }
 
 TEST(HeaderBlockCache, PristineEnginesOnOneShardShareBlocks) {
-  const auto site = shared_site();
+  const auto site = common_site();
   server::SharedBlockCache cache;
   const LockstepOutcome first = serve_repeats("nginx", site, &cache, 1);
   const LockstepOutcome second = serve_repeats("nginx", site, &cache, 1);
@@ -558,7 +558,7 @@ TEST(HeaderBlockCache, PristineEnginesOnOneShardShareBlocks) {
 }
 
 TEST(HeaderBlockCache, IndexingEncodesAreNeverStored) {
-  const auto site = shared_site();
+  const auto site = common_site();
   // h2o indexes response headers aggressively: its first encode inserts into
   // the dynamic table, so neither that block nor any later one (encoded
   // against a non-empty table) may be shared.
@@ -571,7 +571,7 @@ TEST(HeaderBlockCache, IndexingEncodesAreNeverStored) {
 }
 
 TEST(HeaderBlockCache, CookieChurnSitesNeverServeCachedBlocks) {
-  const auto site = shared_site(/*cookie_churn=*/true);
+  const auto site = common_site(/*cookie_churn=*/true);
   server::SharedBlockCache cache;
   const LockstepOutcome cached = serve_repeats("nginx", site, &cache, 6);
   const LockstepOutcome fresh = serve_repeats("nginx", site, nullptr, 6);
@@ -584,7 +584,7 @@ TEST(HeaderBlockCache, CookieChurnSitesNeverServeCachedBlocks) {
 }
 
 TEST(HeaderBlockCache, PeerTableResizeInvalidatesWithoutCorruption) {
-  const auto site = shared_site();
+  const auto site = common_site();
   for (const std::string profile : {"nginx", "h2o"}) {
     server::SharedBlockCache cache;
     const LockstepOutcome cached = serve_repeats(profile, site, &cache, 8, 1);
@@ -597,7 +597,7 @@ TEST(HeaderBlockCache, PeerTableResizeInvalidatesWithoutCorruption) {
 }
 
 TEST(HeaderBlockCache, PeerTableResizeStopsMatching) {
-  const auto site = shared_site();
+  const auto site = common_site();
   server::SharedBlockCache cache;
   serve_repeats("nginx", site, &cache, 1);
   ASSERT_EQ(cache.entries.size(), 1u);

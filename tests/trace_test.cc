@@ -27,6 +27,16 @@
 namespace h2r::trace {
 namespace {
 
+/// Appends @p ring's annotated JSONL to @p out, as h2trace-decode
+/// --annotate writes it: one annotator walk, then the writer.
+void append_jsonl_of(std::string& out, const RingRecorder& ring,
+                     std::string_view site) {
+  TagCounts counts;
+  RecordTags record_tags;
+  annotate_ring(ring, counts, nullptr, &record_tags);
+  append_annotated_jsonl(out, ring, record_tags, site);
+}
+
 // ------------------------------------------------------------- event model
 
 TEST(TraceEvent, JsonlHasStableFieldOrderAndEscaping) {
@@ -223,8 +233,8 @@ TEST(TraceBinaryDump, SerializeParsesBackToIdenticalEvents) {
   }
   std::string got_jsonl;
   std::string want_jsonl;
-  append_annotated_jsonl(got_jsonl, parsed, "s");
-  append_annotated_jsonl(want_jsonl, ring, "s");
+  append_jsonl_of(got_jsonl, parsed, "s");
+  append_jsonl_of(want_jsonl, ring, "s");
   EXPECT_EQ(got_jsonl, want_jsonl);
   // The parse is serialize()'s inverse: the note table (including the
   // evicted marker's label) and the records dump back byte for byte.
@@ -363,10 +373,10 @@ TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
 
     ring.clear();
     Rng rng(7);
-    const core::Characterization c = core::characterize_traced(
+    core::Characterization c = core::characterize_traced(
         core::Target::testbed(profile), rng, ring);
     std::string got;
-    append_annotated_jsonl(got, ring, profile.key);
+    append_annotated_jsonl(got, ring, c.record_tags, profile.key);
     EXPECT_EQ(got, want) << profile.key;
     // The ring fold's tag counts name exactly the annotated tags.
     EXPECT_EQ(c.violation_tags, want_tags) << profile.key;
@@ -380,7 +390,7 @@ TEST(TraceGoldenIdentity, RingDecodePathMatchesLegacyJsonlAcrossProfiles) {
     ASSERT_TRUE(parse_trace_bin(bytes, parsed, error)) << error;
     EXPECT_EQ(parsed.drops(), 0u);
     std::string parsed_jsonl;
-    append_annotated_jsonl(parsed_jsonl, parsed, profile.key);
+    append_jsonl_of(parsed_jsonl, parsed, profile.key);
     EXPECT_EQ(parsed_jsonl, want) << profile.key;
   }
 }
@@ -436,10 +446,10 @@ TEST(TraceDeterminism, RepeatedCharacterizationsProduceIdenticalJsonl) {
   const auto run = [] {
     Rng rng(7);
     RingRecorder recorder;
-    core::characterize_traced(
+    core::Characterization c = core::characterize_traced(
         core::Target::testbed(server::litespeed_profile()), rng, recorder);
     std::string jsonl;
-    append_annotated_jsonl(jsonl, recorder, "litespeed");
+    append_annotated_jsonl(jsonl, recorder, c.record_tags, "litespeed");
     return jsonl;
   };
   const std::string a = run();

@@ -3,6 +3,8 @@
 // Target / probe_with_retry wiring on top.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/client.h"
 #include "core/probes.h"
 #include "net/transport.h"
@@ -105,32 +107,39 @@ TEST(FaultProbability, FloorsAndClamps) {
   EXPECT_DOUBLE_EQ(net::fault_probability(0.0, 0.0), 0.0);
 }
 
-TEST(Target, MakeTransportIsLockstepWithoutFaults) {
+TEST(Target, LeasedTransportIsLockstepWithoutFaults) {
   const core::Target target = core::Target::testbed(server::h2o_profile());
-  EXPECT_EQ(target.make_transport()->name(), "lockstep");
+  EXPECT_EQ(target.lease_endpoints().transport().name(), "lockstep");
 }
 
-TEST(Target, MakeTransportDerivesPerConnectionPlans) {
+/// The fault plan of the next connection's transport against @p target,
+/// or nullopt when that transport is not a FaultyTransport.
+std::optional<net::FaultPlan> next_plan(const core::Target& target) {
+  const core::EndpointLease lease = target.lease_endpoints();
+  const auto* faulty =
+      dynamic_cast<const net::FaultyTransport*>(&lease.transport());
+  if (faulty == nullptr) return std::nullopt;
+  return faulty->plan();
+}
+
+TEST(Target, LeasedTransportsDerivePerConnectionPlans) {
   core::Target target = core::Target::testbed(server::h2o_profile());
   target.faults.enabled = true;
   target.faults.seed = 42;
   target.faults.probability = 1.0;
-  const auto t1 = target.make_transport();
-  const auto t2 = target.make_transport();
-  const auto* first = dynamic_cast<const net::FaultyTransport*>(t1.get());
-  const auto* second = dynamic_cast<const net::FaultyTransport*>(t2.get());
-  ASSERT_NE(first, nullptr);
-  ASSERT_NE(second, nullptr);
+  const auto first = next_plan(target);
+  const auto second = next_plan(target);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
   // The connection ordinal advances the stream.
-  EXPECT_NE(first->plan(), second->plan());
+  EXPECT_NE(*first, *second);
 
   // A fresh target with the same config replays the same plan sequence.
   core::Target replay = core::Target::testbed(server::h2o_profile());
   replay.faults = target.faults;
-  const auto r1 = replay.make_transport();
-  const auto* replayed = dynamic_cast<const net::FaultyTransport*>(r1.get());
-  ASSERT_NE(replayed, nullptr);
-  EXPECT_EQ(first->plan(), replayed->plan());
+  const auto replayed = next_plan(replay);
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(*first, *replayed);
 }
 
 TEST(ProbeWithRetry, RetriesFaultedAttemptsAndBooksBackoff) {

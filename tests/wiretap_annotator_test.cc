@@ -215,8 +215,11 @@ TEST(WiretapAnnotator, TagsOnOneRecordKeepPassOrderInJsonl) {
             (Tags{tags::kDataExceedsStreamWindow, tags::kDataExceedsConnWindow,
                   tags::kPriorityInversion}));
 
+  TagCounts counts;
+  RecordTags per_record;
+  annotate_ring(ring, counts, nullptr, &per_record);
   std::string jsonl;
-  append_annotated_jsonl(jsonl, ring, "multi.test");
+  append_annotated_jsonl(jsonl, ring, per_record, "multi.test");
   const std::size_t last = jsonl.rfind('\n', jsonl.size() - 2) + 1;
   EXPECT_EQ(jsonl.substr(last),
             "{\"site\":\"multi.test\",\"seq\":3,\"t\":0.000,\"dir\":\"s2c\","

@@ -1,6 +1,8 @@
 // Microbenchmarks of the protocol substrate: frame codec throughput,
 // priority tree operations, and full request/response round trips through
-// the engine — the costs underlying every scan probe.
+// the engine — the costs underlying every scan probe. This is the one
+// home of the frame serialize and parse timings; HPACK and Huffman coding
+// are timed in bench_ablation_hpack.
 #include <benchmark/benchmark.h>
 
 #include "core/probes.h"
@@ -34,45 +36,9 @@ Bytes data_wire() {
   return h2::serialize_frames(frames);
 }
 
-// Parse and materialize every frame into an owning h2::Frame.
-void BM_ParseFrameStream(benchmark::State& state) {
-  const Bytes wire = data_wire();
-  std::size_t parsed = 0;
-  for (auto _ : state) {
-    h2::FrameParser parser;
-    parser.feed(wire);
-    while (auto f = parser.next()) {
-      if (!f->ok()) break;
-      ++parsed;
-    }
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(wire.size() * state.iterations()));
-  benchmark::DoNotOptimize(parsed);
-}
-BENCHMARK(BM_ParseFrameStream);
-
-// The frame parse stage alone, on the same wire: feed() copies it into the
-// reassembly buffer and next_view() hands out views of the copy...
-void BM_ParseFrameStreamView(benchmark::State& state) {
-  const Bytes wire = data_wire();
-  std::size_t body = 0;
-  for (auto _ : state) {
-    h2::FrameParser parser;
-    parser.feed(wire);
-    while (auto f = parser.next_view()) {
-      if (!f->ok()) break;
-      body += f->value().body.size();
-    }
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(wire.size() * state.iterations()));
-  benchmark::DoNotOptimize(body);
-}
-BENCHMARK(BM_ParseFrameStreamView);
-
-// ...while parse_in_place() hands out views of the delivery itself, the
-// path Http2Server::receive and ClientConnection::receive take.
+// The frame parse stage: parse_in_place() validates each frame where the
+// delivery lies and hands out views of it, the path Http2Server::receive
+// and ClientConnection::receive take.
 void BM_ParseFrameStreamInPlace(benchmark::State& state) {
   const Bytes wire = data_wire();
   std::size_t body = 0;

@@ -1,15 +1,18 @@
 // Scan-throughput harness: the perf trajectory for the whole reproduction.
 //
-// Times the hot wire-stack micro-ops (Huffman coding, HPACK table lookup,
-// full header-block encode/decode, frame serialize/parse) and one complete
-// epoch-2 scan, then prints sites/sec + MB/sec and writes the results to a
-// machine-readable JSON file so later PRs can regress against this run.
+// Times one request/response conversation three ways (fresh, rewound,
+// traced) and complete epoch-2 scans (clean, traced, faulted, and the
+// faulted 1/1000 subsample on one worker), then prints per-op time and
+// rate and writes the results to a machine-readable JSON file that CI's
+// bench guards compare against the last committed run. The wire-stack
+// stages are timed elsewhere, once each: the frame codec in
+// bench_micro_protocol, HPACK and Huffman coding in bench_ablation_hpack.
 //
-// JSON schema: { "<op>": {"wall_ms": w, "per_op_ns": n, "throughput": t} }
-// where throughput is MB/sec for byte-oriented ops, ops/sec for lookups and
-// sites/sec for the end-to-end scan; the exchange_* and scan rows
-// additionally carry "allocs_per_op" (heap allocations per conversation or
-// site, via the operator-new hook in bench_util.h). Output path defaults to
+// JSON schema: { "<op>": {"wall_ms": w, "per_op_ns": n, "throughput": t,
+// "allocs_per_op": a} } where throughput is conversations/sec for the
+// exchange_* rows and sites/sec for the scan rows, and allocs_per_op counts
+// heap allocations per conversation or site (the operator-new hook in
+// bench/count_allocs.h). Output path defaults to
 // BENCH_scan_throughput.json in the working directory; override with
 // H2R_BENCH_JSON. H2R_SCALE / H2R_SEED / H2R_THREADS apply as in every
 // other bench, except that scan_epoch2_faulted_1k always scans the 1/1000
@@ -19,21 +22,14 @@
 // row's fault schedules.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
-#include <random>
 #include <string>
-#include <vector>
 
 #define H2R_BENCH_COUNT_ALLOCS 1
 #include "bench/bench_util.h"
 #include "core/probes.h"
 #include "net/transport.h"
-#include "h2/frame.h"
-#include "h2/frame_codec.h"
-#include "hpack/decoder.h"
-#include "hpack/encoder.h"
-#include "hpack/huffman.h"
-#include "hpack/table.h"
 #include "server/profile.h"
 #include "trace/annotate.h"
 #include "trace/metrics.h"
@@ -51,223 +47,20 @@ double ms_since(Clock::time_point start) {
 struct OpResult {
   double wall_ms = 0;
   double per_op_ns = 0;
-  double throughput = 0;  ///< MB/sec, ops/sec or sites/sec depending on op
-  double allocs_per_op = -1;  ///< heap allocations per op; -1 = not measured
+  double throughput = 0;  ///< conversations/sec or sites/sec
+  double allocs_per_op = 0;  ///< heap allocations per op
 };
 
 std::map<std::string, OpResult> g_results;
 
 void record(const std::string& op, double wall_ms, double ops,
-            double throughput, double allocs_per_op = -1) {
+            double throughput, double allocs_per_op) {
   g_results[op] = {wall_ms, ops > 0 ? wall_ms * 1e6 / ops : 0.0, throughput,
                    allocs_per_op};
-  std::printf("%-24s %10.1f ms   %10.1f ns/op   %12.1f /s", op.c_str(),
-              wall_ms, g_results[op].per_op_ns, throughput);
-  if (allocs_per_op >= 0) std::printf("   %8.1f allocs/op", allocs_per_op);
-  std::printf("\n");
-}
-
-/// Header values typical of the corpus responses — what the scan's HPACK
-/// layers chew through (mix of indexable, literal and Huffman-friendly).
-std::vector<h2r::hpack::HeaderList> sample_header_lists() {
-  using h2r::hpack::HeaderList;
-  std::vector<HeaderList> lists;
-  lists.push_back({{":status", "200"},
-                   {"server", "nginx"},
-                   {"date", "Tue, 21 Mar 2017 12:00:00 GMT"},
-                   {"content-type", "text/html; charset=utf-8"},
-                   {"content-length", "154234"},
-                   {"cache-control", "max-age=3600, public"}});
-  lists.push_back({{":status", "200"},
-                   {"server", "gse"},
-                   {"content-type", "application/javascript"},
-                   {"x-xss-protection", "1; mode=block"},
-                   {"x-frame-options", "SAMEORIGIN"},
-                   {"alt-svc", "quic=\":443\"; ma=2592000; v=\"36,35,34\""}});
-  lists.push_back({{":status", "304"},
-                   {"server", "LiteSpeed"},
-                   {"etag", "\"5a3-54b1f0a8e6d80\""},
-                   {"vary", "accept-encoding"},
-                   {"accept-ranges", "bytes"}});
-  lists.push_back({{":status", "404"},
-                   {"server", "tengine"},
-                   {"content-type", "text/plain"},
-                   {"set-cookie",
-                    "session=f00ba4b4adf00d; path=/; HttpOnly; Secure"}});
-  return lists;
-}
-
-void bench_huffman(std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  // Realistic header-text alphabet: mostly lowercase/digits/punctuation,
-  // which is where the Huffman table actually spends its short codes.
-  const std::string alphabet =
-      "abcdefghijklmnopqrstuvwxyz0123456789-_.:;=/ \"ABCDEFXYZ%";
-  std::vector<h2r::Bytes> encoded;
-  std::size_t plain_octets = 0;
-  for (int i = 0; i < 64; ++i) {
-    std::string s;
-    const std::size_t len = 8 + rng() % 120;
-    for (std::size_t j = 0; j < len; ++j) {
-      s.push_back(alphabet[rng() % alphabet.size()]);
-    }
-    plain_octets += s.size();
-    h2r::ByteWriter w;
-    h2r::hpack::huffman_encode(w, s);
-    encoded.push_back(w.take());
-  }
-
-  constexpr int kIters = 20000;
-  std::size_t decoded_octets = 0;
-  const auto start = Clock::now();
-  for (int it = 0; it < kIters; ++it) {
-    for (const auto& e : encoded) {
-      auto r = h2r::hpack::huffman_decode(e);
-      decoded_octets += r.value().size();
-    }
-  }
-  const double wall = ms_since(start);
-  const double ops = static_cast<double>(kIters) * encoded.size();
-  const double mb =
-      static_cast<double>(kIters) * plain_octets / (1024.0 * 1024.0);
-  record("huffman_decode", wall, ops, mb / (wall / 1000.0));
-
-  const auto estart = Clock::now();
-  std::size_t out_octets = 0;
-  std::string plain(512, 'x');
-  for (std::size_t j = 0; j < plain.size(); ++j) {
-    plain[j] = alphabet[rng() % alphabet.size()];
-  }
-  for (int it = 0; it < kIters * 4; ++it) {
-    h2r::ByteWriter w;
-    h2r::hpack::huffman_encode(w, plain);
-    out_octets += w.size();
-  }
-  const double ewall = ms_since(estart);
-  const double emb = static_cast<double>(kIters) * 4 * plain.size() /
-                     (1024.0 * 1024.0);
-  record("huffman_encode", ewall, kIters * 4.0, emb / (ewall / 1000.0));
-  (void)decoded_octets;
-  (void)out_octets;
-}
-
-void bench_hpack_lookup() {
-  using h2r::hpack::HeaderField;
-  h2r::hpack::IndexTable table;
-  // A dynamic table mid-scan: a few dozen cookie/date/etag style entries.
-  for (int i = 0; i < 48; ++i) {
-    table.insert({"x-custom-header-" + std::to_string(i % 16),
-                  "value-" + std::to_string(i)});
-  }
-  std::vector<HeaderField> queries = {
-      {":status", "200"},                         // static full match
-      {":method", "GET"},                         // static full match
-      {"content-type", "text/html"},              // static name match
-      {"x-custom-header-3", "value-35"},          // dynamic full match
-      {"x-custom-header-9", "no-such-value"},     // dynamic name match
-      {"x-entirely-absent", "nothing"},           // total miss
-  };
-  constexpr int kIters = 200000;
-  std::uint64_t acc = 0;
-  const auto start = Clock::now();
-  for (int it = 0; it < kIters; ++it) {
-    for (const auto& q : queries) {
-      const auto m = table.find(q);
-      acc += m.index + (m.value_matched ? 1 : 0);
-    }
-  }
-  const double wall = ms_since(start);
-  const double ops = static_cast<double>(kIters) * queries.size();
-  record("hpack_lookup", wall, ops, ops / (wall / 1000.0));
-  if (acc == 0) std::printf("(impossible)\n");
-}
-
-void bench_hpack_blocks() {
-  const auto lists = sample_header_lists();
-  constexpr int kIters = 50000;
-
-  h2r::hpack::Encoder sizer(
-      {.policy = h2r::hpack::IndexingPolicy::kAggressive, .use_huffman = true});
-  std::size_t block_octets = 0;
-  for (const auto& l : lists) block_octets += sizer.encode(l).size();
-
-  const auto estart = Clock::now();
-  {
-    h2r::hpack::Encoder enc({.policy = h2r::hpack::IndexingPolicy::kAggressive,
-                             .use_huffman = true});
-    for (int it = 0; it < kIters; ++it) {
-      for (const auto& l : lists) {
-        const auto b = enc.encode(l);
-        block_octets += b.empty() ? 1 : 0;
-      }
-    }
-  }
-  const double ewall = ms_since(estart);
-  record("hpack_encode_block", ewall,
-         static_cast<double>(kIters) * lists.size(),
-         static_cast<double>(kIters) * lists.size() / (ewall / 1000.0));
-
-  // Pre-encode one instruction stream, then replay it through fresh
-  // decoders (table state must match the encoder's at each block).
-  h2r::hpack::Encoder enc({.policy = h2r::hpack::IndexingPolicy::kAggressive,
-                           .use_huffman = true});
-  std::vector<h2r::Bytes> blocks;
-  for (int rep = 0; rep < 4; ++rep) {
-    for (const auto& l : lists) blocks.push_back(enc.encode(l));
-  }
-  const auto dstart = Clock::now();
-  constexpr int kDecIters = 20000;
-  std::size_t fields = 0;
-  for (int it = 0; it < kDecIters; ++it) {
-    h2r::hpack::Decoder dec;
-    for (const auto& b : blocks) {
-      auto r = dec.decode(b);
-      fields += r.value().size();
-    }
-  }
-  const double dwall = ms_since(dstart);
-  record("hpack_decode_block", dwall,
-         static_cast<double>(kDecIters) * blocks.size(),
-         static_cast<double>(kDecIters) * blocks.size() / (dwall / 1000.0));
-  (void)fields;
-}
-
-void bench_framing() {
-  using namespace h2r;
-  std::vector<h2::Frame> frames;
-  frames.push_back(h2::make_settings(
-      {{h2::SettingId::kInitialWindowSize, 65535},
-       {h2::SettingId::kMaxConcurrentStreams, 100}}));
-  frames.push_back(h2::make_headers(1, Bytes(64, 0x42), false, true));
-  frames.push_back(h2::make_data(1, Bytes(1024, 0x55), false));
-  frames.push_back(h2::make_data(1, Bytes(8192, 0x66), true));
-  frames.push_back(h2::make_window_update(0, 65535));
-  frames.push_back(h2::make_ping({1, 2, 3, 4, 5, 6, 7, 8}, false));
-
-  constexpr int kIters = 50000;
-  const Bytes once = h2::serialize_frames(frames);
-  const auto sstart = Clock::now();
-  std::size_t octets = 0;
-  for (int it = 0; it < kIters; ++it) {
-    octets += h2::serialize_frames(frames).size();
-  }
-  const double swall = ms_since(sstart);
-  const double smb = static_cast<double>(octets) / (1024.0 * 1024.0);
-  record("frame_serialize", swall,
-         static_cast<double>(kIters) * frames.size(), smb / (swall / 1000.0));
-
-  const auto pstart = Clock::now();
-  std::size_t parsed = 0;
-  for (int it = 0; it < kIters; ++it) {
-    h2::FrameParser parser(h2::kMaxAllowedFrameSize);
-    parser.feed(once);
-    while (auto f = parser.next()) parsed += f->ok() ? 1 : 0;
-  }
-  const double pwall = ms_since(pstart);
-  const double pmb = static_cast<double>(kIters) * once.size() /
-                     (1024.0 * 1024.0);
-  record("frame_parse", pwall, static_cast<double>(parsed),
-         pmb / (pwall / 1000.0));
+  std::printf("%-24s %10.1f ms   %10.1f ns/op   %12.1f /s"
+              "   %8.1f allocs/op\n",
+              op.c_str(), wall_ms, g_results[op].per_op_ns, throughput,
+              allocs_per_op);
 }
 
 /// One full request/response conversation (client + server engine +
@@ -457,13 +250,9 @@ void write_json() {
   for (const auto& [op, r] : g_results) {
     std::fprintf(f,
                  "%s  \"%s\": {\"wall_ms\": %.3f, \"per_op_ns\": %.2f, "
-                 "\"throughput\": %.2f",
+                 "\"throughput\": %.2f, \"allocs_per_op\": %.2f}",
                  first ? "" : ",\n", op.c_str(), r.wall_ms, r.per_op_ns,
-                 r.throughput);
-    if (r.allocs_per_op >= 0) {
-      std::fprintf(f, ", \"allocs_per_op\": %.2f", r.allocs_per_op);
-    }
-    std::fprintf(f, "}");
+                 r.throughput, r.allocs_per_op);
     first = false;
   }
   std::fprintf(f, "\n}\n");
@@ -474,13 +263,9 @@ void write_json() {
 }  // namespace
 
 int main() {
-  h2r::bench::print_banner("Scan throughput - wire-stack micro-ops + "
+  h2r::bench::print_banner("Scan throughput - request/response exchange + "
                            "end-to-end epoch-2 scan");
   const std::uint64_t seed = h2r::bench::seed_from_env();
-  bench_huffman(seed);
-  bench_hpack_lookup();
-  bench_hpack_blocks();
-  bench_framing();
   bench_exchange();
   bench_scan(seed);
   write_json();

@@ -6,10 +6,9 @@
 // population. `H2R_SEED` overrides the corpus seed.
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 
 #include "corpus/marginals.h"
@@ -21,30 +20,14 @@
 // ------------------------------------------------------- allocation counter
 // Opt-in operator-new hook: a bench TU that defines H2R_BENCH_COUNT_ALLOCS
 // before including this header gets a process-wide heap-allocation counter,
-// readable via h2r::bench::heap_allocations(). Replaceable allocation
-// functions must be non-inline definitions with external linkage, so the
-// hook only works in single-TU bench binaries (which all of bench/ are) and
-// stays off everywhere else — the relaxed atomic increment is cheap but not
-// free, and only the allocs/op rows should pay it.
+// readable via h2r::bench::heap_allocations() (bench/count_allocs.h). The
+// replacement allocation functions only work in single-TU bench binaries
+// (which all of bench/ are) and stay off everywhere else — the relaxed
+// atomic increment is cheap but not free, and only the allocs/op rows
+// should pay it.
 #ifdef H2R_BENCH_COUNT_ALLOCS
 
-namespace h2r::bench {
-inline std::atomic<std::uint64_t> g_heap_allocations{0};
-inline std::uint64_t heap_allocations() noexcept {
-  return g_heap_allocations.load(std::memory_order_relaxed);
-}
-}  // namespace h2r::bench
-
-void* operator new(std::size_t size) {
-  h2r::bench::g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "bench/count_allocs.h"
 
 #else
 

@@ -277,13 +277,6 @@ FrameParser::parse_front(
   return parsed;
 }
 
-std::optional<Result<Frame>> FrameParser::next() {
-  auto view = next_view();
-  if (!view) return std::nullopt;
-  if (!view->ok()) return Result<Frame>{view->status()};
-  return materialize(view->value());
-}
-
 std::optional<Result<FrameView>> FrameParser::next_view() {
   assert(!in_place_);
   if (poisoned_) return Result<FrameView>{*poisoned_};

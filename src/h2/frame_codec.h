@@ -1,11 +1,15 @@
 // Frame <-> bytes conversion (RFC 7540 §4.1-4.2, §6).
 //
-// `serialize_frame` is pure. `FrameParser` is incremental: feed it arbitrary
-// byte chunks (as a transport delivers them) and poll complete frames out,
-// either by copying each chunk in (`feed()` + `next_view()`) or by parsing
-// the chunk where it lies (`parse_in_place()`). Violations that RFC 7540
-// defines as connection errors (oversized frames, malformed fixed-size
-// payloads, bad padding) surface as error Results.
+// `serialize_frame` is pure. `FrameParser` is incremental: hand it arbitrary
+// byte chunks (as a transport delivers them) through `parse_in_place()`,
+// which parses each chunk where it lies and hands out complete frames as
+// views; `materialize()` (frame_view.h) turns a view into an owning Frame.
+// This is the entry the engine, the client and every test parse through.
+// The copying `feed()` + `next_view()` entry is kept for two callers only:
+// perfbench's capture replay and the in-place differential test, which uses
+// it as its oracle. Violations that RFC 7540 defines as connection errors
+// (oversized frames, malformed fixed-size payloads, bad padding) surface as
+// error Results.
 #pragma once
 
 #include <deque>
@@ -74,20 +78,16 @@ class FrameParser {
   /// the octets not yet parsed; the next feed() takes a buffer back out.
   void release_buffer();
 
-  /// Appends transport bytes to the internal reassembly buffer.
+  /// Appends transport bytes to the internal reassembly buffer (the
+  /// copying entry; see the file comment for its two callers).
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Extracts the next complete frame.
+  /// Extracts the next complete frame of what feed() buffered, validated in
+  /// place: the returned FrameView's `body` aliases the internal buffer and
+  /// is valid only until the next feed() or next_view() call.
   /// - nullopt: need more bytes.
   /// - Result with error: stream is poisoned (connection error); subsequent
   ///   calls keep returning the same error.
-  [[nodiscard]] std::optional<Result<Frame>> next();
-
-  /// Zero-copy variant of next(): validates the frame in place and returns
-  /// a FrameView whose `body` aliases the internal buffer. The view (and
-  /// any spans derived from it) is valid only until the next call to
-  /// feed(), next() or next_view(). Error semantics are identical to
-  /// next(): the same inputs poison the stream with the same status.
   [[nodiscard]] std::optional<Result<FrameView>> next_view();
 
   class InPlace;
@@ -105,9 +105,10 @@ class FrameParser {
   /// Lifetime: @p bytes must stay valid and unmodified while the guard
   /// lives. A view from InPlace::next() aliases either @p bytes or the
   /// reassembly buffer and is valid only until the guard's next next() or
-  /// its destruction, whichever comes first. While the guard lives, the
-  /// parser takes no feed(), next(), next_view(), release_buffer(), reset()
-  /// or second parse_in_place(); its const accessors stay usable.
+  /// its destruction, whichever comes first; materialize() a frame that
+  /// must outlive that. While the guard lives, the parser takes no feed(),
+  /// next_view(), release_buffer(), reset() or second parse_in_place(); its
+  /// const accessors stay usable.
   [[nodiscard]] InPlace parse_in_place(std::span<const std::uint8_t> bytes);
 
   /// Raises the acceptable frame size (after the peer ACKs our SETTINGS).

@@ -5,19 +5,19 @@
 // eagerly, variable-length payloads (DATA bytes, header-block fragments,
 // GOAWAY debug data) stay where they lie. Where that is depends on the
 // entry:
-// - `FrameParser::next_view()`: `body` aliases the parser's reassembly
-//   buffer, which feed() copied the transport's bytes into. The view lives
-//   until the parser's next feed()/next()/next_view() call.
-// - `FrameParser::parse_in_place()`: `body` aliases the caller's delivery
-//   itself, except for a frame that straddled two deliveries, which was
-//   completed in the reassembly buffer. The view lives until the
-//   InPlace guard's next next() call or its destruction; the guard cannot
-//   outlive the scope that made it. The engine and client receive through
-//   this entry, so a 16 KiB DATA frame costs a span, not a copy.
-// `materialize()` converts a view into the classic owning `Frame` —
-// bit-identical to what `FrameParser::next()` has always produced — for
-// callers that must keep the frame beyond the view's lifetime (event
-// logs, tests).
+// - `FrameParser::parse_in_place()`, the entry the engine, the client and
+//   the tests parse through: `body` aliases the caller's delivery itself,
+//   except for a frame that straddled two deliveries (or that a receiver
+//   left unread when it stopped early), which sits in the parser's
+//   reassembly buffer. The view lives until the InPlace guard's next
+//   next() call or its destruction; the guard cannot outlive the scope
+//   that made it. So a 16 KiB DATA frame costs a span, not a copy.
+// - `FrameParser::next_view()`, the copying entry kept for perfbench's
+//   capture replay and the in-place differential test: `body` aliases the
+//   reassembly buffer that feed() copied the transport's bytes into. The
+//   view lives until the parser's next feed()/next_view() call.
+// `materialize()` converts a view into an owning `Frame`, for callers that
+// must keep the frame beyond the view's lifetime (event logs, tests).
 #pragma once
 
 #include <optional>

@@ -1,15 +1,11 @@
 // Allocation budgets for the two steady states that rewrite warm storage
 // instead of building new objects: a scan worker moving from site to site,
 // and an engine serving request after request on one keep-alive
-// connection. This executable replaces the global operator new (as
-// perfbench/alloc_hook.cc does) to count heap allocations, so it stands
-// alone.
+// connection. This executable replaces the global operator new with the
+// benches' counting hook (bench/count_allocs.h), so it stands alone.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "bench/count_allocs.h"
 #include "core/client.h"
 #include "corpus/population.h"
 #include "corpus/scan.h"
@@ -17,25 +13,6 @@
 #include "server/engine.h"
 #include "server/profile.h"
 #include "server/site.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace h2r {
 namespace {
@@ -76,12 +53,13 @@ TEST(AllocBudget, WarmScanWorkerStaysUnderItsPerSiteBudget) {
       corpus::scan_site(spec, opts, report, scratch);
     }
     const std::size_t responding = report.responding_sites;
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = bench::heap_allocations();
     for (const corpus::SiteSpec& spec : pop.sites) {
       corpus::scan_site(spec, opts, report, scratch);
     }
-    const double per_site = static_cast<double>(g_allocs.load() - before) /
-                            static_cast<double>(pop.sites.size());
+    const double per_site =
+        static_cast<double>(bench::heap_allocations() - before) /
+        static_cast<double>(pop.sites.size());
     EXPECT_EQ(report.responding_sites, 2 * responding);
     EXPECT_LT(per_site, kWarmWorkerSiteBudget);
   }
@@ -95,10 +73,11 @@ TEST(AllocBudget, WarmFaultedScanStaysUnderItsPerSiteBudget) {
   opts.fault_injection = true;
   opts.wiretap_metrics = true;
   (void)corpus::scan_population(pop, opts);  // fills process-wide tables
-  const std::uint64_t before = g_allocs.load();
+  const std::uint64_t before = bench::heap_allocations();
   const corpus::ScanReport report = corpus::scan_population(pop, opts);
-  const double per_site = static_cast<double>(g_allocs.load() - before) /
-                          static_cast<double>(pop.sites.size());
+  const double per_site =
+      static_cast<double>(bench::heap_allocations() - before) /
+      static_cast<double>(pop.sites.size());
   EXPECT_GT(report.responding_sites, 0u);
   EXPECT_LT(per_site, kScanSiteBudget);
 }
@@ -108,16 +87,16 @@ TEST(AllocBudget, WarmFaultedScanStaysUnderItsPerSiteBudget) {
 bool engine_round(core::ClientConnection& client, server::Http2Server& server,
                   std::uint64_t& engine_allocs) {
   Bytes c2s = client.take_output();
-  std::uint64_t at = g_allocs.load();
+  std::uint64_t at = bench::heap_allocations();
   if (!c2s.empty()) server.receive(c2s);
   Bytes s2c = server.take_output();
-  engine_allocs += g_allocs.load() - at;
+  engine_allocs += bench::heap_allocations() - at;
   if (!s2c.empty()) client.receive(s2c);
   const bool moved = !c2s.empty() || !s2c.empty();
   client.recycle(std::move(c2s));
-  at = g_allocs.load();
+  at = bench::heap_allocations();
   server.recycle(std::move(s2c));
-  engine_allocs += g_allocs.load() - at;
+  engine_allocs += bench::heap_allocations() - at;
   return moved;
 }
 

@@ -41,9 +41,9 @@ TEST(Client, EmitsPrefaceAndSettingsFirst) {
                                           h2::kClientPreface.size())),
             h2::kClientPreface);
   h2::FrameParser parser;
-  parser.feed({out.data() + h2::kClientPreface.size(),
-               out.size() - h2::kClientPreface.size()});
-  auto first = parser.next();
+  auto frames = parser.parse_in_place({out.data() + h2::kClientPreface.size(),
+                                       out.size() - h2::kClientPreface.size()});
+  auto first = frames.next();
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(first->ok());
   EXPECT_EQ(first->value().type(), h2::FrameType::kSettings);
@@ -55,11 +55,12 @@ TEST(Client, PlantsRequestedSettings) {
                     {h2::SettingId::kEnablePush, 0}}});
   const Bytes out = client.take_output();
   h2::FrameParser parser;
-  parser.feed({out.data() + h2::kClientPreface.size(),
-               out.size() - h2::kClientPreface.size()});
-  auto first = parser.next();
+  auto frames = parser.parse_in_place({out.data() + h2::kClientPreface.size(),
+                                       out.size() - h2::kClientPreface.size()});
+  auto first = frames.next();
   ASSERT_TRUE(first.has_value() && first->ok());
-  const auto& entries = first->value().as<h2::SettingsPayload>().entries;
+  const h2::Frame settings = h2::materialize(first->value());
+  const auto& entries = settings.as<h2::SettingsPayload>().entries;
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].first, 0x4);
   EXPECT_EQ(entries[0].second, 1u);
@@ -119,10 +120,10 @@ TEST(Client, AnswersServerPing) {
   const Bytes out = client.take_output();
   // Skip preface + SETTINGS, find the PING ACK.
   h2::FrameParser parser;
-  parser.feed({out.data() + h2::kClientPreface.size(),
-               out.size() - h2::kClientPreface.size()});
+  auto frames = parser.parse_in_place({out.data() + h2::kClientPreface.size(),
+                                       out.size() - h2::kClientPreface.size()});
   bool saw_ack = false;
-  while (auto f = parser.next()) {
+  while (auto f = frames.next()) {
     ASSERT_TRUE(f->ok());
     if (f->value().type() == h2::FrameType::kPing &&
         f->value().has_flag(h2::flags::kAck)) {

@@ -41,8 +41,8 @@ TEST(Engine, SendsSettingsPrefaceImmediately) {
   const Bytes out = server.take_output();
   ASSERT_FALSE(out.empty());
   h2::FrameParser parser;
-  parser.feed(out);
-  auto first = parser.next();
+  auto frames = parser.parse_in_place(out);
+  auto first = frames.next();
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(first->ok());
   EXPECT_EQ(first->value().type(), FrameType::kSettings);

@@ -1,7 +1,8 @@
 // Property tests for the frame codec: randomized frames survive
 // serialization under arbitrary transport chunking, the parser is
-// crash-free on arbitrary byte soup and on bit-flipped valid streams, and
-// its in-place entry is indistinguishable from feed() + next_view().
+// crash-free on arbitrary byte soup and on bit-flipped valid streams (all
+// through parse_in_place(), the entry the engine and client run), and that
+// in-place entry is indistinguishable from feed() + next_view().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -142,11 +143,14 @@ TEST_P(FrameRoundTripProperty, RandomFramesSurviveRandomChunking) {
   while (pos < wire.size()) {
     const std::size_t chunk =
         std::min<std::size_t>(1 + rng.next_below(97), wire.size() - pos);
-    parser.feed({wire.data() + pos, chunk});
+    // Each delivery dies with its round, as a transport's buffer does, so
+    // a frame is materialized while its view is still valid.
+    const Bytes delivery(wire.data() + pos, wire.data() + pos + chunk);
     pos += chunk;
-    while (auto next = parser.next()) {
+    auto frames = parser.parse_in_place(delivery);
+    while (auto next = frames.next()) {
       ASSERT_TRUE(next->ok()) << next->status().to_string();
-      parsed.push_back(std::move(next->value()));
+      parsed.push_back(materialize(next->value()));
     }
   }
   ASSERT_EQ(parsed.size(), sent.size());
@@ -165,10 +169,11 @@ TEST_P(FrameParserFuzz, ArbitraryBytesNeverCrash) {
   Rng rng(GetParam() * 0x9E3779B9u);
   FrameParser parser;
   for (int round = 0; round < 200; ++round) {
-    parser.feed(random_bytes(rng, 128));
+    const Bytes delivery = random_bytes(rng, 128);
+    auto frames = parser.parse_in_place(delivery);
     // Drain; errors are expected and fine, crashes are not.
     for (int i = 0; i < 64; ++i) {
-      auto next = parser.next();
+      auto next = frames.next();
       if (!next || !next->ok()) break;
     }
   }
@@ -190,9 +195,9 @@ TEST(FrameParserFuzzMutation, BitFlippedValidStreamsNeverCrash) {
       mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
     }
     FrameParser parser(kMaxAllowedFrameSize);
-    parser.feed(mutated);
+    auto frames = parser.parse_in_place(mutated);
     for (int i = 0; i < 64; ++i) {
-      auto next = parser.next();
+      auto next = frames.next();
       if (!next || !next->ok()) break;
     }
   }

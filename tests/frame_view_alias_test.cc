@@ -1,14 +1,15 @@
-// The zero-copy parse path: FrameParser::next_view() must validate frames
-// in place — its body span aliasing the reassembly buffer, no payload
-// copy — while materialize() reproduces, bit for bit, what next() has
-// always returned. Run under ASan (the asan-ubsan CI job runs the full
-// suite) this also proves the view's documented validity window is
-// honoured by the accessors themselves.
+// The zero-copy parse path: FrameParser::parse_in_place() must validate
+// frames where they lie — a view's body span aliasing the delivery or the
+// reassembly buffer, no payload copy — while materialize() rebuilds, bit for
+// bit, the frame that was serialized. Run under ASan (the asan-ubsan CI job
+// runs the full suite) this also proves the view's documented validity
+// window is honoured by the accessors themselves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "h2/constants.h"
@@ -46,39 +47,57 @@ std::vector<Frame> sample_frames() {
   return frames;
 }
 
-// next_view() + materialize() and next() must yield identical frames —
-// compared on the wire, where every payload detail shows up — whether the
-// bytes arrive in one block or one octet at a time.
-TEST(FrameViewAlias, MaterializedViewsMatchOwningParsePath) {
-  const Bytes wire = serialize_frames(sample_frames());
-
-  FrameParser owning;
-  owning.feed(wire);
-  FrameParser viewing;
-  for (std::uint8_t b : wire) viewing.feed({&b, 1});  // worst-case trickle
-
-  std::size_t count = 0;
-  for (;;) {
-    auto classic = owning.next();
-    auto view = viewing.next_view();
-    ASSERT_EQ(classic.has_value(), view.has_value());
-    if (!classic) break;
-    ASSERT_TRUE(classic->ok());
-    ASSERT_TRUE(view->ok());
-    const Frame from_view = materialize(view->value());
-    EXPECT_EQ(serialize_frame(classic->value()), serialize_frame(from_view));
-    EXPECT_EQ(classic->value().flags, from_view.flags);
-    EXPECT_EQ(classic->value().stream_id, from_view.stream_id);
-    ++count;
+/// Every frame @p parser hands out of @p delivery, materialized before the
+/// guard (and with it the views) goes.
+std::vector<Frame> parse_all(FrameParser& parser,
+                             std::span<const std::uint8_t> delivery) {
+  std::vector<Frame> out;
+  auto frames = parser.parse_in_place(delivery);
+  while (auto view = frames.next()) {
+    EXPECT_TRUE(view->ok()) << view->status().to_string();
+    if (!view->ok()) break;
+    out.push_back(materialize(view->value()));
   }
-  EXPECT_EQ(count, sample_frames().size());
-  EXPECT_EQ(viewing.buffered_bytes(), owning.buffered_bytes());
+  return out;
 }
 
-// The body span of a view points into the parser's buffer: two frames fed
-// as one block yield views whose payloads sit exactly one frame header
-// apart in the same allocation. (Frame 2 dwarfs frame 1 so the lazy
-// compaction between the calls doesn't trigger and move the buffer.)
+// materialize() of an in-place view must rebuild the frame that was
+// serialized — compared on the wire, where every payload detail shows up —
+// whether the bytes arrive in one block or one octet at a time.
+TEST(FrameViewAlias, MaterializedViewsMatchOwningParsePath) {
+  const std::vector<Frame> source = sample_frames();
+  const Bytes wire = serialize_frames(source);
+
+  FrameParser block;
+  std::vector<Frame> from_block = parse_all(block, wire);
+  FrameParser trickle;
+  std::vector<Frame> from_trickle;
+  for (std::uint8_t b : wire) {  // worst-case trickle
+    for (Frame& f : parse_all(trickle, {&b, 1})) {
+      from_trickle.push_back(std::move(f));
+    }
+  }
+
+  for (const auto* parsed : {&from_block, &from_trickle}) {
+    ASSERT_EQ(parsed->size(), source.size());
+    for (std::size_t i = 0; i < source.size(); ++i) {
+      SCOPED_TRACE("frame " + std::to_string(i));
+      const Frame& from_view = (*parsed)[i];
+      EXPECT_EQ(serialize_frame(source[i]), serialize_frame(from_view));
+      EXPECT_EQ(source[i].flags, from_view.flags);
+      EXPECT_EQ(source[i].stream_id, from_view.stream_id);
+    }
+  }
+  EXPECT_EQ(block.unparsed_bytes(), 0u);
+  EXPECT_EQ(trickle.unparsed_bytes(), 0u);
+}
+
+// A receiver that stops before taking any frame leaves the delivery in the
+// reassembly buffer (the guard stashes it there), and the next in-place
+// call's views alias that buffer: two frames yield payloads exactly one
+// frame header apart in the same allocation, which is not the delivery's.
+// (Frame 2 dwarfs frame 1 so the lazy compaction between the calls doesn't
+// trigger and move the buffer.)
 TEST(FrameViewAlias, BodySpanAliasesReassemblyBuffer) {
   const Bytes small = pattern_bytes(16, 1);
   const Bytes big = pattern_bytes(4000, 7);
@@ -87,14 +106,17 @@ TEST(FrameViewAlias, BodySpanAliasesReassemblyBuffer) {
   wire.insert(wire.end(), second.begin(), second.end());
 
   FrameParser parser;
-  parser.feed(wire);
+  { auto stopped_early = parser.parse_in_place(wire); }
+  ASSERT_EQ(parser.buffered_bytes(), wire.size());
 
-  auto first = parser.next_view();
+  auto frames = parser.parse_in_place({});
+  auto first = frames.next();
   ASSERT_TRUE(first && first->ok());
   const auto p1 = reinterpret_cast<std::uintptr_t>(first->value().body.data());
   ASSERT_EQ(first->value().body.size(), small.size());
+  EXPECT_NE(first->value().body.data(), wire.data() + kFrameHeaderSize);
 
-  auto next = parser.next_view();
+  auto next = frames.next();
   ASSERT_TRUE(next && next->ok());
   const FrameView& view = next->value();
   const auto p2 = reinterpret_cast<std::uintptr_t>(view.body.data());
@@ -115,7 +137,7 @@ TEST(FrameViewAlias, BodySpanAliasesReassemblyBuffer) {
 }
 
 // Padding is stripped from the aliased body but still counted by the
-// flow-control length, same as the owning path.
+// flow-control length, and the materialized frame carries the unpadded data.
 TEST(FrameViewAlias, PaddedDataBodyIsUnpadded) {
   const Bytes data = pattern_bytes(20, 60);
   constexpr std::uint8_t kPad = 7;
@@ -128,8 +150,8 @@ TEST(FrameViewAlias, PaddedDataBodyIsUnpadded) {
   const Bytes wire = out.take();
 
   FrameParser parser;
-  parser.feed(wire);
-  auto view = parser.next_view();
+  auto frames = parser.parse_in_place(wire);
+  auto view = frames.next();
   ASSERT_TRUE(view && view->ok());
   EXPECT_EQ(view->value().payload_wire_octets, 1 + data.size() + kPad);
   ASSERT_EQ(view->value().body.size(), data.size());
@@ -140,38 +162,42 @@ TEST(FrameViewAlias, PaddedDataBodyIsUnpadded) {
   EXPECT_EQ(frame.as<DataPayload>().data, data);
 }
 
-// Error semantics are shared: the same malformed input poisons a
-// next_view() parser with the same status and error context as next().
+// A malformed frame poisons the parser through the in-place guard: the
+// status names the violation, error_context() names the offending frame,
+// and both stay the same on the next call and on a later delivery.
 TEST(FrameViewAlias, ViewPathPoisonsLikeOwningPath) {
   ByteWriter out;
+  serialize_frame_into(out, make_ping({1, 2, 3, 4, 5, 6, 7, 8}));
+  const std::size_t bad_offset = out.size();
   // RST_STREAM payload must be exactly 4 octets; send 3.
   write_frame_header(out, 3, FrameType::kRstStream, 0, 1);
   out.write_zeros(3);
   const Bytes wire = out.take();
 
-  FrameParser owning;
-  owning.feed(wire);
-  FrameParser viewing;
-  viewing.feed(wire);
-
-  auto classic = owning.next();
-  auto view = viewing.next_view();
-  ASSERT_TRUE(classic && view);
-  ASSERT_FALSE(classic->ok());
-  ASSERT_FALSE(view->ok());
-  EXPECT_EQ(classic->status().message(), view->status().message());
-
-  ASSERT_TRUE(viewing.error_context().has_value());
-  ASSERT_TRUE(owning.error_context().has_value());
-  EXPECT_EQ(viewing.error_context()->frame_offset,
-            owning.error_context()->frame_offset);
-  EXPECT_EQ(viewing.error_context()->frame_type,
-            owning.error_context()->frame_type);
-
-  // Poison is sticky on both paths.
-  auto again = viewing.next_view();
-  ASSERT_TRUE(again);
-  EXPECT_FALSE(again->ok());
+  FrameParser parser;
+  const auto expect_poisoned = [&](const auto& result) {
+    ASSERT_TRUE(result);
+    ASSERT_FALSE(result->ok());
+    EXPECT_EQ(result->status().code(), StatusCode::kFrameSizeError);
+    EXPECT_EQ(result->status().message(), "RST_STREAM length != 4");
+    ASSERT_TRUE(parser.error_context().has_value());
+    EXPECT_EQ(parser.error_context()->frame_offset, bad_offset);
+    EXPECT_EQ(parser.error_context()->frame_type,
+              static_cast<std::uint8_t>(FrameType::kRstStream));
+    EXPECT_TRUE(parser.error_context()->type_known);
+  };
+  {
+    auto frames = parser.parse_in_place(wire);
+    auto ping = frames.next();
+    ASSERT_TRUE(ping && ping->ok());
+    EXPECT_FALSE(parser.error_context().has_value());
+    expect_poisoned(frames.next());
+    // Poison is sticky within the delivery...
+    expect_poisoned(frames.next());
+  }
+  // ...and across deliveries.
+  auto later = parser.parse_in_place(wire);
+  expect_poisoned(later.next());
 }
 
 }  // namespace

@@ -9,10 +9,20 @@
 namespace h2r::h2 {
 namespace {
 
+/// The first frame (or error) @p p parses in place out of @p wire, with a
+/// frame materialized so it outlives the delivery.
+std::optional<Result<Frame>> parse_first(FrameParser& p,
+                                         std::span<const std::uint8_t> wire) {
+  auto frames = p.parse_in_place(wire);
+  auto view = frames.next();
+  if (!view) return std::nullopt;
+  if (!view->ok()) return Result<Frame>{view->status()};
+  return materialize(view->value());
+}
+
 Frame roundtrip(const Frame& f, std::uint32_t max_frame_size = kDefaultMaxFrameSize) {
   FrameParser p(max_frame_size);
-  p.feed(serialize_frame(f));
-  auto out = p.next();
+  auto out = parse_first(p, serialize_frame(f));
   EXPECT_TRUE(out.has_value());
   EXPECT_TRUE(out->ok()) << out->status().to_string();
   return std::move(out->value());
@@ -53,8 +63,7 @@ TEST(FrameCodec, PaddingLongerThanPayloadIsProtocolError) {
   w.write_u8('a');
   w.write_u8('b');
   FrameParser p;
-  p.feed(w.bytes());
-  auto out = p.next();
+  auto out = parse_first(p, w.bytes());
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status().code(), StatusCode::kProtocolError);
 }
@@ -86,8 +95,7 @@ TEST(FrameCodec, PriorityWrongLengthIsFrameSizeError) {
   w.write_u32(1);
   w.write_u32(0);
   FrameParser p;
-  p.feed(w.bytes());
-  auto out = p.next();
+  auto out = parse_first(p, w.bytes());
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status().code(), StatusCode::kFrameSizeError);
 }
@@ -124,8 +132,7 @@ TEST(FrameCodec, SettingsBadLengthIsFrameSizeError) {
   w.write_u32(0);
   for (int i = 0; i < 5; ++i) w.write_u8(0);
   FrameParser p;
-  p.feed(w.bytes());
-  auto out = p.next();
+  auto out = parse_first(p, w.bytes());
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status().code(), StatusCode::kFrameSizeError);
 }
@@ -151,8 +158,7 @@ TEST(FrameCodec, PingWrongSizeIsFrameSizeError) {
   w.write_u32(0);
   for (int i = 0; i < 7; ++i) w.write_u8(0);
   FrameParser p;
-  p.feed(w.bytes());
-  auto out = p.next();
+  auto out = parse_first(p, w.bytes());
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status().code(), StatusCode::kFrameSizeError);
 }
@@ -204,10 +210,10 @@ TEST(FrameParser, HandlesArbitraryChunking) {
   FrameParser p;
   std::vector<Frame> parsed;
   for (std::uint8_t b : wire) {
-    p.feed({&b, 1});
-    while (auto f = p.next()) {
+    auto delivery = p.parse_in_place({&b, 1});
+    while (auto f = delivery.next()) {
       ASSERT_TRUE(f->ok());
-      parsed.push_back(std::move(f->value()));
+      parsed.push_back(materialize(f->value()));
     }
   }
   ASSERT_EQ(parsed.size(), frames.size());
@@ -219,12 +225,11 @@ TEST(FrameParser, HandlesArbitraryChunking) {
 TEST(FrameParser, OversizedFrameIsFrameSizeError) {
   Frame f = make_data(1, Bytes(20000, 0x55), false);
   FrameParser p(/*max_frame_size=*/16384);
-  p.feed(serialize_frame(f));
-  auto out = p.next();
+  auto out = parse_first(p, serialize_frame(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->status().code(), StatusCode::kFrameSizeError);
-  // Parser stays poisoned.
-  auto again = p.next();
+  // Parser stays poisoned, even for a delivery with nothing in it.
+  auto again = parse_first(p, {});
   ASSERT_TRUE(again.has_value());
   EXPECT_FALSE(again->ok());
 }
@@ -233,8 +238,7 @@ TEST(FrameParser, RaisedLimitAcceptsBigFrames) {
   Frame f = make_data(1, Bytes(20000, 0x55), false);
   FrameParser p(16384);
   p.set_max_frame_size(1 << 20);
-  p.feed(serialize_frame(f));
-  auto out = p.next();
+  auto out = parse_first(p, serialize_frame(f));
   ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(out->ok());
   EXPECT_EQ(out->value().as<DataPayload>().data.size(), 20000u);

@@ -66,20 +66,25 @@ TEST(ServeLoopback, LoadRunCompletesWithZeroErrors) {
   lopts.requests = 100;
   lopts.streams = 4;
   const netio::LoadReport report = netio::run_load(lopts);
+  // Under CPU contention this run has failed now and then with a server
+  // connection booked disconnected; the failure prints both sides' counters
+  // and errno maps.
+  const std::string load = "load report: " + report.json();
 
-  EXPECT_EQ(report.completed, 100u);
-  EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.total_errors(), 0u);
-  EXPECT_EQ(report.clean_closes, 4u);
-  EXPECT_GT(report.rps, 0.0);
-  EXPECT_EQ(report.latency_ms.size(), 100u);
+  EXPECT_EQ(report.completed, 100u) << load;
+  EXPECT_EQ(report.failed, 0u) << load;
+  EXPECT_EQ(report.total_errors(), 0u) << load;
+  EXPECT_EQ(report.clean_closes, 4u) << load;
+  EXPECT_GT(report.rps, 0.0) << load;
+  EXPECT_EQ(report.latency_ms.size(), 100u) << load;
 
   server.stop();
   const netio::ServeStats& stats = server.serve->stats();
-  EXPECT_EQ(stats.accepted, 4u);
-  EXPECT_EQ(stats.served_clean, 4u);
-  EXPECT_EQ(stats.disconnected, 0u);
-  EXPECT_TRUE(stats.errors.empty());
+  const std::string both = "serve stats: " + stats.json() + "\n" + load;
+  EXPECT_EQ(stats.accepted, 4u) << both;
+  EXPECT_EQ(stats.served_clean, 4u) << both;
+  EXPECT_EQ(stats.disconnected, 0u) << both;
+  EXPECT_TRUE(stats.errors.empty()) << both;
 }
 
 TEST(ServeLoopback, HardenedProfileServesWellBehavedLoadCleanly) {

@@ -26,8 +26,8 @@
 #include <map>
 #include <string>
 
-#define H2R_BENCH_COUNT_ALLOCS 1
 #include "bench/bench_util.h"
+#include "bench/count_allocs.h"
 #include "core/probes.h"
 #include "net/transport.h"
 #include "server/profile.h"

@@ -33,8 +33,8 @@
 #include <string>
 #include <thread>
 
-#define H2R_BENCH_COUNT_ALLOCS 1
 #include "bench/bench_util.h"
+#include "bench/count_allocs.h"
 #include "netio/load.h"
 #include "netio/serve_shard.h"
 

@@ -17,28 +17,6 @@
 #include "util/parse.h"
 #include "util/stats.h"
 
-// ------------------------------------------------------- allocation counter
-// Opt-in operator-new hook: a bench TU that defines H2R_BENCH_COUNT_ALLOCS
-// before including this header gets a process-wide heap-allocation counter,
-// readable via h2r::bench::heap_allocations() (bench/count_allocs.h). The
-// replacement allocation functions only work in single-TU bench binaries
-// (which all of bench/ are) and stay off everywhere else — the relaxed
-// atomic increment is cheap but not free, and only the allocs/op rows
-// should pay it.
-#ifdef H2R_BENCH_COUNT_ALLOCS
-
-#include "bench/count_allocs.h"
-
-#else
-
-namespace h2r::bench {
-/// Without the hook the counter never moves; allocs/op readouts are
-/// meaningless and callers should skip them.
-inline std::uint64_t heap_allocations() noexcept { return 0; }
-}  // namespace h2r::bench
-
-#endif  // H2R_BENCH_COUNT_ALLOCS
-
 namespace h2r::bench {
 
 /// True when @p s parsed fully as a number; otherwise warns on stderr and

@@ -1,16 +1,17 @@
 // Process-wide heap-allocation counter: replaces the global operator new
 // and operator delete so that h2r::bench::heap_allocations() reads every
-// heap allocation the process has made.
+// heap allocation the process makes through an unaligned form of new.
 //
 // Replaceable allocation functions must be non-inline definitions with
 // external linkage, so include this header in exactly one translation unit
-// of an executable: a single-TU bench (through bench_util.h with
-// H2R_BENCH_COUNT_ALLOCS defined) or the allocation-budget test. Every form
-// of new and delete that a library may call is replaced, the std::nothrow
-// ones included, so no block comes from one allocator and goes back to
-// another: std::stable_sort takes its buffer from the nothrow form, and
-// under ASan a block from the unreplaced form, freed through this free(),
-// aborts with alloc-dealloc-mismatch.
+// of an executable: a single-TU bench or the allocation-budget test. Every
+// unaligned form of new and delete is replaced, the std::nothrow ones
+// included, so no block comes from one allocator and goes back to another:
+// std::stable_sort takes its buffer from the nothrow form, and under ASan a
+// block from the unreplaced form, freed through this free(), aborts with
+// alloc-dealloc-mismatch. The std::align_val_t forms stay the library's;
+// they pair only with each other, and their allocations are not counted
+// (no type in the project is over-aligned).
 #pragma once
 
 #include <atomic>
